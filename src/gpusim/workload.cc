@@ -17,10 +17,13 @@ SimWorkload::totalRays() const
 SimWorkload
 SimWorkload::build(const rt::Tracer &tracer, uint32_t width, uint32_t height,
                    const std::vector<PixelCoord> &pixels,
-                   const std::vector<bool> *selected)
+                   const std::vector<bool> *selected,
+                   const rt::FrameRayRecord *frame)
 {
     ZATEL_ASSERT(!selected || selected->size() == pixels.size(),
                  "selection mask must align with the pixel list");
+    ZATEL_ASSERT(!frame || (frame->width == width && frame->height == height),
+                 "frame ray record is for another image plane");
 
     SimWorkload workload;
     workload.width = width;
@@ -43,11 +46,20 @@ SimWorkload::build(const rt::Tracer &tracer, uint32_t width, uint32_t height,
         ThreadWork &thread = workload.threads[i];
         thread.pixelLinear = pixel.y * width + pixel.x;
         thread.selected = !selected || (*selected)[i];
-        if (thread.selected) {
+        if (!thread.selected)
+            continue;
+        ++workload.selectedCount;
+        if (frame) {
+            // The render already traced this pixel: copy its slice.
+            const size_t begin = frame->offsets[thread.pixelLinear];
+            thread.rayCount = static_cast<uint32_t>(
+                frame->offsets[thread.pixelLinear + 1] - begin);
+            thread.rays = workload.rayArena.copySpan(
+                frame->rays.data() + begin, thread.rayCount);
+        } else {
             xs.push_back(pixel.x);
             ys.push_back(pixel.y);
             thread_of.push_back(static_cast<uint32_t>(i));
-            ++workload.selectedCount;
         }
     }
 

@@ -73,11 +73,16 @@ struct SimWorkload
      * @param tracer Functional tracer (provides scene, BVH and spp).
      * @param pixels Pixels in launch order (a Zatel group or a full frame).
      * @param selected Optional mask aligned with @p pixels; null = all.
+     * @param frame Optional frame ray record of this image plane, made
+     *        by @p tracer's render(). When given, each selected pixel's
+     *        rays are copied from its slice instead of traced again;
+     *        the workload is the same either way.
      */
     static SimWorkload build(const rt::Tracer &tracer, uint32_t width,
                              uint32_t height,
                              const std::vector<PixelCoord> &pixels,
-                             const std::vector<bool> *selected = nullptr);
+                             const std::vector<bool> *selected = nullptr,
+                             const rt::FrameRayRecord *frame = nullptr);
 
     /** Convenience: full-frame workload in row-major order. */
     static SimWorkload buildFullFrame(const rt::Tracer &tracer,

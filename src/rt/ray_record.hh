@@ -56,6 +56,26 @@ struct PixelRayRecord
 };
 
 /**
+ * Every pixel's recorded rays for one frame, in one flat row-major
+ * buffer. Tracer::render() fills it in the same pass that shades the
+ * frame, so a consumer that needs a pixel's rays (SimWorkload::build)
+ * copies a slice instead of tracing the pixel a second time. Per pixel
+ * the slice is byte-identical to recordPixelRays().
+ */
+struct FrameRayRecord
+{
+    uint32_t width = 0;
+    uint32_t height = 0;
+    /** All rays, pixel after pixel in row-major order. */
+    std::vector<RayTask> rays;
+    /** width * height + 1 entries: pixel p's rays are
+     *  rays[offsets[p], offsets[p + 1]), p = y * width + x. */
+    std::vector<size_t> offsets;
+
+    bool empty() const { return offsets.empty(); }
+};
+
+/**
  * Record the rays pixel (x, y) casts under @p tracer's configuration.
  * Matches Tracer::shade() exactly (same jitter, same recursion).
  */

@@ -5,6 +5,7 @@
 
 #include "rt/ray_record.hh"
 #include "util/logging.hh"
+#include "util/thread_pool.hh"
 
 namespace zatel::rt
 {
@@ -49,7 +50,8 @@ class WavefrontEngine
 {
   public:
     /** One pixel's identity and output sinks. Null sinks are skipped:
-     *  render mode sets color+profile, record mode sets tasks. */
+     *  render mode sets color+profile (plus tasks when it records the
+     *  frame's rays), record mode sets tasks only. */
     struct Pixel
     {
         uint32_t x = 0;
@@ -291,7 +293,8 @@ Tracer::Tracer(const Scene &scene, const Bvh &bvh, const Params &params)
 }
 
 RenderResult
-Tracer::render(uint32_t width, uint32_t height) const
+Tracer::render(uint32_t width, uint32_t height, ThreadPool *pool,
+               FrameRayRecord *rays) const
 {
     RenderResult result;
     result.width = width;
@@ -299,34 +302,93 @@ Tracer::render(uint32_t width, uint32_t height) const
     result.image = FrameBuffer(width, height);
     result.profiles.resize(static_cast<size_t>(width) * height);
 
-    // Packetized wavefront over row-major batches; per pixel the output
-    // is bit-identical to the scalar tracePixel() reference path.
-    WavefrontEngine engine(*this);
-    WavefrontEngine::Pixel batch[RayPacket::kWidth];
-    Vec3 colors[RayPacket::kWidth];
-    uint32_t filled = 0;
-    auto flush = [&]() {
-        if (filled == 0)
-            return;
-        engine.run(batch, filled, width, height);
-        for (uint32_t i = 0; i < filled; ++i)
-            result.image.set(batch[i].x, batch[i].y, colors[i]);
-        filled = 0;
+    // About four bands per worker balance rows of uneven cost; a serial
+    // render is one band.
+    constexpr uint32_t kBandsPerWorker = 4;
+    const uint32_t target_bands =
+        pool == nullptr
+            ? 1
+            : kBandsPerWorker * static_cast<uint32_t>(pool->workerCount());
+    const uint32_t band_rows =
+        std::max(1u, (height + target_bands - 1) / target_bands);
+    const uint32_t bands = (height + band_rows - 1) / band_rows;
+
+    /** One band's share of the frame ray record, in pixel order. */
+    struct BandRays
+    {
+        std::vector<RayTask> rays;
+        std::vector<uint32_t> counts;
     };
-    for (uint32_t y = 0; y < height; ++y) {
-        for (uint32_t x = 0; x < width; ++x) {
-            WavefrontEngine::Pixel &px = batch[filled];
-            px.x = x;
-            px.y = y;
-            px.color = &colors[filled];
-            px.profile =
-                &result.profiles[static_cast<size_t>(y) * width + x];
-            px.tasks = nullptr;
-            if (++filled == RayPacket::kWidth)
-                flush();
+    std::vector<BandRays> band_rays(rays != nullptr ? bands : 0);
+
+    // Packetized wavefront over the band's row-major batches; per pixel
+    // the output is bit-identical to the scalar tracePixel() and
+    // recordPixelRays() reference paths, whatever the batch.
+    const auto render_band = [&](size_t b) {
+        const uint32_t y0 = static_cast<uint32_t>(b) * band_rows;
+        const uint32_t y1 = std::min(height, y0 + band_rows);
+        BandRays *out = rays != nullptr ? &band_rays[b] : nullptr;
+        WavefrontEngine engine(*this);
+        WavefrontEngine::Pixel batch[RayPacket::kWidth];
+        Vec3 colors[RayPacket::kWidth];
+        PixelRayRecord records[RayPacket::kWidth];
+        uint32_t filled = 0;
+        auto flush = [&]() {
+            if (filled == 0)
+                return;
+            engine.run(batch, filled, width, height);
+            for (uint32_t i = 0; i < filled; ++i) {
+                result.image.set(batch[i].x, batch[i].y, colors[i]);
+                if (out != nullptr) {
+                    const std::vector<RayTask> &pixel = records[i].rays;
+                    out->rays.insert(out->rays.end(), pixel.begin(),
+                                     pixel.end());
+                    out->counts.push_back(
+                        static_cast<uint32_t>(pixel.size()));
+                }
+            }
+            filled = 0;
+        };
+        for (uint32_t y = y0; y < y1; ++y) {
+            for (uint32_t x = 0; x < width; ++x) {
+                WavefrontEngine::Pixel &px = batch[filled];
+                px.x = x;
+                px.y = y;
+                px.color = &colors[filled];
+                px.profile =
+                    &result.profiles[static_cast<size_t>(y) * width + x];
+                px.tasks = out != nullptr ? &records[filled] : nullptr;
+                if (++filled == RayPacket::kWidth)
+                    flush();
+            }
+        }
+        flush();
+    };
+    if (pool != nullptr) {
+        pool->parallelForChunked(bands, 1, render_band);
+    } else {
+        for (uint32_t b = 0; b < bands; ++b)
+            render_band(b);
+    }
+
+    if (rays != nullptr) {
+        // Bands cover consecutive rows, so band order is pixel order.
+        size_t total = 0;
+        for (const BandRays &band : band_rays)
+            total += band.rays.size();
+        rays->width = width;
+        rays->height = height;
+        rays->rays.clear();
+        rays->rays.reserve(total);
+        rays->offsets.assign(1, 0);
+        rays->offsets.reserve(static_cast<size_t>(width) * height + 1);
+        for (const BandRays &band : band_rays) {
+            rays->rays.insert(rays->rays.end(), band.rays.begin(),
+                              band.rays.end());
+            for (uint32_t count : band.counts)
+                rays->offsets.push_back(rays->offsets.back() + count);
         }
     }
-    flush();
     return result;
 }
 

@@ -18,8 +18,15 @@
 #include "rt/scene.hh"
 #include "rt/traversal.hh"
 
+namespace zatel
+{
+class ThreadPool;
+}
+
 namespace zatel::rt
 {
+
+struct FrameRayRecord;
 
 /** Per-pixel work record produced by the functional tracer. */
 struct PixelProfile
@@ -83,8 +90,20 @@ class Tracer
     Tracer(const Scene &scene, const Bvh &bvh,
            const Params &params = TracerParams());
 
-    /** Render the full image plane. */
-    RenderResult render(uint32_t width, uint32_t height) const;
+    /**
+     * Render the full image plane.
+     *
+     * @param pool When non-null, the frame is split into row bands that
+     *        run concurrently on @p pool, one wavefront engine per band.
+     *        Pixels are independent, so the image and the profiles are
+     *        bit-identical to a serial render.
+     * @param rays When non-null, the same pass also records every
+     *        pixel's rays into this frame record. Each band fills its
+     *        own buffer; the buffers are joined in band order.
+     */
+    RenderResult render(uint32_t width, uint32_t height,
+                        ThreadPool *pool = nullptr,
+                        FrameRayRecord *rays = nullptr) const;
 
     /**
      * Trace one pixel (all its samples).

@@ -513,13 +513,14 @@ ArtifactCache::getOrBuildRaw(ArtifactKind kind, uint64_t key,
             if (!built.first) {
                 // Cross-process single-flight: either we own the build
                 // claim now, or another process published the artifact
-                // while we waited (re-try the disk), or the wait gave
-                // up (build locally — duplicated work, never wrong).
+                // while we waited, or the wait gave up (build locally —
+                // duplicated work, never wrong). Re-try the disk in
+                // every case: a waiter wins the claim as soon as the
+                // builder publishes and releases it, and must then load
+                // the artifact, not build it a second time.
                 own_claim = acquireBuildClaim(kind, key, claim_path);
-                if (!own_claim) {
-                    built = tryLoadFromDisk(kind, key);
-                    from_disk = built.first != nullptr;
-                }
+                built = tryLoadFromDisk(kind, key);
+                from_disk = built.first != nullptr;
             }
         }
         if (!built.first)

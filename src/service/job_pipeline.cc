@@ -5,14 +5,13 @@
 #include <stdexcept>
 #include <utility>
 
-#include "heatmap/profiler.hh"
 #include "obs/metrics_registry.hh"
 #include "obs/trace_recorder.hh"
 #include "rt/scene_library.hh"
-#include "rt/tracer.hh"
 #include "util/fault_injection.hh"
 #include "util/logging.hh"
 #include "util/timer.hh"
+#include "zatel/predictor.hh"
 
 namespace zatel::service
 {
@@ -461,21 +460,15 @@ JobPipeline::runStartUnit(JobState &state)
                           std::shared_ptr<const heatmap::QuantizedHeatmap>,
                           uint64_t> {
                     ZATEL_INJECT_FAULT("heatmap.build");
-                    // Must match ZatelPredictor::prepare() exactly so
-                    // cached and uncached runs are byte-identical.
-                    rt::TracerParams tp;
-                    tp.samplesPerPixel = job.params.samplesPerPixel;
-                    rt::Tracer tracer(state.pack->scene, state.pack->bvh,
-                                      tp);
-                    rt::RenderResult render = tracer.render(
-                        job.params.width, job.params.height);
-                    heatmap::Heatmap map = heatmap::profileRender(
-                        render, job.params.profiler);
+                    // Rendered without a pool: this stage is itself a
+                    // unit on the shared scheduler pool, whose workers
+                    // run other jobs' units. A nested parallel loop
+                    // would help-run their group simulations here.
                     auto result =
                         std::make_shared<heatmap::QuantizedHeatmap>(
-                            heatmap::QuantizedHeatmap::quantize(
-                                map, job.params.quantizeColors,
-                                job.params.seed));
+                            core::buildQuantizedHeatmap(state.pack->scene,
+                                                        state.pack->bvh,
+                                                        job.params));
                     const uint64_t bytes =
                         result->clusterIds().size() * sizeof(uint32_t) +
                         result->palette().size() * sizeof(rt::Vec3) +

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <thread>
 
 #include "obs/metrics_registry.hh"
@@ -82,6 +83,25 @@ predictorMetrics()
 
 } // namespace
 
+heatmap::QuantizedHeatmap
+buildQuantizedHeatmap(const rt::Scene &scene, const rt::Bvh &bvh,
+                      const ZatelParams &params, ThreadPool *pool,
+                      rt::FrameRayRecord *rays)
+{
+    const rt::Tracer tracer(scene, bvh, tracerParamsFor(params));
+    rt::RenderResult render = [&] {
+        ZATEL_TRACE_SCOPE("prepare.render");
+        return tracer.render(params.width, params.height, pool, rays);
+    }();
+    heatmap::Heatmap map = [&] {
+        ZATEL_TRACE_SCOPE("prepare.profile");
+        return heatmap::profileRender(render, params.profiler);
+    }();
+    ZATEL_TRACE_SCOPE("prepare.quantize");
+    return heatmap::QuantizedHeatmap::quantize(map, params.quantizeColors,
+                                               params.seed);
+}
+
 std::map<gpusim::Metric, double>
 OracleResult::metrics() const
 {
@@ -132,7 +152,7 @@ ZatelPredictor::throwIfCancelled() const
 }
 
 void
-ZatelPredictor::prepare()
+ZatelPredictor::prepare(ThreadPool *pool)
 {
     if (prepared_)
         return;
@@ -142,21 +162,11 @@ ZatelPredictor::prepare()
     WallTimer preprocess_timer;
 
     // Steps (1) + (2): heatmap + color quantization (skipped when a
-    // cached artifact was injected).
+    // cached artifact was injected). The render also records the frame's
+    // rays, which the group workloads slice in step (6).
     if (!hasPrebuiltHeatmap_) {
-        rt::RenderResult render = [this] {
-            ZATEL_TRACE_SCOPE("prepare.render");
-            return tracer_.render(params_.width, params_.height);
-        }();
-        heatmap::Heatmap map = [this, &render] {
-            ZATEL_TRACE_SCOPE("prepare.profile");
-            return heatmap::profileRender(render, params_.profiler);
-        }();
-        {
-            ZATEL_TRACE_SCOPE("prepare.quantize");
-            quantized_ = heatmap::QuantizedHeatmap::quantize(
-                map, params_.quantizeColors, params_.seed);
-        }
+        quantized_ =
+            buildQuantizedHeatmap(scene_, bvh_, params_, pool, &frameRays_);
     }
     throwIfCancelled();
 
@@ -449,8 +459,15 @@ ZatelPredictor::simulateGroup(uint32_t group_index, const PixelGroup &group,
     // Fault site: the instance dies after workload construction but
     // before (conceptually: during) the simulation itself.
     ZATEL_INJECT_FAULT_KEYED("group.sim.midrun", group_index);
-    gpusim::SimWorkload workload = gpusim::SimWorkload::build(
-        tracer_, params_.width, params_.height, group, &selection.mask);
+    gpusim::SimWorkload workload = [&] {
+        ZATEL_TRACE_SCOPE("sim.workload", static_cast<int64_t>(group_index));
+        // Slice the frame ray record when this predictor rendered the
+        // frame; after an injected heatmap there is none, so the group's
+        // selected pixels are traced here.
+        return gpusim::SimWorkload::build(
+            tracer_, params_.width, params_.height, group, &selection.mask,
+            frameRays_.empty() ? nullptr : &frameRays_);
+    }();
     gpusim::Gpu gpu(config, workload);
     if (simProbeInterval_ > 0) {
         installWatchdogProbe(gpu, group_index);
@@ -477,44 +494,33 @@ ZatelPredictor::predict()
 {
     ZATEL_TRACE_SCOPE("predict");
 
+    // One pool runs the render's row bands in step (1) and the K group
+    // simulations in step (6): the injected shared pool when one was
+    // provided (campaign service; the helping-caller design of
+    // parallelForChunked means this thread drains other jobs' tasks
+    // while it waits), else an owned pool of numThreads workers, by
+    // default one per hardware thread.
+    std::optional<ThreadPool> owned;
+    ThreadPool *pool = executor_;
+    if (pool == nullptr)
+        pool = &owned.emplace(params_.numThreads);
+
     // Steps (1)-(5).
-    prepare();
+    prepare(pool);
 
-    // Step (6): concurrent simulation of the K groups, on the injected
-    // shared pool when one was provided, else on an owned pool.
+    // Step (6): concurrent simulation of the K groups.
     std::vector<GroupTask> tasks(groups_.size());
-    const auto body = [&](size_t g) { tasks[g] = runGroupTaskResilient(g); };
-
     WallTimer sim_timer;
     {
         ZATEL_TRACE_SCOPE("predict.simulate",
                           static_cast<int64_t>(groups_.size()));
-        if (executor_ != nullptr) {
-            // Shared-pool mode (campaign service): the caller sizes the
-            // pool for the whole batch; the helping-caller design of
-            // parallelForChunked means this thread drains other jobs'
-            // tasks while it waits, so batched predictions never idle a
-            // core.
-            executor_->parallelForChunked(groups_.size(), 0, body);
-        } else {
-        // Default the worker count to the hardware so instances are not
-        // time-sliced against each other: per-instance wallSeconds then
-        // measures each instance in isolation, and maxGroupWallSeconds
-        // models the paper's one-core-per-group deployment even on
-        // machines with fewer cores than K.
-            size_t workers =
-                params_.numThreads != 0
-                    ? params_.numThreads
-                    : std::max<size_t>(
-                          1, std::thread::hardware_concurrency());
-            ThreadPool pool(std::min<size_t>(workers, groups_.size()));
-            // grain 0 = automatic: one task per group while K <= 4x
-            // workers (each instance is heavy and run in isolation),
-            // degrading to range-chunked submission when a sweep forces
-            // K far above the worker count, which cuts queue-lock
-            // contention.
-            pool.parallelForChunked(groups_.size(), 0, body);
-        }
+        // grain 0 = automatic: one task per group while K <= 4x workers
+        // (each instance is heavy and run in isolation), degrading to
+        // range-chunked submission when a sweep forces K far above the
+        // worker count, which cuts queue-lock contention.
+        pool->parallelForChunked(groups_.size(), 0, [&](size_t g) {
+            tasks[g] = runGroupTaskResilient(g);
+        });
     }
     const double sim_seconds = sim_timer.elapsedSeconds();
     predictorMetrics().simulateSeconds->observe(sim_seconds);

@@ -31,6 +31,7 @@
 #include "heatmap/heatmap.hh"
 #include "heatmap/profiler.hh"
 #include "rt/bvh.hh"
+#include "rt/ray_record.hh"
 #include "rt/scene.hh"
 #include "rt/tracer.hh"
 #include "zatel/combine.hh"
@@ -114,8 +115,9 @@ struct ZatelParams
     uint32_t quantizeColors = 8;
     /** Seed for all randomized stages. */
     uint64_t seed = 0x2A7E1;
-    /** Worker threads for concurrent group simulation;
-     *  0 = hardware concurrency (capped at K). */
+    /** Workers of the pool predict() owns, which runs the render's row
+     *  bands and the K group simulations; 0 = hardware concurrency.
+     *  Ignored when an executor is injected (setExecutor). */
     uint32_t numThreads = 0;
 
     // ---- Resilience (docs/ROBUSTNESS.md) ----
@@ -199,6 +201,21 @@ struct ZatelResult
     double metric(gpusim::Metric m) const { return predicted.at(m); }
 };
 
+/**
+ * Steps (1) + (2): render the frame, profile it into an execution-time
+ * heatmap and quantize the heatmap's colors. ZatelPredictor::prepare()
+ * and the campaign service's cached heatmap artifact both build through
+ * this one function, so cached and uncached predictions cannot drift.
+ *
+ * @param pool Runs the render's row bands; null renders on the calling
+ *        thread. The result does not depend on it.
+ * @param rays Optional out: the frame ray record of the same render.
+ */
+heatmap::QuantizedHeatmap
+buildQuantizedHeatmap(const rt::Scene &scene, const rt::Bvh &bvh,
+                      const ZatelParams &params, ThreadPool *pool = nullptr,
+                      rt::FrameRayRecord *rays = nullptr);
+
 /** Oracle (full-resolution, full-GPU) reference run. */
 struct OracleResult
 {
@@ -241,20 +258,22 @@ class ZatelPredictor
     // ---- Injection points (campaign service, src/service/) ----
 
     /**
-     * Execute step (6) on an injected shared pool instead of a
-     * predictor-owned one, so a batch of predictions shares one set of
-     * workers (non-owning; @p pool must outlive the predictor). Null
-     * restores the default owned-pool behaviour. Results are
-     * byte-identical either way (see tests/test_determinism.cc).
+     * Run predict()'s parallel stages (render bands, group simulations)
+     * on an injected shared pool instead of a predictor-owned one, so a
+     * batch of predictions shares one set of workers (non-owning; @p pool
+     * must outlive the predictor). Null restores the default owned-pool
+     * behaviour. Results are byte-identical either way (see
+     * tests/test_determinism.cc).
      */
     void setExecutor(ThreadPool *pool) { executor_ = pool; }
 
     /**
      * Inject a pre-built quantized heatmap (e.g. from the artifact
-     * cache), skipping the profile + quantize stages. Must match the
-     * configured image size and must equal what profileRender + quantize
-     * would produce for these params if byte-identical results with and
-     * without the cache are required.
+     * cache), skipping the render, profile and quantize stages; the
+     * group workloads then trace their selected pixels themselves. Must
+     * match the configured image size and must equal what
+     * buildQuantizedHeatmap() produces for these params if
+     * byte-identical results with and without the cache are required.
      */
     void setPrebuiltHeatmap(heatmap::QuantizedHeatmap quantized);
 
@@ -296,8 +315,9 @@ class ZatelPredictor
      * Steps (1)-(5): heatmap (unless injected), downscale factor,
      * image-plane division and representative-pixel selection.
      * Idempotent; cheap when a pre-built heatmap was injected.
+     * @param pool Runs the render's row bands; null renders serially.
      */
-    void prepare();
+    void prepare(ThreadPool *pool = nullptr);
 
     bool prepared() const { return prepared_; }
 
@@ -385,6 +405,9 @@ class ZatelPredictor
     gpusim::GpuConfig groupConfig_;
     std::vector<PixelGroup> groups_;
     std::vector<Selection> selections_;
+    /** Every pixel's rays, recorded by prepare()'s render; empty when a
+     *  heatmap was injected and nothing was rendered. */
+    rt::FrameRayRecord frameRays_;
     std::vector<double> fractionsToRun_;
     double preprocessSeconds_ = 0.0;
 };

@@ -184,7 +184,8 @@ TEST_F(ObsIntegration, PredictIsByteIdenticalWithObservabilityOn)
     expectResultsIdentical(baseline, traced, "obs on vs off");
 
     // The promised spans exist: one pipeline, one prepare/simulate/
-    // assemble, one sim.group per image-plane group.
+    // assemble, one sim.group and one sim.workload per image-plane
+    // group.
     std::vector<obs::TraceEvent> events =
         obs::TraceRecorder::global().snapshot();
     EXPECT_EQ(countSpans(events, "predict"), 1u);
@@ -192,6 +193,7 @@ TEST_F(ObsIntegration, PredictIsByteIdenticalWithObservabilityOn)
     EXPECT_EQ(countSpans(events, "predict.simulate"), 1u);
     EXPECT_EQ(countSpans(events, "predict.assemble"), 1u);
     EXPECT_EQ(countSpans(events, "sim.group"), traced.groups.size());
+    EXPECT_EQ(countSpans(events, "sim.workload"), traced.groups.size());
     EXPECT_GE(countSpans(events, "gpu.run"), traced.groups.size());
 
     // And the exported trace is schema-valid Chrome JSON.

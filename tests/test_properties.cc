@@ -99,9 +99,20 @@ INSTANTIATE_TEST_SUITE_P(AllScenes, ReplayAgreement,
 
 struct SelectorCase
 {
+    SelectorCase(core::DistributionMethod d, double f)
+        : distribution(d), fraction(f)
+    {
+    }
+
     core::DistributionMethod distribution;
+    // gtest names each case after the param's raw bytes; spelling out
+    // the gap before the double keeps those names free of stack garbage.
+    uint32_t reserved = 0;
     double fraction;
 };
+static_assert(sizeof(SelectorCase) == sizeof(core::DistributionMethod) +
+                                          sizeof(uint32_t) + sizeof(double),
+              "SelectorCase must have no implicit padding");
 
 class SelectorSweep : public testing::TestWithParam<SelectorCase>
 {

@@ -97,6 +97,26 @@ expectRowMatchesResult(const ResultRow &row,
     }
 }
 
+/**
+ * Exactly what `zatel predict` does: the predictor renders the frame
+ * itself and its groups slice the frame ray record. A campaign injects
+ * the cached heatmap instead, so its groups trace their pixels; equal
+ * rows therefore also check the slice path against the trace path.
+ */
+core::ZatelResult
+directPredict(const CampaignJob &job)
+{
+    rt::SceneDetail detail;
+    detail.density = job.sceneDetail;
+    rt::Scene scene = rt::buildScene(rt::sceneIdFromName(job.scene),
+                                     detail, job.sceneSeed);
+    rt::Bvh bvh;
+    bvh.build(scene.triangles(), job.bvh);
+    core::ZatelPredictor predictor(scene, bvh, gpuConfigFromName(job.gpu),
+                                   job.params);
+    return predictor.predict();
+}
+
 TEST(ServiceScheduler, EightJobsOneSceneBuildArtifactsOnce)
 {
     ArtifactCache cache(kCacheBudget, "");
@@ -232,17 +252,7 @@ TEST(ServiceScheduler, BadJobFailsWithoutAbortingTheCampaign)
 TEST(SchedulerDeterminism, MatchesDirectPredictorByteForByte)
 {
     const CampaignJob job = makeJob(0.4);
-
-    // Direct path: exactly what `zatel predict` does.
-    rt::SceneDetail detail;
-    detail.density = job.sceneDetail;
-    rt::Scene scene = rt::buildScene(rt::sceneIdFromName(job.scene),
-                                     detail, job.sceneSeed);
-    rt::Bvh bvh;
-    bvh.build(scene.triangles(), job.bvh);
-    core::ZatelPredictor predictor(scene, bvh, gpuConfigFromName(job.gpu),
-                                   job.params);
-    const core::ZatelResult direct = predictor.predict();
+    const core::ZatelResult direct = directPredict(job);
 
     // Scheduler path: shared pool + artifact cache, cold.
     std::vector<CampaignJob> jobs{job};
@@ -303,6 +313,15 @@ TEST(SchedulerDeterminism, WarmCacheRunIsByteIdentical)
             EXPECT_EQ(bitsOf(row.predicted.at(metric)),
                       bitsOf(it->second.predicted.at(metric)))
                 << row.jobId << ": " << gpusim::metricName(metric);
+        }
+    }
+
+    // And a warm row equals a direct prediction of its job.
+    for (const CampaignJob &job : makeCampaign(2)) {
+        for (const ResultRow &row : second_store.rows()) {
+            if (row.jobId == job.id)
+                expectRowMatchesResult(row, directPredict(job),
+                                       "warm cache vs direct " + job.id);
         }
     }
 }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "rt/bvh.hh"
@@ -15,6 +16,7 @@
 #include "rt/scene.hh"
 #include "rt/scene_library.hh"
 #include "rt/tracer.hh"
+#include "util/thread_pool.hh"
 
 namespace zatel::rt
 {
@@ -229,6 +231,29 @@ mirrorScene()
     return scene;
 }
 
+/** Every field of @p got equals @p want, floats bit for bit. */
+void
+expectSameRayTask(const RayTask &want, const RayTask &got, size_t pixel,
+                  size_t ray)
+{
+    EXPECT_EQ(std::memcmp(&want.ray.origin, &got.ray.origin, sizeof(Vec3)),
+              0)
+        << "origin diverged: pixel " << pixel << " ray " << ray;
+    EXPECT_EQ(std::memcmp(&want.ray.direction, &got.ray.direction,
+                          sizeof(Vec3)),
+              0)
+        << "direction diverged: pixel " << pixel << " ray " << ray;
+    EXPECT_EQ(std::memcmp(&want.ray.tMin, &got.ray.tMin, sizeof(float)), 0)
+        << "tMin diverged: pixel " << pixel << " ray " << ray;
+    EXPECT_EQ(std::memcmp(&want.ray.tMax, &got.ray.tMax, sizeof(float)), 0)
+        << "tMax diverged: pixel " << pixel << " ray " << ray;
+    EXPECT_EQ(want.mode, got.mode) << "pixel " << pixel << " ray " << ray;
+    EXPECT_EQ(want.hit, got.hit) << "pixel " << pixel << " ray " << ray;
+    EXPECT_EQ(want.materialId, got.materialId)
+        << "pixel " << pixel << " ray " << ray;
+    EXPECT_EQ(want.bounce, got.bounce) << "pixel " << pixel << " ray " << ray;
+}
+
 void
 expectPacketizedRenderMatchesScalar(const Scene &scene, uint32_t spp,
                                     uint32_t width, uint32_t height)
@@ -307,27 +332,92 @@ TEST(TracerPacketDifferential, BatchRayRecordMatchesScalar)
             recordPixelRays(tracer, xs[i], ys[i], kWidth, kHeight);
         ASSERT_EQ(scalar.rays.size(), batched[i].rays.size())
             << "ray count diverged at pixel " << i;
-        for (size_t r = 0; r < scalar.rays.size(); ++r) {
-            const RayTask &want = scalar.rays[r];
-            const RayTask &got = batched[i].rays[r];
-            EXPECT_EQ(std::memcmp(&want.ray.origin, &got.ray.origin,
-                                  sizeof(Vec3)),
-                      0)
-                << "origin diverged: pixel " << i << " ray " << r;
-            EXPECT_EQ(std::memcmp(&want.ray.direction, &got.ray.direction,
-                                  sizeof(Vec3)),
-                      0)
-                << "direction diverged: pixel " << i << " ray " << r;
-            EXPECT_EQ(std::memcmp(&want.ray.tMax, &got.ray.tMax,
-                                  sizeof(float)),
-                      0)
-                << "tMax diverged: pixel " << i << " ray " << r;
-            EXPECT_EQ(want.mode, got.mode) << "pixel " << i << " ray " << r;
-            EXPECT_EQ(want.hit, got.hit) << "pixel " << i << " ray " << r;
-            EXPECT_EQ(want.materialId, got.materialId)
-                << "pixel " << i << " ray " << r;
-            EXPECT_EQ(want.bounce, got.bounce)
-                << "pixel " << i << " ray " << r;
+        for (size_t r = 0; r < scalar.rays.size(); ++r)
+            expectSameRayTask(scalar.rays[r], batched[i].rays[r], i, r);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Pooled render differential: render() on a pool splits the frame into
+// row bands, one wavefront engine each, and records the frame's rays in
+// the same pass. For every worker count (and with no pool) the image and
+// profiles must equal the plain serial render and tracePixel() bit for
+// bit, and each pixel's slice of the frame record must equal
+// recordPixelRays(). The sizes leave partial bands and under-full
+// packets.
+// ---------------------------------------------------------------------
+
+void
+expectPooledRenderMatchesSerial(const Scene &scene, uint32_t spp,
+                                uint32_t width, uint32_t height)
+{
+    Bvh bvh;
+    bvh.build(scene.triangles());
+    TracerParams params;
+    params.samplesPerPixel = spp;
+    Tracer tracer(scene, bvh, params);
+    const RenderResult serial = tracer.render(width, height);
+
+    for (size_t workers : {0u, 1u, 3u, 4u}) {
+        SCOPED_TRACE(testing::Message()
+                     << width << "x" << height << " spp=" << spp
+                     << " workers=" << workers);
+        std::optional<ThreadPool> pool;
+        if (workers > 0)
+            pool.emplace(workers);
+        FrameRayRecord record;
+        const RenderResult pooled = tracer.render(
+            width, height, pool ? &*pool : nullptr, &record);
+        EXPECT_EQ(record.width, width);
+        EXPECT_EQ(record.height, height);
+        ASSERT_EQ(record.offsets.size(),
+                  static_cast<size_t>(width) * height + 1);
+        ASSERT_EQ(record.offsets.back(), record.rays.size());
+
+        for (uint32_t y = 0; y < height; ++y) {
+            for (uint32_t x = 0; x < width; ++x) {
+                const size_t p = static_cast<size_t>(y) * width + x;
+                PixelProfile scalar_profile;
+                const Vec3 scalar =
+                    tracer.tracePixel(x, y, width, height, scalar_profile);
+                const Vec3 want = serial.image.at(x, y);
+                const Vec3 got = pooled.image.at(x, y);
+                ASSERT_EQ(std::memcmp(&want, &got, sizeof(Vec3)), 0)
+                    << "color diverged from serial at (" << x << "," << y
+                    << ")";
+                ASSERT_EQ(std::memcmp(&scalar, &got, sizeof(Vec3)), 0)
+                    << "color diverged from tracePixel at (" << x << ","
+                    << y << ")";
+                const PixelProfile *refs[] = {&serial.profileAt(x, y),
+                                              &scalar_profile};
+                for (const PixelProfile *ref : refs) {
+                    const PixelProfile &profile = pooled.profileAt(x, y);
+                    EXPECT_EQ(ref->nodesVisited, profile.nodesVisited);
+                    EXPECT_EQ(ref->triangleTests, profile.triangleTests);
+                    EXPECT_EQ(ref->raysCast, profile.raysCast);
+                    EXPECT_EQ(ref->primaryHit, profile.primaryHit);
+                }
+
+                const PixelRayRecord expected =
+                    recordPixelRays(tracer, x, y, width, height);
+                const size_t begin = record.offsets[p];
+                ASSERT_EQ(record.offsets[p + 1] - begin,
+                          expected.rays.size())
+                    << "ray count diverged at pixel " << p;
+                for (size_t r = 0; r < expected.rays.size(); ++r)
+                    expectSameRayTask(expected.rays[r],
+                                      record.rays[begin + r], p, r);
+            }
+        }
+    }
+}
+
+TEST(TracerPooledRender, MatchesSerialAndScalarReferences)
+{
+    for (const Scene &scene : {simpleScene(), mirrorScene()}) {
+        for (uint32_t spp : {1u, 3u}) {
+            expectPooledRenderMatchesSerial(scene, spp, 9, 7);
+            expectPooledRenderMatchesSerial(scene, spp, 37, 23);
         }
     }
 }

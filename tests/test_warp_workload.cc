@@ -5,12 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "gpusim/warp.hh"
 #include "gpusim/workload.hh"
 #include "rt/bvh.hh"
 #include "rt/mesh.hh"
 #include "rt/scene.hh"
 #include "rt/tracer.hh"
+#include "util/thread_pool.hh"
 
 namespace zatel::gpusim
 {
@@ -210,6 +213,101 @@ TEST_F(WorkloadFixture, PartialWarpFewerThreads)
     EXPECT_EQ(warp.id(), 7u);
     warp.poll(0);
     EXPECT_EQ(warp.takePendingThreadInsts(), 3ull * config.raygenInsts);
+}
+
+/** Every ThreadWork field and every RayTask field equal, floats bit
+ *  for bit; the span pointers differ (each workload owns its arena). */
+void
+expectSameWorkload(const SimWorkload &want, const SimWorkload &got)
+{
+    EXPECT_EQ(want.width, got.width);
+    EXPECT_EQ(want.height, got.height);
+    EXPECT_EQ(want.bvh, got.bvh);
+    EXPECT_EQ(want.selectedCount, got.selectedCount);
+    ASSERT_EQ(want.threads.size(), got.threads.size());
+    for (size_t t = 0; t < want.threads.size(); ++t) {
+        const ThreadWork &a = want.threads[t];
+        const ThreadWork &b = got.threads[t];
+        EXPECT_EQ(a.pixelLinear, b.pixelLinear) << "thread " << t;
+        EXPECT_EQ(a.selected, b.selected) << "thread " << t;
+        ASSERT_EQ(a.rayCount, b.rayCount) << "thread " << t;
+        EXPECT_EQ(a.rays == nullptr, b.rays == nullptr) << "thread " << t;
+        for (uint32_t r = 0; r < a.rayCount; ++r) {
+            const rt::RayTask &x = a.rays[r];
+            const rt::RayTask &y = b.rays[r];
+            EXPECT_EQ(std::memcmp(&x.ray, &y.ray, sizeof(rt::Ray)), 0)
+                << "thread " << t << " ray " << r;
+            EXPECT_EQ(x.mode, y.mode) << "thread " << t << " ray " << r;
+            EXPECT_EQ(x.hit, y.hit) << "thread " << t << " ray " << r;
+            EXPECT_EQ(x.materialId, y.materialId)
+                << "thread " << t << " ray " << r;
+            EXPECT_EQ(x.bounce, y.bounce) << "thread " << t << " ray " << r;
+        }
+    }
+}
+
+TEST(WorkloadFrameRecord, SliceBuildMatchesTracedBuild)
+{
+    // A diffuse sphere, a mirror sphere and a floor, at 2 spp: primary,
+    // shadow and reflection rays all appear in the record.
+    rt::Scene scene("slice-test");
+    scene.setMaxBounces(2);
+    scene.setCamera(rt::Camera({0.0f, 1.0f, 6.0f}, {0.0f, 1.0f, 0.0f},
+                               {0.0f, 1.0f, 0.0f}, 50.0f));
+    scene.setLight({{5.0f, 10.0f, 5.0f}, {1.0f, 1.0f, 1.0f}});
+    const uint16_t diffuse =
+        scene.addMaterial(rt::Material::diffuse({0.8f, 0.3f, 0.3f}));
+    const uint16_t mirror =
+        scene.addMaterial(rt::Material::mirror({0.9f, 0.9f, 0.95f}));
+    rt::MeshBuilder mesh;
+    mesh.addSphere({0.8f, 1.0f, 0.0f}, 0.9f, 12, diffuse);
+    mesh.addSphere({-1.2f, 1.0f, -0.5f}, 0.8f, 12, mirror);
+    mesh.addGroundPlane({0.0f, 0.0f, 0.0f}, 10.0f, 4, diffuse);
+    scene.addTriangles(mesh.takeTriangles());
+    rt::Bvh bvh;
+    bvh.build(scene.triangles());
+    rt::TracerParams params;
+    params.samplesPerPixel = 2;
+    const rt::Tracer tracer(scene, bvh, params);
+
+    constexpr uint32_t kWidth = 23, kHeight = 17;
+    ThreadPool pool(3);
+    rt::FrameRayRecord frame;
+    tracer.render(kWidth, kHeight, &pool, &frame);
+
+    // A masked group in a scattered launch order, as the image-plane
+    // division produces: every third pixel row-major, reversed.
+    std::vector<PixelCoord> pixels;
+    std::vector<bool> mask;
+    for (uint32_t p = kWidth * kHeight; p-- > 0;) {
+        if (p % 3 != 0)
+            continue;
+        pixels.push_back({p % kWidth, p / kWidth});
+        mask.push_back(p % 2 == 0);
+    }
+    const SimWorkload traced =
+        SimWorkload::build(tracer, kWidth, kHeight, pixels, &mask);
+    const SimWorkload sliced =
+        SimWorkload::build(tracer, kWidth, kHeight, pixels, &mask, &frame);
+    EXPECT_GT(traced.selectedCount, 0u);
+    EXPECT_LT(traced.selectedCount, pixels.size());
+    expectSameWorkload(traced, sliced);
+
+    bool has_bounce = false;
+    for (const ThreadWork &thread : sliced.threads) {
+        for (uint32_t r = 0; r < thread.rayCount; ++r)
+            has_bounce |= thread.rays[r].bounce > 0;
+    }
+    EXPECT_TRUE(has_bounce) << "the mirror should add reflection rays";
+
+    // The unmasked full frame, row-major.
+    std::vector<PixelCoord> all;
+    for (uint32_t y = 0; y < kHeight; ++y)
+        for (uint32_t x = 0; x < kWidth; ++x)
+            all.push_back({x, y});
+    expectSameWorkload(
+        SimWorkload::buildFullFrame(tracer, kWidth, kHeight),
+        SimWorkload::build(tracer, kWidth, kHeight, all, nullptr, &frame));
 }
 
 } // namespace

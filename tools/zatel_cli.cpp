@@ -229,8 +229,8 @@ main(int argc, char **argv)
     args.addOption("spp", "1", "samples per pixel");
     args.addOption("seed", "173025", "pipeline seed");
     args.addOption("threads", "0",
-                   "worker threads for group simulation (0 = hardware "
-                   "concurrency, capped at K)");
+                   "worker threads for the render bands and the group "
+                   "simulations (0 = hardware concurrency)");
     args.addOption("division", "fine", "image division: fine | coarse");
     args.addOption("distribution", "uniform",
                    "selection distribution: uniform | lintmp | exptmp");
