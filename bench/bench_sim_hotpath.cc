@@ -16,25 +16,15 @@
  * identical: bit-identical predicted metrics, byte-identical per-group
  * and full-frame GpuStats. Timing is best-of-N to shed scheduler
  * noise. Results land in ./BENCH_sim.json; the process exits nonzero
- * when stats diverge or the predictor-level speedup drops below 1.2x
- * (the CI floor; the differential suite tests/test_gpu_fastpath.cc
- * covers correctness in finer grain).
+ * when stats diverge or the single-thread predictor-level speedup drops
+ * below 1.25x (the CI floor; the differential suite
+ * tests/test_gpu_fastpath.cc covers correctness in finer grain).
  *
- * A third leg times the epoch-span parallel fast loop (simThreads=4,
- * epochLength=16) against the serial fast loop on the same full frame.
- * Stat divergence there is always fatal; the >= 2x speedup gate is
- * enforced only on machines with at least 4 hardware threads (single-
- * core CI runners record a skip reason instead — a thread pool cannot
- * beat serial on one core). Its slow-tick cross-check runs the oracle
- * at the same epochLength — the epoch is a timing-model knob, so
- * cross-epoch stats are not comparable.
- *
- * A fourth (SoA) leg records the SoA hot-path numbers as soa_* fields:
- * the single-thread predict time of the SoA fast loop vs the slow-tick
- * oracle (gated at >= 1.25x in the release CI run of this binary) and
- * the workload-build time, which isolates the packetized-traversal +
- * arena ray-record path (docs/SIMULATOR.md, "Data layout of the hot
- * path").
+ * The fast loop is the SoA hot-path layout (docs/SIMULATOR.md, "Data
+ * layout of the hot path"), so the predictor ratio is also that
+ * layout's gate. soa_workload_build_seconds times the full-frame
+ * workload build alone, which isolates the packetized-traversal + arena
+ * ray-record path that no other number covers.
  */
 
 #include <algorithm>
@@ -44,7 +34,6 @@
 #include <cstring>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "bench_common.hh"
 #include "gpusim/gpu.hh"
@@ -66,20 +55,12 @@ using zatel::gpusim::GpuConfig;
 using zatel::gpusim::GpuStats;
 using zatel::gpusim::TickMode;
 
-constexpr double kMinSpeedup = 1.2; // CI floor; target is >= 1.3x
+// The fast loop must hold >= 1.25x on a single-thread predict against
+// the slow-tick oracle in the same process (same-process ratios shed
+// machine-to-machine noise; the absolute times in BENCH_sim.json track
+// regressions across commits).
+constexpr double kMinSpeedup = 1.25;
 constexpr int kTrials = 5;
-
-// SoA leg: the SoA/packetized fast loop must hold >= 1.25x on a
-// single-thread predict against the slow-tick oracle in the same
-// process (same-process ratios shed machine-to-machine noise; the
-// absolute soa_* times in BENCH_sim.json track regressions across
-// commits).
-constexpr double kMinSoaSpeedup = 1.25;
-
-// Parallel leg: serial fast loop vs the epoch-span sharded loop.
-constexpr double kMinParallelSpeedup = 2.0;
-constexpr uint32_t kParallelThreads = 4;
-constexpr uint32_t kParallelEpoch = 16;
 
 double
 nowSeconds()
@@ -206,7 +187,6 @@ struct FullFrameOutcome
     double seconds = 0.0;
     uint64_t fastForwarded = 0;
     uint64_t skippedSmTicks = 0;
-    uint64_t parallelSpans = 0;
 };
 
 /** One timed full-frame simulation in @p mode. */
@@ -224,7 +204,6 @@ runFullFrameOnce(const rt::Tracer &tracer, const GpuConfig &config,
     outcome.seconds = nowSeconds() - start;
     outcome.fastForwarded = gpu.fastForwardedCycles();
     outcome.skippedSmTicks = gpu.skippedSmTicks();
-    outcome.parallelSpans = gpu.parallelSpans();
     return outcome;
 }
 
@@ -247,37 +226,6 @@ runFullFrame(const rt::Tracer &tracer, const GpuConfig &config,
             runFullFrameOnce(tracer, config, res, TickMode::Fast);
         if (f.seconds < fast.seconds)
             fast = f;
-    }
-}
-
-/**
- * Best-of-kTrials full-frame run of the serial fast loop vs the
- * epoch-span parallel loop, interleaved. Both use the same explicit
- * epochLength so the only variable is SM sharding across threads.
- */
-void
-runParallelLeg(const rt::Tracer &tracer, const GpuConfig &base,
-               uint32_t res, FullFrameOutcome &serial,
-               FullFrameOutcome &parallel)
-{
-    GpuConfig serialConfig = base;
-    serialConfig.simThreads = 1;
-    serialConfig.epochLength = kParallelEpoch;
-    GpuConfig parallelConfig = base;
-    parallelConfig.simThreads = kParallelThreads;
-    parallelConfig.epochLength = kParallelEpoch;
-
-    serial.seconds = 1e300;
-    parallel.seconds = 1e300;
-    for (int trial = 0; trial < kTrials; ++trial) {
-        FullFrameOutcome s =
-            runFullFrameOnce(tracer, serialConfig, res, TickMode::Fast);
-        if (s.seconds < serial.seconds)
-            serial = s;
-        FullFrameOutcome p =
-            runFullFrameOnce(tracer, parallelConfig, res, TickMode::Fast);
-        if (p.seconds < parallel.seconds)
-            parallel = p;
     }
 }
 
@@ -312,42 +260,13 @@ main()
     identical &=
         statsIdentical(frameSlow.stats, frameFast.stats, "full frame");
 
-    // ---- Parallel leg: serial fast loop vs epoch-span sharded loop.
-    FullFrameOutcome parallelSerial;
-    FullFrameOutcome parallelSharded;
-    runParallelLeg(tracer, config, frameRes, parallelSerial,
-                   parallelSharded);
-    bool parallelIdentical = statsIdentical(
-        parallelSerial.stats, parallelSharded.stats, "parallel leg");
-    // The parallel run must also match the slow oracle, not just the
-    // serial fast loop it raced against. The oracle must run at the
-    // parallel leg's epochLength: the epoch is a timing-model knob
-    // (dispatch happens at epoch boundaries), so a default-epoch slow
-    // frame legitimately differs from an epoch-16 run and comparing
-    // across epochs fails on counters that are deterministic within
-    // either epoch setting.
-    GpuConfig slowEpochConfig = config;
-    slowEpochConfig.simThreads = 1;
-    slowEpochConfig.epochLength = kParallelEpoch;
-    FullFrameOutcome slowEpoch =
-        runFullFrameOnce(tracer, slowEpochConfig, frameRes, TickMode::Slow);
-    parallelIdentical &= statsIdentical(
-        slowEpoch.stats, parallelSharded.stats, "parallel vs slow");
-    unsigned hardwareThreads = std::thread::hardware_concurrency();
-    bool enforceParallelGate = hardwareThreads >= kParallelThreads;
-
     // ---- Timing.
     PredictTimes times = timePredict(prepared, config, params);
     double slowSeconds = times.slowSeconds;
     double fastSeconds = times.fastSeconds;
     double speedup = slowSeconds / fastSeconds;
 
-    // ---- SoA leg. The fast loop IS the SoA layout (flat tag/MSHR
-    // maps, fill heaps, lane rings, arena-backed ray spans), so its
-    // single-thread predict time against the slow-tick oracle is the
-    // leg's gate; the workload build is timed separately because it
-    // isolates the packetized-traversal + arena path that no other
-    // number covers.
+    // ---- Workload build alone: the packetized-traversal + arena path.
     double soaWorkloadBuildSeconds = 1e300;
     for (int trial = 0; trial < kTrials; ++trial) {
         double start = nowSeconds();
@@ -357,26 +276,15 @@ main()
         soaWorkloadBuildSeconds =
             std::min(soaWorkloadBuildSeconds, nowSeconds() - start);
     }
-    double soaSpeedup = speedup;
     double frameSpeedup = frameSlow.seconds / frameFast.seconds;
-    double parallelSpeedup =
-        parallelSerial.seconds / parallelSharded.seconds;
+    unsigned hardwareThreads = std::thread::hardware_concurrency();
 
     std::printf("predictor  slow %.3fs  fast %.3fs  speedup %.2fx\n",
                 slowSeconds, fastSeconds, speedup);
     std::printf("full frame slow %.3fs  fast %.3fs  speedup %.2fx\n",
                 frameSlow.seconds, frameFast.seconds, frameSpeedup);
-    std::printf("parallel   serial %.3fs  %u-thread %.3fs  speedup %.2fx"
-                "  (%llu spans, %u hw threads%s)\n",
-                parallelSerial.seconds, kParallelThreads,
-                parallelSharded.seconds, parallelSpeedup,
-                static_cast<unsigned long long>(
-                    parallelSharded.parallelSpans),
-                hardwareThreads,
-                enforceParallelGate ? "" : ", gate skipped");
-    std::printf("soa leg    predict fast %.3fs  speedup vs slow %.2fx  "
-                "workload build %.3fs\n",
-                fastSeconds, soaSpeedup, soaWorkloadBuildSeconds);
+    std::printf("workload build %.3fs  (%u hw threads)\n",
+                soaWorkloadBuildSeconds, hardwareThreads);
     std::printf("fast-forwarded cycles %llu  skipped SM ticks %llu  "
                 "(of %llu cycles)\n",
                 static_cast<unsigned long long>(frameFast.fastForwarded),
@@ -402,38 +310,15 @@ main()
             "  \"skipped_sm_ticks\": %llu,\n"
             "  \"stats_identical\": %s,\n"
             "  \"min_speedup_gate\": %.2f,\n"
-            "  \"soa_predict_slow_seconds\": %.6f,\n"
-            "  \"soa_predict_fast_seconds\": %.6f,\n"
-            "  \"soa_predict_speedup\": %.4f,\n"
             "  \"soa_workload_build_seconds\": %.6f,\n"
-            "  \"soa_min_speedup_gate\": %.2f,\n"
-            "  \"parallel_serial_seconds\": %.6f,\n"
-            "  \"parallel_sharded_seconds\": %.6f,\n"
-            "  \"parallel_speedup\": %.4f,\n"
-            "  \"parallel_threads\": %u,\n"
-            "  \"parallel_epoch_length\": %u,\n"
-            "  \"parallel_spans\": %llu,\n"
-            "  \"parallel_stats_identical\": %s,\n"
-            "  \"parallel_gate_enforced\": %s,\n"
-            "  \"parallel_gate_skip_reason\": \"%s\",\n"
-            "  \"min_parallel_speedup_gate\": %.2f,\n"
             "  \"hardware_threads\": %u\n"
             "}\n",
             options.resolution, kTrials, slowSeconds, fastSeconds, speedup,
             frameSlow.seconds, frameFast.seconds, frameSpeedup,
             static_cast<unsigned long long>(frameFast.fastForwarded),
             static_cast<unsigned long long>(frameFast.skippedSmTicks),
-            identical ? "true" : "false", kMinSpeedup, slowSeconds,
-            fastSeconds, soaSpeedup, soaWorkloadBuildSeconds,
-            kMinSoaSpeedup, parallelSerial.seconds, parallelSharded.seconds,
-            parallelSpeedup, kParallelThreads, kParallelEpoch,
-            static_cast<unsigned long long>(parallelSharded.parallelSpans),
-            parallelIdentical ? "true" : "false",
-            enforceParallelGate ? "true" : "false",
-            enforceParallelGate
-                ? ""
-                : "fewer than 4 hardware threads on this machine",
-            kMinParallelSpeedup, hardwareThreads);
+            identical ? "true" : "false", kMinSpeedup,
+            soaWorkloadBuildSeconds, hardwareThreads);
         std::fclose(json);
         std::printf("wrote BENCH_sim.json\n");
     } else {
@@ -446,30 +331,10 @@ main()
                      "FAIL: fast loop diverged from the slow reference\n");
         return 1;
     }
-    if (!parallelIdentical) {
-        std::fprintf(stderr, "FAIL: parallel loop diverged from the "
-                             "serial/slow reference\n");
-        return 1;
-    }
     if (speedup < kMinSpeedup) {
         std::fprintf(stderr,
                      "FAIL: predictor speedup %.2fx below the %.2fx gate\n",
                      speedup, kMinSpeedup);
-        return 1;
-    }
-    if (soaSpeedup < kMinSoaSpeedup) {
-        std::fprintf(stderr,
-                     "FAIL: SoA predict speedup %.2fx below the %.2fx "
-                     "gate\n",
-                     soaSpeedup, kMinSoaSpeedup);
-        return 1;
-    }
-    if (enforceParallelGate && parallelSpeedup < kMinParallelSpeedup) {
-        std::fprintf(stderr,
-                     "FAIL: parallel speedup %.2fx below the %.2fx gate "
-                     "(%u threads)\n",
-                     parallelSpeedup, kMinParallelSpeedup,
-                     kParallelThreads);
         return 1;
     }
     std::printf("sim hotpath gate passed (>= %.2fx, stats identical)\n",

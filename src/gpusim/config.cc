@@ -1,95 +1,11 @@
 #include "gpusim/config.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 
 #include "util/logging.hh"
 
 namespace zatel::gpusim
 {
-
-namespace
-{
-
-/** Parse a non-negative env knob; 0 (or unset/garbage) means default. */
-uint32_t
-envKnob(const char *name)
-{
-    const char *value = std::getenv(name);
-    if (value == nullptr || *value == '\0')
-        return 0;
-    char *end = nullptr;
-    unsigned long parsed = std::strtoul(value, &end, 10);
-    if (end == value || *end != '\0')
-        return 0;
-    return static_cast<uint32_t>(std::min<unsigned long>(parsed, 1u << 20));
-}
-
-std::atomic<uint32_t> &
-globalSimThreadsSlot()
-{
-    static std::atomic<uint32_t> slot{0};
-    return slot;
-}
-
-std::atomic<uint32_t> &
-globalEpochLengthSlot()
-{
-    static std::atomic<uint32_t> slot{0};
-    return slot;
-}
-
-} // namespace
-
-void
-setGlobalSimThreads(uint32_t threads)
-{
-    globalSimThreadsSlot().store(threads, std::memory_order_relaxed);
-}
-
-uint32_t
-globalSimThreads()
-{
-    return globalSimThreadsSlot().load(std::memory_order_relaxed);
-}
-
-void
-setGlobalEpochLength(uint32_t cycles)
-{
-    globalEpochLengthSlot().store(cycles, std::memory_order_relaxed);
-}
-
-uint32_t
-globalEpochLength()
-{
-    return globalEpochLengthSlot().load(std::memory_order_relaxed);
-}
-
-uint32_t
-resolveSimThreads(uint32_t instance_value)
-{
-    if (instance_value != 0)
-        return instance_value;
-    uint32_t global = globalSimThreads();
-    if (global != 0)
-        return global;
-    // Read once: tests that flip at runtime use setGlobalSimThreads().
-    static const uint32_t env = envKnob("ZATEL_GPU_SIM_THREADS");
-    return env != 0 ? env : 1;
-}
-
-uint32_t
-resolveEpochLength(uint32_t instance_value)
-{
-    if (instance_value != 0)
-        return instance_value;
-    uint32_t global = globalEpochLength();
-    if (global != 0)
-        return global;
-    static const uint32_t env = envKnob("ZATEL_GPU_EPOCH_LENGTH");
-    return env != 0 ? env : 1;
-}
 
 const char *
 warpSchedulerPolicyName(WarpSchedulerPolicy policy)

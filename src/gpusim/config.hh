@@ -105,27 +105,6 @@ struct GpuConfig
     /** Background shading after a closest-hit miss. */
     uint32_t missInsts = 2;
 
-    // ---- Execution knobs (docs/SIMULATOR.md, "Intra-simulation
-    // ---- parallelism") ----
-    /**
-     * Worker threads for one Gpu::run(); 0 defers to
-     * setGlobalSimThreads() / ZATEL_GPU_SIM_THREADS (default 1 =
-     * serial). Pure execution strategy: results are byte-identical at
-     * every thread count, so this knob is excluded from artifact-cache
-     * hashing. Threads above the SM count are clamped.
-     */
-    uint32_t simThreads = 0;
-    /**
-     * Warp-dispatch epoch in cycles; 0 defers to
-     * setGlobalEpochLength() / ZATEL_GPU_EPOCH_LENGTH (default 1).
-     * This is a *timing-model* parameter: pending warps dispatch only
-     * at cycles that are multiples of the epoch, in every tick mode.
-     * Epoch 1 reproduces the legacy every-cycle dispatch exactly; the
-     * parallel loop wants epochs near nocLatencyCycles so shards can
-     * run that many cycles between barriers.
-     */
-    uint32_t epochLength = 0;
-
     /** Peak DRAM bytes per core cycle per channel. */
     double
     dramBytesPerCoreCycle() const
@@ -160,23 +139,6 @@ struct GpuConfig
     /** Table II, NVIDIA Turing RTX 2060 column. */
     static GpuConfig rtx2060();
 };
-
-/**
- * Process-wide defaults consulted by instances that leave the matching
- * GpuConfig knob at 0 (instance > global > environment, the TickMode
- * pattern). Thread-safe (relaxed atomics); flip only while no
- * simulation is in flight. 0 restores "consult the environment".
- */
-void setGlobalSimThreads(uint32_t threads);
-uint32_t globalSimThreads();
-void setGlobalEpochLength(uint32_t cycles);
-uint32_t globalEpochLength();
-
-/** Collapse instance > global > ZATEL_GPU_SIM_THREADS into >= 1. */
-uint32_t resolveSimThreads(uint32_t instance_value);
-
-/** Collapse instance > global > ZATEL_GPU_EPOCH_LENGTH into >= 1. */
-uint32_t resolveEpochLength(uint32_t instance_value);
 
 } // namespace zatel::gpusim
 

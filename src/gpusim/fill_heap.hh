@@ -2,19 +2,19 @@
  * @file
  * SoA min-heap of pending fills, ordered by (readyCycle, seq).
  *
- * Replaces std::priority_queue<PendingFill> in the per-SM fill lanes:
- * the three fields live in parallel arrays so the frequent operations —
- * the per-cycle ready peek and the sift on push/pop — touch dense
- * uint64 lanes instead of moving 24-byte structs. Capacity is retained
- * across frames, so steady-state pushes never allocate
- * (docs/SIMULATOR.md, "Data layout of the hot path").
+ * Backs MemorySystem's per-SM fill lanes. The three fields live in
+ * parallel arrays so the frequent operations — the per-cycle ready peek
+ * and the sift on push/pop — touch dense uint64 lanes instead of moving
+ * 24-byte structs. Capacity is retained across frames, so steady-state
+ * pushes never allocate (docs/SIMULATOR.md, "Data layout of the hot
+ * path").
  *
  * Fill ready cycles are genuinely non-monotone (an L2 hit responds
  * after l2LatencyCycles while a DRAM completion responds the next
  * cycle), so unlike the L1 hit FIFO this must stay a priority queue.
- * The (readyCycle, seq) total order matches PendingFill::operator> —
- * the delivery-sequence tie-break that keeps the span-parallel loop
- * byte-identical to the serial one.
+ * The delivery-sequence tie-break makes (readyCycle, seq) a total
+ * order, so fills drain in an order that depends on delivery order
+ * only, not on the heap's push/pop history.
  */
 
 #ifndef ZATEL_GPUSIM_FILL_HEAP_HH

@@ -9,7 +9,6 @@
 #include "obs/metrics_registry.hh"
 #include "obs/trace_recorder.hh"
 #include "util/logging.hh"
-#include "util/thread_pool.hh"
 
 namespace zatel::gpusim
 {
@@ -110,13 +109,6 @@ resolveTickMode(TickMode instance_mode)
     return envTickMode();
 }
 
-/** First warp-dispatch boundary strictly after @p cycle. */
-uint64_t
-nextDispatchCycle(uint64_t cycle, uint32_t epoch)
-{
-    return (cycle / epoch + 1) * static_cast<uint64_t>(epoch);
-}
-
 } // namespace
 
 void
@@ -179,8 +171,7 @@ Gpu::snapshotStats(uint64_t cycle) const
 }
 
 void
-Gpu::dispatchPendingWarps(std::vector<uint64_t> &sm_wake_at,
-                          std::vector<uint64_t> *sm_settled_at)
+Gpu::dispatchPendingWarps(std::vector<uint64_t> &sm_wake_at)
 {
     while (!pendingWarps_.empty()) {
         bool placed = false;
@@ -193,8 +184,6 @@ Gpu::dispatchPendingWarps(std::vector<uint64_t> &sm_wake_at,
                 ++launchedWarps_;
                 nextLaunchSm_ = (s + 1) % config_.numSms;
                 sm_wake_at[s] = 0; // wake the SM for its new warp
-                if (sm_settled_at != nullptr)
-                    (*sm_settled_at)[s] = kNoEventCycle;
                 placed = true;
             }
         }
@@ -204,8 +193,7 @@ Gpu::dispatchPendingWarps(std::vector<uint64_t> &sm_wake_at,
 }
 
 bool
-Gpu::runCycleLoop(uint64_t max_cycles, bool fast, uint32_t epoch,
-                  uint64_t &out_cycle)
+Gpu::runCycleLoop(uint64_t max_cycles, bool fast, uint64_t &out_cycle)
 {
     const size_t num_sms = sms_.size();
 
@@ -239,11 +227,8 @@ Gpu::runCycleLoop(uint64_t max_cycles, bool fast, uint32_t epoch,
             }
         }
 
-        // 1. Dispatch pending warps into free SM slots (round-robin) at
-        // epoch boundaries. Epoch 1 (the default) dispatches every
-        // cycle, the legacy behaviour.
-        if (cycle % epoch == 0)
-            dispatchPendingWarps(smWakeAt, nullptr);
+        // 1. Dispatch pending warps into free SM slots (round-robin).
+        dispatchPendingWarps(smWakeAt);
 
         // 2. Advance the memory system, then the SMs. The fast path
         // skips components whose tick is provably linear-accrual-only;
@@ -302,21 +287,12 @@ Gpu::runCycleLoop(uint64_t max_cycles, bool fast, uint32_t epoch,
         uint64_t next = cycle + 1;
         if (fast && min_wake > cycle + 1) {
             uint64_t event = min_wake;
-            bool launch_due = false;
-            if (!pendingWarps_.empty()) {
-                // A pending warp with somewhere to land makes the next
-                // dispatch boundary meaningful: jump at most there.
-                for (const auto &sm : sms_) {
-                    if (sm->hasFreeSlot()) {
-                        uint64_t boundary = nextDispatchCycle(cycle, epoch);
-                        if (boundary <= cycle + 1)
-                            launch_due = true;
-                        else
-                            event = std::min(event, boundary);
-                        break;
-                    }
-                }
-            }
+            // A pending warp with somewhere to land dispatches next
+            // cycle, so there is nothing to jump over.
+            bool launch_due =
+                !pendingWarps_.empty() &&
+                std::any_of(sms_.begin(), sms_.end(),
+                            [](const auto &sm) { return sm->hasFreeSlot(); });
             if (!launch_due) {
                 for (size_t i = 0; i < num_sms && event > cycle + 1; ++i) {
                     // smWakeAt covers fills known when it was computed;
@@ -349,236 +325,6 @@ Gpu::runCycleLoop(uint64_t max_cycles, bool fast, uint32_t epoch,
     return completed;
 }
 
-bool
-Gpu::runEpochParallel(uint64_t max_cycles, uint32_t epoch,
-                      uint32_t threads, uint64_t &out_cycle)
-{
-    const size_t num_sms = sms_.size();
-    const uint32_t num_parts = memory_.numPartitions();
-
-    // A span may cover at most the one-way NoC latency: a request an SM
-    // sends at cycle c stages until the span barrier, and its partition
-    // must not have been able to consume it during this span's memory
-    // phase. With span <= max(1, nocLatency) the request's partition
-    // arrival cycle (c + nocLatency, or c + 1 when the latency is 0) is
-    // never before the next span's memory phase, so staging is
-    // timing-invisible (docs/SIMULATOR.md, "Intra-simulation
-    // parallelism").
-    const uint64_t max_span =
-        std::max<uint64_t>(1, config_.nocLatencyCycles);
-
-    // Pool workers + the helping caller together execute `threads`
-    // shards; shard s owns a contiguous SM range so per-SM state has a
-    // single writer between barriers.
-    ThreadPool pool(threads - 1);
-    const uint32_t shards = threads;
-    std::vector<size_t> shard_begin(shards + 1, 0);
-    for (uint32_t i = 0; i < shards; ++i) {
-        shard_begin[i + 1] = shard_begin[i] + num_sms / shards +
-                             (i < num_sms % shards ? 1 : 0);
-    }
-
-    std::vector<uint64_t> sm_wake_at(num_sms, 0);
-    std::vector<uint64_t> sm_skipped(num_sms, 0);
-    std::vector<uint64_t> sm_skip_count(num_sms, 0);
-    // First cycle after which the component has provably been idle with
-    // nothing owed to it (kNoEventCycle while busy). Termination is
-    // reconstructed exactly as max over these + 1 — idleness is
-    // absorbing once no warps are pending and nothing is staged, so the
-    // max is the serial loop's first all-idle cycle.
-    std::vector<uint64_t> sm_settled_at(num_sms, 0);
-    std::vector<uint64_t> part_idle_since(num_parts, 0);
-
-    auto flushSkipped = [&] {
-        for (size_t i = 0; i < num_sms; ++i) {
-            if (sm_skipped[i] != 0) {
-                sms_[i]->fastForward(sm_skipped[i]);
-                sm_skipped[i] = 0;
-            }
-        }
-    };
-
-    memory_.setDeferSends(true);
-
-    // Termination reconstruction, valid at any span barrier: state is
-    // settled there, so the check is exact. Also evaluated once after
-    // the loop — when the final span ends exactly at max_cycles the
-    // while guard exits before the next span-start check would run, and
-    // the serial loop's end-of-cycle check does complete in that case.
-    auto tryFinish = [&](uint64_t &final_cycle) {
-        if (!pendingWarps_.empty() || memory_.hasStagedSends())
-            return false;
-        bool all_idle = true;
-        uint64_t last_active = 0;
-        auto fold = [&](uint64_t since) {
-            if (since == kNoEventCycle)
-                all_idle = false;
-            else
-                last_active = std::max(last_active, since);
-        };
-        for (uint32_t p = 0; p < num_parts && all_idle; ++p)
-            fold(part_idle_since[p]);
-        for (size_t s = 0; s < num_sms && all_idle; ++s)
-            fold(sm_settled_at[s]);
-        if (!all_idle)
-            return false;
-        final_cycle = last_active + 1; // count the final cycle
-        return true;
-    };
-
-    bool completed = false;
-    uint64_t t = 0;
-    while (t < max_cycles) {
-        // A. Termination at the span barrier (runs before the probe,
-        // like the serial loop's end-of-cycle check stops pre-probe).
-        if (tryFinish(out_cycle)) {
-            completed = true;
-            break;
-        }
-
-        // B. Early-stop probe. Spans clamp to nextProbeCycle_, so every
-        // probe cycle is a span start.
-        if (progressCallback_ && t == nextProbeCycle_) {
-            nextProbeCycle_ += progressInterval_;
-            flushSkipped(); // snapshots must observe accrued stats
-            if (progressCallback_(t, snapshotStats(t))) {
-                stoppedEarly_ = true;
-                completed = true;
-                out_cycle = t;
-                break;
-            }
-        }
-
-        // C. Warp dispatch at epoch boundaries (spans clamp to them).
-        if (t % epoch == 0)
-            dispatchPendingWarps(sm_wake_at, &sm_settled_at);
-
-        // D. Route the previous span's staged requests in (send cycle,
-        // SM index) order — the exact serial enqueue order.
-        if (memory_.hasStagedSends()) {
-            memory_.flushStagedSends();
-            for (uint32_t p = 0; p < num_parts; ++p) {
-                if (!memory_.partition(p).idle())
-                    part_idle_since[p] = kNoEventCycle;
-            }
-        }
-
-        // E. Whole-device jump when every SM sleeps past t and the
-        // memory system is event-free until the earliest wake.
-        uint64_t event = kNoEventCycle;
-        for (size_t s = 0; s < num_sms; ++s) {
-            event = std::min(event, sm_wake_at[s]);
-            event = std::min(
-                event, memory_.nextFillCycle(static_cast<uint32_t>(s)));
-        }
-        if (!pendingWarps_.empty()) {
-            for (const auto &sm : sms_) {
-                if (sm->hasFreeSlot()) {
-                    // Possible only between epoch boundaries (dispatch
-                    // just ran otherwise): the next boundary's dispatch
-                    // is a real event.
-                    event = std::min(event, nextDispatchCycle(t, epoch));
-                    break;
-                }
-            }
-        }
-        if (event > t && t > 0) {
-            event = std::min(event, memory_.nextEventCycle(t - 1));
-            if (progressCallback_)
-                event = std::min(event, nextProbeCycle_);
-            event = std::min(event, max_cycles);
-            if (event > t) {
-                uint64_t jump = event - t;
-                memory_.fastForward(jump);
-                for (size_t s = 0; s < num_sms; ++s)
-                    sm_skipped[s] += jump; // applied lazily on wake
-                fastForwardedCycles_ += jump;
-                t = event;
-                continue;
-            }
-        }
-
-        // F. Span bounds: never past a dispatch boundary, a probe, or
-        // the NoC-latency staging window.
-        uint64_t t_end = std::min(t + max_span, nextDispatchCycle(t, epoch));
-        if (progressCallback_)
-            t_end = std::min(t_end, nextProbeCycle_);
-        t_end = std::min(t_end, max_cycles);
-
-        // G. Memory phase, single-threaded: per-cycle partition ticks in
-        // index order reproduce the serial loop's fill-heap insertion
-        // order exactly (ties in the per-SM min-heaps pop in insertion
-        // order only if insertion order is preserved). Fills delivered
-        // here for cycles inside this span are already in the per-SM
-        // queues when the SM phase reads them — the order the serial
-        // loop establishes by ticking memory before SMs each cycle.
-        for (uint64_t c = t; c < t_end; ++c) {
-            memory_.tickActive(c);
-            for (uint32_t p = 0; p < num_parts; ++p) {
-                if (memory_.partition(p).idle()) {
-                    if (part_idle_since[p] == kNoEventCycle)
-                        part_idle_since[p] = c;
-                } else {
-                    part_idle_since[p] = kNoEventCycle;
-                }
-            }
-        }
-
-        // H. SM phase: each shard advances its SMs through [t, t_end)
-        // independently. Cross-SM traffic stages in per-SM lanes, so
-        // shards only touch state they own; the parallelForChunked join
-        // is the barrier that publishes it all back.
-        auto run_shard = [&](size_t shard) {
-            for (size_t s = shard_begin[shard]; s < shard_begin[shard + 1];
-                 ++s) {
-                Sm &sm = *sms_[s];
-                uint64_t c = t;
-                while (c < t_end) {
-                    uint64_t fill =
-                        memory_.nextFillCycle(static_cast<uint32_t>(s));
-                    if (c < sm_wake_at[s] && fill > c) {
-                        // Sleep to the next local event, clamped to the
-                        // barrier.
-                        uint64_t next = std::min(
-                            std::min(sm_wake_at[s], fill), t_end);
-                        sm_skip_count[s] += next - c;
-                        sm_skipped[s] += next - c;
-                        c = next;
-                        continue;
-                    }
-                    if (sm_skipped[s] != 0) {
-                        sm.fastForward(sm_skipped[s]);
-                        sm_skipped[s] = 0;
-                    }
-                    sm.tickFast(c);
-                    sm_wake_at[s] = sm.wakeCycleAfterTick(c);
-                    if (sm.settled()) {
-                        if (sm_settled_at[s] == kNoEventCycle)
-                            sm_settled_at[s] = c;
-                    } else {
-                        sm_settled_at[s] = kNoEventCycle;
-                    }
-                    ++c;
-                }
-            }
-        };
-        pool.parallelForChunked(shards, 1, run_shard);
-
-        ++parallelSpans_;
-        t = t_end;
-    }
-
-    // The device may drain exactly at the max_cycles boundary.
-    if (!completed && tryFinish(out_cycle))
-        completed = true;
-
-    memory_.setDeferSends(false);
-    flushSkipped(); // final stats must observe accrued RT residency
-    for (size_t s = 0; s < num_sms; ++s)
-        skippedSmTicks_ += sm_skip_count[s];
-    return completed;
-}
-
 GpuStats
 Gpu::run(uint64_t max_cycles)
 {
@@ -587,15 +333,6 @@ Gpu::run(uint64_t max_cycles)
     ZATEL_TRACE_SCOPE("gpu.run");
 
     const bool fast = resolveTickMode(tickMode_) == TickMode::Fast;
-    epochLengthUsed_ = std::max(1u, resolveEpochLength(config_.epochLength));
-    // The parallel loop is a fast-path execution strategy; the slow
-    // reference loop stays strictly serial so the three-way oracle
-    // chain (slow vs fast-serial vs fast-parallel) keeps a fixed base.
-    simThreadsUsed_ =
-        fast ? std::max(1u, std::min<uint32_t>(
-                                resolveSimThreads(config_.simThreads),
-                                static_cast<uint32_t>(sms_.size())))
-             : 1;
 
     // Explicit probe schedule (never `cycle % interval`: fast-forward
     // clamps to nextProbeCycle_, so a probe can never be jumped over).
@@ -605,11 +342,7 @@ Gpu::run(uint64_t max_cycles)
         nextProbeCycle_ = progressInterval_;
 
     uint64_t cycle = 0;
-    bool completed =
-        simThreadsUsed_ > 1
-            ? runEpochParallel(max_cycles, epochLengthUsed_,
-                               simThreadsUsed_, cycle)
-            : runCycleLoop(max_cycles, fast, epochLengthUsed_, cycle);
+    bool completed = runCycleLoop(max_cycles, fast, cycle);
 
     if (!completed)
         panic("simulation exceeded ", max_cycles,

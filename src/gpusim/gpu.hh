@@ -105,17 +105,6 @@ class Gpu
      *  event-free (the SM slept past them; accrual-only). */
     uint64_t skippedSmTicks() const { return skippedSmTicks_; }
 
-    // ---- Parallel-loop introspection (docs/SIMULATOR.md,
-    // ---- "Intra-simulation parallelism") ----
-    /** Worker threads the last run() resolved (config > global > env),
-     *  clamped to the SM count. 1 means the serial loop ran. */
-    uint32_t simThreadsUsed() const { return simThreadsUsed_; }
-    /** Warp-dispatch epoch the last run() resolved. */
-    uint32_t epochLengthUsed() const { return epochLengthUsed_; }
-    /** Epoch spans the parallel loop executed (0 under the serial
-     *  loop); tests assert > 0 to prove the parallel path engaged. */
-    uint64_t parallelSpans() const { return parallelSpans_; }
-
     const GpuConfig &config() const { return config_; }
 
     /**
@@ -138,26 +127,15 @@ class Gpu
 
     /**
      * Round-robin dispatch of pending warps into free SM slots (runs
-     * only at epoch boundaries); wakes receiving SMs via @p sm_wake_at
-     * and clears their settled marker when @p sm_settled_at is non-null.
+     * every cycle); wakes receiving SMs via @p sm_wake_at.
      */
-    void dispatchPendingWarps(std::vector<uint64_t> &sm_wake_at,
-                              std::vector<uint64_t> *sm_settled_at);
+    void dispatchPendingWarps(std::vector<uint64_t> &sm_wake_at);
 
     /**
-     * The single-threaded cycle loop (both tick modes). Returns true on
-     * completion with the final cycle count in @p out_cycle.
+     * The cycle loop (both tick modes). Returns true on completion with
+     * the final cycle count in @p out_cycle.
      */
-    bool runCycleLoop(uint64_t max_cycles, bool fast, uint32_t epoch,
-                      uint64_t &out_cycle);
-
-    /**
-     * The epoch-span parallel fast loop: SM shards on worker threads,
-     * cross-SM effects merged at span barriers in fixed SM-index order.
-     * Byte-identical GpuStats to runCycleLoop (docs/SIMULATOR.md).
-     */
-    bool runEpochParallel(uint64_t max_cycles, uint32_t epoch,
-                          uint32_t threads, uint64_t &out_cycle);
+    bool runCycleLoop(uint64_t max_cycles, bool fast, uint64_t &out_cycle);
 
     GpuConfig config_;
     const SimWorkload &workload_;
@@ -177,9 +155,6 @@ class Gpu
     uint64_t nextProbeCycle_ = 0;
     uint64_t fastForwardedCycles_ = 0;
     uint64_t skippedSmTicks_ = 0;
-    uint32_t simThreadsUsed_ = 1;
-    uint32_t epochLengthUsed_ = 1;
-    uint64_t parallelSpans_ = 0;
 };
 
 /**

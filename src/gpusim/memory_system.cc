@@ -15,8 +15,6 @@ MemorySystem::MemorySystem(const GpuConfig &config) : config_(config)
     for (uint32_t p = 0; p < config.numMemPartitions; ++p)
         partitions_.emplace_back(config, p);
     fillQueues_.resize(config.numSms);
-    drainScratch_.resize(config.numSms);
-    stagedSends_.resize(config.numSms);
 }
 
 void
@@ -37,10 +35,7 @@ MemorySystem::sendRead(uint32_t src_sm, uint64_t line_addr, uint64_t now)
     request.srcSm = src_sm;
     request.isWrite = false;
     request.readyCycle = now + config_.nocLatencyCycles;
-    if (deferSends_)
-        stagedSends_[src_sm].push_back(request);
-    else
-        routeToPartition(request);
+    routeToPartition(request);
 }
 
 void
@@ -52,52 +47,7 @@ MemorySystem::sendWrite(uint32_t src_sm, uint64_t line_addr, uint64_t now)
     request.srcSm = src_sm;
     request.isWrite = true;
     request.readyCycle = now + config_.nocLatencyCycles;
-    if (deferSends_)
-        stagedSends_[src_sm].push_back(request);
-    else
-        routeToPartition(request);
-}
-
-bool
-MemorySystem::hasStagedSends() const
-{
-    for (const auto &lane : stagedSends_) {
-        if (!lane.empty())
-            return true;
-    }
-    return false;
-}
-
-void
-MemorySystem::flushStagedSends()
-{
-    // Per-lane cursors; every lane is already sorted by send cycle
-    // (readyCycle = send cycle + the constant NoC latency, and each SM
-    // generates requests in cycle order). A k-way merge by (readyCycle,
-    // source SM) therefore reproduces the serial enqueue order.
-    flushCursor_.assign(stagedSends_.size(), 0);
-    std::vector<size_t> &cursor = flushCursor_;
-    for (;;) {
-        uint64_t next_cycle = kNoEventCycle;
-        for (size_t s = 0; s < stagedSends_.size(); ++s) {
-            if (cursor[s] < stagedSends_[s].size()) {
-                next_cycle = std::min(
-                    next_cycle, stagedSends_[s][cursor[s]].readyCycle);
-            }
-        }
-        if (next_cycle == kNoEventCycle)
-            break;
-        for (size_t s = 0; s < stagedSends_.size(); ++s) {
-            auto &lane = stagedSends_[s];
-            while (cursor[s] < lane.size() &&
-                   lane[cursor[s]].readyCycle == next_cycle) {
-                routeToPartition(lane[cursor[s]]);
-                ++cursor[s];
-            }
-        }
-    }
-    for (auto &lane : stagedSends_)
-        lane.clear();
+    routeToPartition(request);
 }
 
 void
@@ -156,14 +106,13 @@ MemorySystem::fastForward(uint64_t cycles)
 const std::vector<uint64_t> &
 MemorySystem::drainFills(uint32_t sm, uint64_t now)
 {
-    std::vector<uint64_t> &scratch = drainScratch_[sm];
-    scratch.clear();
+    drainScratch_.clear();
     FillHeap &queue = fillQueues_[sm];
     while (!queue.empty() && queue.topReady() <= now) {
-        scratch.push_back(queue.topAddr());
+        drainScratch_.push_back(queue.topAddr());
         queue.pop();
     }
-    return scratch;
+    return drainScratch_;
 }
 
 bool
@@ -173,8 +122,6 @@ MemorySystem::idle() const
         if (!queue.empty())
             return false;
     }
-    if (hasStagedSends())
-        return false;
     for (const MemPartition &partition : partitions_) {
         if (!partition.idle())
             return false;

@@ -34,26 +34,6 @@ class MemorySystem
     /** Route a write (fire-and-forget). */
     void sendWrite(uint32_t src_sm, uint64_t line_addr, uint64_t now);
 
-    /**
-     * Switch sendRead()/sendWrite() into deferred mode: requests park in
-     * a per-source-SM staging lane instead of entering their partition,
-     * so SMs on different threads never touch shared queues
-     * (docs/SIMULATOR.md, "Intra-simulation parallelism"). Call
-     * flushStagedSends() from a single thread to route them.
-     */
-    void setDeferSends(bool defer) { deferSends_ = defer; }
-
-    /**
-     * Route every staged request into its partition in (send cycle,
-     * source SM index) order — exactly the order the serial loop's
-     * immediate enqueues produce, so partition FIFO contents (and thus
-     * all downstream timing) are byte-identical to serial execution.
-     */
-    void flushStagedSends();
-
-    /** True when deferred requests are parked and unrouted. */
-    bool hasStagedSends() const;
-
     /** Advance partitions and response delivery one cycle. */
     void tick(uint64_t now);
 
@@ -99,9 +79,8 @@ class MemorySystem
 
     /**
      * Drain fills that are ready for @p sm at cycle @p now.
-     * Returned vector is per-SM scratch reused across calls; consume
-     * immediately. Touches only @p sm 's lane, so concurrent drains for
-     * distinct SMs are race-free.
+     * Returned vector is scratch reused across calls; consume
+     * immediately.
      */
     const std::vector<uint64_t> &drainFills(uint32_t sm, uint64_t now);
 
@@ -132,27 +111,17 @@ class MemorySystem
     std::vector<MemPartition> partitions_;
     /**
      * SoA min-heap of fills per destination SM, ordered by (readyCycle,
-     * seq). The delivery sequence number tie-break matters: the heap's
-     * tie order on readyCycle would otherwise depend on the push/pop
-     * interleaving, which the span-parallel loop batches differently
-     * from the serial loop (all of a span's pushes land before any
-     * drain). The (readyCycle, seq) total order makes drain order a
-     * function of the delivery sequence alone, which all loops share.
+     * seq). The delivery sequence number tie-break makes the heap a
+     * total order: fills that share a readyCycle drain in delivery
+     * order, whatever push/pop history the heap has had. Drain order is
+     * therefore a function of the delivery sequence alone.
      */
     std::vector<FillHeap> fillQueues_;
     std::vector<MemResponse> responseScratch_;
-    /** Monotone PendingFill::seq source (deliverResponses is always
-     *  single-threaded, in every loop). */
+    /** Monotone FillHeap seq source. */
     uint64_t fillSeq_ = 0;
-    /** Per-SM drain scratch: shard threads drain concurrently. */
-    std::vector<std::vector<uint64_t>> drainScratch_;
-    /** Per-source-SM parked requests while deferSends_ is set. Each
-     *  lane is written only by its owning SM's shard thread; lanes are
-     *  flushed (and cleared) between shard phases. */
-    std::vector<std::vector<MemRequest>> stagedSends_;
-    /** flushStagedSends() cursor scratch (retained across flushes). */
-    std::vector<size_t> flushCursor_;
-    bool deferSends_ = false;
+    /** drainFills() result scratch. */
+    std::vector<uint64_t> drainScratch_;
 };
 
 } // namespace zatel::gpusim

@@ -387,12 +387,6 @@ Sm::idle() const
     return true;
 }
 
-bool
-Sm::settled() const
-{
-    return idle() && memory_->nextFillCycle(index_) == kNoEventCycle;
-}
-
 void
 Sm::accumulateStats(GpuStats &stats) const
 {

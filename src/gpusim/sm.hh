@@ -221,24 +221,15 @@ class Sm
     }
 
     /**
-     * Post-tick wake computation shared by the serial and parallel fast
-     * loops: a visibly busy SM is due again at now + 1 (skip the scan —
-     * early wake is always stat-safe); the full nextEventCycle() scan
-     * runs once per sleep transition.
+     * Post-tick wake computation for the fast loop: a visibly busy SM
+     * is due again at now + 1 (skip the scan — early wake is always
+     * stat-safe); the full nextEventCycle() scan runs once per sleep
+     * transition.
      */
     uint64_t wakeCycleAfterTick(uint64_t now) const
     {
         return likelyBusy() ? now + 1 : nextEventCycle(now);
     }
-
-    /**
-     * True when this SM is idle *and* owes nothing to the memory system
-     * — no pending fill will ever arrive (idle implies an empty L1 MSHR,
-     * so the fill queue can only be non-empty transiently). The parallel
-     * epoch loop records the first settled cycle per SM to reconstruct
-     * the exact serial termination cycle (docs/SIMULATOR.md).
-     */
-    bool settled() const;
 
     /** Fold local counters (L1, RT, instructions) into @p stats. */
     void accumulateStats(GpuStats &stats) const;

@@ -249,7 +249,7 @@ uint64_t
 hashGpuConfig(const gpusim::GpuConfig &config)
 {
     HashStream h;
-    h.str("zatel.gpuconfig.v2"); // v2: + resolved epochLength
+    h.str("zatel.gpuconfig.v3"); // v3: warp-dispatch epoch removed
     h.str(config.name);
     h.u32(config.numSms).u32(config.numMemPartitions);
     h.u32(config.warpSize)
@@ -283,12 +283,6 @@ hashGpuConfig(const gpusim::GpuConfig &config)
         .u32(config.shadeInsts)
         .u32(config.shadowBlendInsts)
         .u32(config.missInsts);
-    // The epoch length gates warp dispatch, so it is a model parameter
-    // and must key the cache; hash the resolved value so a global/env
-    // override cannot alias an instance setting. simThreads is pure
-    // execution strategy (bit-identical output at any thread count,
-    // tests/test_gpu_parallel.cc) and stays excluded.
-    h.u32(gpusim::resolveEpochLength(config.epochLength));
     return h.digest();
 }
 

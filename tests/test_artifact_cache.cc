@@ -19,6 +19,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gpusim/config.hh"
@@ -91,26 +92,62 @@ TEST(ArtifactCacheHash, SceneContentHashIsStableAcrossRebuilds)
 
 TEST(ArtifactCacheHash, GpuConfigHashCoversFields)
 {
-    gpusim::GpuConfig base = gpusim::GpuConfig::mobileSoc();
-    gpusim::GpuConfig changed = base;
-    EXPECT_EQ(hashGpuConfig(base), hashGpuConfig(changed));
-    changed.numSms += 1;
-    EXPECT_NE(hashGpuConfig(base), hashGpuConfig(changed));
+    using gpusim::GpuConfig;
+    const GpuConfig base = GpuConfig::mobileSoc();
+    EXPECT_EQ(hashGpuConfig(base), hashGpuConfig(GpuConfig::mobileSoc()));
 
-    gpusim::GpuConfig clocks = base;
-    clocks.memClockMhz += 1.0;
-    EXPECT_NE(hashGpuConfig(base), hashGpuConfig(clocks));
-
-    // epochLength gates warp dispatch (a model parameter): keyed.
-    // simThreads is execution strategy (bit-identical output at any
-    // thread count): deliberately NOT keyed.
-    gpusim::GpuConfig epoch = base;
-    epoch.epochLength = 16;
-    EXPECT_NE(hashGpuConfig(base), hashGpuConfig(epoch));
-
-    gpusim::GpuConfig threads = base;
-    threads.simThreads = 7;
-    EXPECT_EQ(hashGpuConfig(base), hashGpuConfig(threads));
+    // One change per GpuConfig field: a field the hash skipped would let
+    // two different machines share cached oracle stats.
+#define ZATEL_BUMP(field) {#field, [](GpuConfig &c) { c.field += 1; }}
+    const std::vector<std::pair<const char *, void (*)(GpuConfig &)>>
+        changes = {
+            {"name", [](GpuConfig &c) { c.name += "-b"; }},
+            ZATEL_BUMP(numSms),
+            ZATEL_BUMP(numMemPartitions),
+            ZATEL_BUMP(warpSize),
+            ZATEL_BUMP(maxWarpsPerSm),
+            ZATEL_BUMP(registersPerSm),
+            ZATEL_BUMP(registersPerThread),
+            ZATEL_BUMP(issueWidth),
+            {"scheduler",
+             [](GpuConfig &c) {
+                 c.scheduler = gpusim::WarpSchedulerPolicy::LooseRoundRobin;
+             }},
+            ZATEL_BUMP(aluLatency),
+            ZATEL_BUMP(rtUnitsPerSm),
+            ZATEL_BUMP(rtMaxWarps),
+            ZATEL_BUMP(rtMshrSize),
+            ZATEL_BUMP(rtVisitsPerCycle),
+            ZATEL_BUMP(l1dSizeBytes),
+            ZATEL_BUMP(l1dLineBytes),
+            ZATEL_BUMP(l1dAssoc),
+            ZATEL_BUMP(l1dLatencyCycles),
+            ZATEL_BUMP(l1dPortsPerCycle),
+            ZATEL_BUMP(l2TotalBytes),
+            ZATEL_BUMP(l2LineBytes),
+            ZATEL_BUMP(l2Assoc),
+            ZATEL_BUMP(l2LatencyCycles),
+            ZATEL_BUMP(l2MshrSize),
+            ZATEL_BUMP(nocLatencyCycles),
+            ZATEL_BUMP(dramLatencyCycles),
+            ZATEL_BUMP(dramQueueSize),
+            ZATEL_BUMP(dramBytesPerMemClock),
+            ZATEL_BUMP(coreClockMhz),
+            ZATEL_BUMP(memClockMhz),
+            ZATEL_BUMP(raygenInsts),
+            ZATEL_BUMP(filterExitInsts),
+            ZATEL_BUMP(shadeInsts),
+            ZATEL_BUMP(shadowBlendInsts),
+            ZATEL_BUMP(missInsts),
+        };
+#undef ZATEL_BUMP
+    ASSERT_NE(base.scheduler, gpusim::WarpSchedulerPolicy::LooseRoundRobin);
+    for (const auto &[field, change] : changes) {
+        GpuConfig changed = base;
+        change(changed);
+        EXPECT_NE(hashGpuConfig(base), hashGpuConfig(changed))
+            << "GpuConfig::" << field << " is not hashed";
+    }
 }
 
 TEST(ArtifactCacheHash, HeatmapKeyTracksPreprocessingParams)

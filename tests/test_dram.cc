@@ -282,7 +282,7 @@ TEST(Dram, FastForwardMatchesTickedLatencyWait)
 // with quiescentAt()-gated fastForward() windows must produce the exact
 // response stream and DRAM counters of ticking every cycle, over
 // randomized request schedules. This is the property Gpu::run's
-// whole-device jump (and the span-parallel loop's jump) relies on.
+// whole-device jump relies on.
 // ---------------------------------------------------------------------
 
 TEST(Dram, PartitionFastForwardMatchesTickedOverRandomWindows)

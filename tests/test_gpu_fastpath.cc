@@ -12,6 +12,14 @@
  * (skippable under fast-forward) and a run that completes exactly at
  * max_cycles being misreported as a deadlock.
  *
+ * GpuFastpathFuzz draws 64 deterministic random configurations so edge
+ * cases (one SM, one partition, zero-latency NoC, tiny L1s and MSHRs)
+ * are covered by construction rather than hand-picked. Every draw also
+ * stresses the SoA hot-path layout (docs/SIMULATOR.md, "Data layout of
+ * the hot path"): the workload build runs packetized BVH traversal for
+ * every pixel, and the L1-size / MSHR-size / L1-latency grid keeps the
+ * flat tag maps, fill heaps and waiter pools churning under the oracle.
+ *
  * Suites are named GpuFastpath* so the tsan-determinism preset's test
  * filter picks them up (CMakePresets.json).
  */
@@ -37,6 +45,7 @@
 #include "rt/scene.hh"
 #include "rt/scene_library.hh"
 #include "rt/tracer.hh"
+#include "util/rng.hh"
 #include "zatel/predictor.hh"
 
 namespace zatel::gpusim
@@ -216,6 +225,23 @@ TEST(GpuFastpathDifferential, SprngRtx2060)
                          32);
 }
 
+TEST(GpuFastpathDifferential, SprngMobileSocLrrScheduler)
+{
+    auto s = makeScene(rt::SceneId::Sprng);
+    GpuConfig config = GpuConfig::mobileSoc();
+    config.scheduler = WarpSchedulerPolicy::LooseRoundRobin;
+    expectModesIdentical(*s->tracer, config, "sprng/mobile/lrr", 24);
+}
+
+TEST(GpuFastpathDifferential, SingleSmSinglePartition)
+{
+    auto s = makeScene(rt::SceneId::Wknd);
+    GpuConfig config = GpuConfig::mobileSoc();
+    config.numSms = 1;
+    config.numMemPartitions = 1;
+    expectModesIdentical(*s->tracer, config, "wknd/1sm", 16);
+}
+
 TEST(GpuFastpathDifferential, ProgressProbesObserved)
 {
     auto s = makeScene(rt::SceneId::Wknd);
@@ -229,6 +255,82 @@ TEST(GpuFastpathDifferential, EarlyStopViaProbe)
     expectModesIdentical(*s->tracer, GpuConfig::mobileSoc(),
                          "wknd/mobile/early-stop", 32,
                          /*probe_interval=*/256, /*stop_after_probes=*/3);
+}
+
+// ---------------------------------------------------------------------
+// Seeded randomized config fuzz: 64 deterministic draws of SM count /
+// partition count / RT units / scheduler / NoC latency / warp capacity /
+// L1 and MSHR sizing / scene, each asserting the full slow-vs-fast
+// oracle.
+// ---------------------------------------------------------------------
+
+struct FuzzDraw
+{
+    GpuConfig config;
+    uint32_t frame = 0;
+    bool sprng = false;
+};
+
+FuzzDraw
+drawConfig(Rng &rng)
+{
+    FuzzDraw draw;
+    GpuConfig &config = draw.config;
+    config = GpuConfig::mobileSoc();
+    config.name = "fuzz";
+    config.numSms = static_cast<uint32_t>(rng.nextRange(1, 12));
+    config.numMemPartitions = static_cast<uint32_t>(rng.nextRange(1, 6));
+    config.rtUnitsPerSm = static_cast<uint32_t>(rng.nextRange(1, 2));
+    config.scheduler = rng.nextBounded(2) == 0
+                           ? WarpSchedulerPolicy::GreedyThenOldest
+                           : WarpSchedulerPolicy::LooseRoundRobin;
+    // Small warp capacities force multi-round dispatch with a standing
+    // pending-warp backlog.
+    static constexpr uint32_t kWarpCaps[] = {2, 4, 32};
+    config.maxWarpsPerSm = kWarpCaps[rng.nextBounded(3)];
+    // NoC latencies from the zero-delay edge case up to the presets'
+    // 16 cycles.
+    static constexpr uint32_t kNocLatencies[] = {0, 1, 4, 16};
+    config.nocLatencyCycles = kNocLatencies[rng.nextBounded(4)];
+    // SoA hot-path stress (docs/SIMULATOR.md, "Data layout of the hot
+    // path"): a tiny L1 churns the flat tag map's insert/backward-shift
+    // delete and keeps the fill heaps and MSHR waiter pools live; a
+    // tiny MSHR forces allocate-stall requeues through the lane rings;
+    // l1dLatencyCycles=0 drains the L1-hit ring on the issue cycle
+    // (front-ready == now). Every draw lands somewhere in this grid, so
+    // each one exercises the SoA fill/MSHR layout against the slow-tick
+    // oracle, not just the draws that happen to miss in cache.
+    static constexpr uint32_t kL1Sizes[] = {1024, 4096, 64 * 1024};
+    config.l1dSizeBytes = kL1Sizes[rng.nextBounded(3)];
+    static constexpr uint32_t kMshrSizes[] = {2, 8, 64};
+    config.rtMshrSize = kMshrSizes[rng.nextBounded(3)];
+    config.l2MshrSize = kMshrSizes[rng.nextBounded(3)];
+    static constexpr uint32_t kL1Latencies[] = {0, 1, 20};
+    config.l1dLatencyCycles = kL1Latencies[rng.nextBounded(3)];
+    draw.frame = static_cast<uint32_t>(rng.nextRange(8, 12));
+    draw.sprng = rng.nextBounded(4) == 0;
+    return draw;
+}
+
+TEST(GpuFastpathFuzz, SlowFastAgreementOver64Draws)
+{
+    auto wknd = makeScene(rt::SceneId::Wknd);
+    auto sprng = makeScene(rt::SceneId::Sprng);
+    Rng rng(0x5EEDBEEF);
+    for (int i = 0; i < 64; ++i) {
+        FuzzDraw draw = drawConfig(rng);
+        const rt::Tracer &tracer =
+            draw.sprng ? *sprng->tracer : *wknd->tracer;
+        std::string context =
+            "draw" + std::to_string(i) + "/sms" +
+            std::to_string(draw.config.numSms) + "/parts" +
+            std::to_string(draw.config.numMemPartitions) + "/noc" +
+            std::to_string(draw.config.nocLatencyCycles) + "/l1" +
+            std::to_string(draw.config.l1dSizeBytes) + "/l1lat" +
+            std::to_string(draw.config.l1dLatencyCycles) + "/mshr" +
+            std::to_string(draw.config.rtMshrSize);
+        expectModesIdentical(tracer, draw.config, context, draw.frame);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -381,10 +483,10 @@ TEST(GpuFastpathPredictor, PredictionBitIdenticalSlowVsFast)
 }
 
 // ---------------------------------------------------------------------
-// Property tests for the sim_clock.hh sleep contract the fast loops
-// (serial and span-parallel) lean on: while an SM sleeps, its local
-// next-event estimate must never move earlier — only a newly delivered
-// fill may wake it sooner, and the per-cycle fill check catches that.
+// Property tests for the sim_clock.hh sleep contract the fast loop
+// leans on: while an SM sleeps, its local next-event estimate must
+// never move earlier — only a newly delivered fill may wake it sooner,
+// and the per-cycle fill check catches that.
 // ---------------------------------------------------------------------
 
 TEST(GpuFastpathInvariants, SmNextEventNeverMovesBackwardWhileAsleep)
@@ -406,8 +508,8 @@ TEST(GpuFastpathInvariants, SmNextEventNeverMovesBackwardWhileAsleep)
             begin, std::min(n, begin + config.warpSize)));
     }
 
-    // Hand-rolled copy of the serial fast loop for one SM, with the
-    // contract asserted at every skipped cycle.
+    // Hand-rolled copy of the fast loop for one SM, with the contract
+    // asserted at every skipped cycle.
     uint64_t wake = 0;
     uint64_t skipped = 0;
     uint64_t sleep_events = 0;
@@ -453,7 +555,6 @@ TEST(GpuFastpathInvariants, SmNextEventNeverMovesBackwardWhileAsleep)
     }
     ASSERT_TRUE(completed) << "single-SM drive never drained";
     EXPECT_GT(sleep_events, 0u) << "workload never exercised the sleep path";
-    EXPECT_TRUE(sm.settled());
 }
 
 } // namespace
