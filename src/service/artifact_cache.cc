@@ -8,6 +8,7 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <vector>
 
@@ -462,12 +463,32 @@ std::shared_ptr<const void>
 ArtifactCache::getOrBuildRaw(ArtifactKind kind, uint64_t key,
                              const std::function<BuiltValue()> &build)
 {
+    // Park like any other request, then block on a local promise: the
+    // blocking and the parking call share one in-flight mechanism. The
+    // continuation owns the promise, so it outlives set_value().
+    auto landed =
+        std::make_shared<std::promise<std::shared_ptr<const void>>>();
+    std::future<std::shared_ptr<const void>> wait = landed->get_future();
+    std::shared_ptr<const void> value = getOrParkRaw(
+        kind, key, build,
+        [landed](std::shared_ptr<const void> built,
+                 std::exception_ptr error) {
+            if (error)
+                landed->set_exception(error);
+            else
+                landed->set_value(std::move(built));
+        });
+    return value ? value : wait.get();
+}
+
+std::shared_ptr<const void>
+ArtifactCache::getOrParkRaw(ArtifactKind kind, uint64_t key,
+                            const std::function<BuiltValue()> &build,
+                            Resume resume)
+{
     const Key k{static_cast<uint8_t>(kind), key};
     const size_t kind_index = static_cast<size_t>(kind);
 
-    std::promise<std::shared_ptr<const void>> promise;
-    std::shared_future<std::shared_ptr<const void>> wait_future;
-    bool is_builder = false;
     {
         std::lock_guard<std::mutex> guard(mutex_);
         auto it = entries_.find(k);
@@ -477,23 +498,13 @@ ArtifactCache::getOrBuildRaw(ArtifactKind kind, uint64_t key,
             cacheEventCounter(kind_index, EventHit)->inc();
             return it->second.value;
         }
-        auto fit = inflight_.find(k);
-        if (fit != inflight_.end()) {
-            wait_future = fit->second;
-        } else {
-            is_builder = true;
-            inflight_.emplace(k, promise.get_future().share());
+        // A new flight makes this caller its builder; an existing one
+        // takes the continuation and the caller returns at once.
+        auto [flight, is_builder] = inflight_.try_emplace(k);
+        if (!is_builder) {
+            flight->second.push_back(std::move(resume));
+            return nullptr;
         }
-    }
-
-    if (!is_builder) {
-        // Another thread is building this key; its exception (if any)
-        // propagates out of get(). A successful wait counts as a hit.
-        std::shared_ptr<const void> value = wait_future.get();
-        std::lock_guard<std::mutex> guard(mutex_);
-        ++perKind_[kind_index].hits;
-        cacheEventCounter(kind_index, EventHit)->inc();
-        return value;
     }
 
     BuiltValue built{nullptr, 0};
@@ -523,18 +534,22 @@ ArtifactCache::getOrBuildRaw(ArtifactKind kind, uint64_t key,
                      "artifact builder returned null for ",
                      artifactKindName(kind));
     } catch (...) {
+        std::vector<Resume> parked;
         {
             std::lock_guard<std::mutex> guard(mutex_);
             ++perKind_[kind_index].misses;
             cacheEventCounter(kind_index, EventMiss)->inc();
-            inflight_.erase(k);
+            parked = std::move(inflight_.extract(k).mapped());
         }
         if (own_claim)
             releaseBuildClaim(claim_path);
-        promise.set_exception(std::current_exception());
+        const std::exception_ptr error = std::current_exception();
+        for (Resume &waiter : parked)
+            waiter(nullptr, error);
         throw;
     }
 
+    std::vector<Resume> parked;
     {
         std::lock_guard<std::mutex> guard(mutex_);
         if (from_disk) {
@@ -547,9 +562,13 @@ ArtifactCache::getOrBuildRaw(ArtifactKind kind, uint64_t key,
             cacheEventCounter(kind_index, EventMiss)->inc();
         }
         insertLocked(k, built.first, built.second);
-        inflight_.erase(k);
+        parked = std::move(inflight_.extract(k).mapped());
+        // Every parked request that receives the value is a hit.
+        perKind_[kind_index].hits += parked.size();
+        cacheEventCounter(kind_index, EventHit)->inc(parked.size());
     }
-    promise.set_value(built.first);
+    for (Resume &waiter : parked)
+        waiter(built.first, nullptr);
 
     if (!from_disk && persistable(kind) && !diskDir_.empty())
         trySaveToDisk(kind, key, built.first);

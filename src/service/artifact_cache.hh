@@ -18,10 +18,13 @@
  * re-loads heatmaps and oracle stats from disk instead of re-profiling.
  *
  * Memory residency is bounded by a byte budget with least-recently-used
- * eviction; get/put/getOrBuild are safe to call from any pool worker and
- * concurrent requests for the same missing key build it exactly once
- * (single-flight), which is what lets an 8-job campaign sharing one scene
- * build one BVH and profile one heatmap total.
+ * eviction; get/put/getOrBuild/getOrPark are safe to call from any pool
+ * worker and concurrent requests for the same missing key build it
+ * exactly once (single-flight), which is what lets an 8-job campaign
+ * sharing one scene build one BVH and profile one heatmap total. An
+ * in-process request for a key another thread is building holds no
+ * thread: it parks a continuation on the build (getOrPark), and the
+ * blocking getOrBuild is that same park followed by a wait.
  *
  * Disk-tier resilience (docs/ROBUSTNESS.md): any disk I/O failure — a
  * file that cannot be written, a short write, a failed rename, or an
@@ -38,13 +41,14 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "gpusim/config.hh"
 #include "gpusim/stats.hh"
@@ -219,15 +223,39 @@ class ArtifactCache
     using BuiltValue = std::pair<std::shared_ptr<const void>, uint64_t>;
 
     /**
+     * Continuation of a parked request. It runs exactly once, on the
+     * builder's thread once the build lands, with the value and a null
+     * error, or with a null value and the builder's exception. It must
+     * be short and must not throw.
+     */
+    using Resume = std::function<void(std::shared_ptr<const void> value,
+                                      std::exception_ptr error)>;
+
+    /**
      * Return the cached value for (kind, key), or build it exactly once:
      * concurrent callers for the same missing key wait for the first
      * builder (and count as hits). With a disk_dir, a persistable kind is
      * tried from disk before @p build runs. Exceptions from @p build
-     * propagate to every waiting caller and leave the key absent.
+     * propagate to every waiting caller and leave the key absent. The
+     * wait is getOrParkRaw() plus a block on a local promise.
      */
     std::shared_ptr<const void>
     getOrBuildRaw(ArtifactKind kind, uint64_t key,
                   const std::function<BuiltValue()> &build);
+
+    /**
+     * Non-blocking sibling of getOrBuildRaw. A hit returns the value.
+     * When no thread of this process is building (kind, key), the
+     * caller builds it inline exactly as getOrBuildRaw does and gets the
+     * value or the build's exception. When another thread is building
+     * it, @p resume is registered on that build and null is returned at
+     * once; resume then receives the value (counted as a hit) or the
+     * builder's exception. A build is in flight only while its builder
+     * runs, so a request never parks behind a build that has not begun.
+     */
+    std::shared_ptr<const void>
+    getOrParkRaw(ArtifactKind kind, uint64_t key,
+                 const std::function<BuiltValue()> &build, Resume resume);
 
     /** Typed convenience wrapper over getOrBuildRaw. */
     template <typename T>
@@ -237,9 +265,25 @@ class ArtifactCache
                                              uint64_t>()> &build)
     {
         return std::static_pointer_cast<const T>(
-            getOrBuildRaw(kind, key, [&build]() -> BuiltValue {
-                auto [value, bytes] = build();
-                return {std::static_pointer_cast<const void>(value), bytes};
+            getOrBuildRaw(kind, key, eraseBuild<T>(build)));
+    }
+
+    /** Typed convenience wrapper over getOrParkRaw. */
+    template <typename T>
+    std::shared_ptr<const T>
+    getOrPark(ArtifactKind kind, uint64_t key,
+              const std::function<std::pair<std::shared_ptr<const T>,
+                                            uint64_t>()> &build,
+              std::function<void(std::shared_ptr<const T>,
+                                 std::exception_ptr)>
+                  resume)
+    {
+        return std::static_pointer_cast<const T>(getOrParkRaw(
+            kind, key, eraseBuild<T>(build),
+            [resume = std::move(resume)](std::shared_ptr<const void> value,
+                                         std::exception_ptr error) {
+                resume(std::static_pointer_cast<const T>(std::move(value)),
+                       std::move(error));
             }));
     }
 
@@ -291,6 +335,18 @@ class ArtifactCache
         uint64_t bytes = 0;
         uint64_t lastUse = 0;
     };
+
+    /** Type-erase a typed builder (called only while it is alive). */
+    template <typename T>
+    static std::function<BuiltValue()>
+    eraseBuild(const std::function<std::pair<std::shared_ptr<const T>,
+                                             uint64_t>()> &build)
+    {
+        return [&build]() -> BuiltValue {
+            auto [value, bytes] = build();
+            return {std::static_pointer_cast<const void>(value), bytes};
+        };
+    }
 
     /** Insert + LRU-evict; requires mutex_ held. */
     void insertLocked(const Key &key, std::shared_ptr<const void> value,
@@ -350,7 +406,9 @@ class ArtifactCache
 
     mutable std::mutex mutex_;
     std::map<Key, Entry> entries_;
-    std::map<Key, std::shared_future<std::shared_ptr<const void>>> inflight_;
+    /** Builds in flight in this process, each with the continuations
+     *  parked on it; an entry lives exactly while its builder runs. */
+    std::map<Key, std::vector<Resume>> inflight_;
     /** mutable: degradeDiskTier() counts failures from const load/save. */
     mutable Counters perKind_[3];
     uint64_t bytesInUse_ = 0;

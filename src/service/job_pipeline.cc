@@ -26,8 +26,12 @@ namespace
 struct PipelineMetrics
 {
     obs::Counter *unitsStart;
+    obs::Counter *unitsPrepare;
+    obs::Counter *unitsOracle;
     obs::Counter *unitsGroup;
     obs::Counter *unitsFinalize;
+    obs::Counter *parkedHeatmap;
+    obs::Counter *parkedOracle;
     obs::Counter *groupUnitsSkipped;
     obs::Counter *jobsOk;
     obs::Counter *jobsDegraded;
@@ -48,10 +52,22 @@ pipelineMetrics()
             "Campaign scheduler stage units executed";
         m.unitsStart =
             reg.counter(unitName, unitHelp, {{"stage", "start"}});
+        m.unitsPrepare =
+            reg.counter(unitName, unitHelp, {{"stage", "prepare"}});
+        m.unitsOracle =
+            reg.counter(unitName, unitHelp, {{"stage", "oracle"}});
         m.unitsGroup =
             reg.counter(unitName, unitHelp, {{"stage", "group"}});
         m.unitsFinalize =
             reg.counter(unitName, unitHelp, {{"stage", "finalize"}});
+        const std::string parkedName = "zatel_campaign_parked_total";
+        const std::string parkedHelp =
+            "Jobs that parked on an artifact another job was building, "
+            "releasing their worker until the build landed";
+        m.parkedHeatmap =
+            reg.counter(parkedName, parkedHelp, {{"kind", "heatmap"}});
+        m.parkedOracle =
+            reg.counter(parkedName, parkedHelp, {{"kind", "oracle"}});
         m.groupUnitsSkipped = reg.counter(
             "zatel_campaign_group_units_skipped_total",
             "Group units skipped because their job was already "
@@ -75,14 +91,6 @@ pipelineMetrics()
         return m;
     }();
     return metrics;
-}
-
-double
-secondsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
 }
 
 /** Monotonic now in nanoseconds (watchdog heartbeat timestamps). */
@@ -137,7 +145,8 @@ JobPipeline::submit(Submission submission)
         jobs_.push_back(std::move(state));
     }
     pendingJobs_.fetch_add(1, std::memory_order_acq_rel);
-    enqueueUnit(s->job.priority, [this, s]() { runStartUnit(*s); });
+    enqueueUnit(s->job.priority, Rank::Control,
+                [this, s]() { runStartUnit(*s); });
 }
 
 void
@@ -186,7 +195,9 @@ JobPipeline::deadlineExceeded(const JobState &state)
 bool
 JobPipeline::jobShouldStop(const JobState &state) const
 {
-    if (state.stallCancelled.load(std::memory_order_relaxed))
+    // Acquire pairs with the watchdog's release: a unit it cancelled
+    // then sees its slot's stall verdict.
+    if (state.stallCancelled.load(std::memory_order_acquire))
         return true;
     if (pipelineCancelled())
         return true;
@@ -196,6 +207,7 @@ JobPipeline::jobShouldStop(const JobState &state) const
 void
 JobPipeline::simEnter(JobState &state, size_t slot)
 {
+    state.stallVerdicts[slot].store(false, std::memory_order_relaxed);
     state.groupProgressNs[slot].store(nowNs(), std::memory_order_relaxed);
     state.activeSimUnits.fetch_add(1, std::memory_order_acq_rel);
 }
@@ -210,6 +222,33 @@ JobPipeline::simExit(JobState &state, size_t slot)
         // to here so siblings still inside the GPU loop observe it.
         state.stallCancelled.store(false, std::memory_order_relaxed);
     }
+}
+
+bool
+JobPipeline::takeStallVerdict(JobState &state, size_t slot)
+{
+    return state.stallVerdicts[slot].exchange(false,
+                                              std::memory_order_relaxed);
+}
+
+bool
+JobPipeline::stallDraining(JobState &state)
+{
+    if (params_.stallTimeoutSeconds <= 0.0 ||
+        !state.stallCancelled.load(std::memory_order_relaxed))
+        return false;
+    if (state.activeSimUnits.load(std::memory_order_acquire) == 0) {
+        // No simulation left to cancel: the flag is stale (set after
+        // the last unit drained); clear it and run.
+        state.stallCancelled.store(false, std::memory_order_relaxed);
+        return false;
+    }
+    // A stall cancellation is still draining this job's sim units;
+    // starting a fresh simulation now would be instantly cancelled.
+    // Pace with the sanctioned backoff (1 ms at attempt 1) instead of a
+    // raw sleep.
+    retryBackoffSleep(1);
+    return true;
 }
 
 void
@@ -240,14 +279,18 @@ JobPipeline::watchdogLoop()
             // publishes groupProgressNs to this thread.
             const size_t slots =
                 state.progressSlots.load(std::memory_order_acquire);
+            bool stalled = false;
             for (size_t i = 0; i < slots; ++i) {
                 const uint64_t ts = state.groupProgressNs[i].load(
                     std::memory_order_relaxed);
                 if (ts == 0 || now <= ts || now - ts <= timeout_ns)
                     continue;
-                state.stallCancelled.store(true,
-                                           std::memory_order_relaxed);
-                pipelineMetrics().stallCancellations->inc();
+                // The verdict, not a later look at the heartbeat, tells
+                // the cancelled unit that its own simulation stalled: a
+                // unit whose workload build outlasted the timeout
+                // heartbeats once before it sees the cancellation.
+                state.stallVerdicts[i].store(true, std::memory_order_relaxed);
+                stalled = true;
                 warn("campaign job '", state.job.id,
                      "': watchdog: no simulated-cycle progress in ",
                      i + 1 == slots ? std::string("the oracle run")
@@ -255,18 +298,22 @@ JobPipeline::watchdogLoop()
                      " for over ", params_.stallTimeoutSeconds,
                      "s; cancelling this job's in-flight simulations "
                      "for retry");
-                break;
+            }
+            if (stalled) {
+                state.stallCancelled.store(true, std::memory_order_release);
+                pipelineMetrics().stallCancellations->inc();
             }
         }
     }
 }
 
 void
-JobPipeline::enqueueUnit(int priority, std::function<void()> fn)
+JobPipeline::enqueueUnit(int priority, Rank rank, std::function<void()> fn)
 {
     std::lock_guard<std::mutex> guard(pumpMutex_);
     Unit unit;
     unit.priority = priority;
+    unit.rank = rank;
     unit.seq = nextSeq_++;
     unit.fn = std::move(fn);
     ready_.insert(std::move(unit));
@@ -286,7 +333,7 @@ JobPipeline::pumpLocked(std::unique_lock<std::mutex> &lock)
         pool_.submit([this, unit_fn = std::move(fn)]() {
             // "pool.task" fault site: models a worker that failed to
             // pick up a unit. A lost unit would strand the job
-            // (groupsRemaining never reaches zero), so the recovery is
+            // (unitsRemaining never reaches zero), so the recovery is
             // bounded backoff and then running the unit regardless.
             for (uint32_t attempt = 1; attempt <= 3; ++attempt) {
                 if (!ZATEL_FAULT_SITE("pool.task")->shouldFire())
@@ -390,8 +437,10 @@ JobPipeline::finishJob(JobState &state, ResultRow row)
 }
 
 void
-JobPipeline::runStartUnit(JobState &state)
+JobPipeline::runStartUnit(JobState &state, uint32_t backoff_attempt)
 {
+    if (backoff_attempt > 0)
+        retryBackoffSleep(backoff_attempt);
     ZATEL_TRACE_SCOPE("job.start");
     pipelineMetrics().unitsStart->inc();
     if (state.startAttempts == 0) {
@@ -408,24 +457,18 @@ JobPipeline::runStartUnit(JobState &state)
         }
     }
 
-    ResultRow row;
-    row.jobId = state.job.id;
-    row.scene = state.job.scene;
-    row.gpu = state.job.gpu;
-
     try {
         if (jobShouldStop(state))
             throw core::PredictionCancelled();
 
         const rt::SceneId scene_id = resolveSceneName(state.job.scene);
-        row.scene = rt::sceneName(scene_id);
         state.config = gpuConfigFromName(state.job.gpu);
         const CampaignJob &job = state.job;
 
         // Stage: scene + BVH, built once per recipe across all jobs.
         const uint64_t pack_key =
-            scenePackKey(row.scene, job.sceneDetail, job.sceneSeed,
-                         job.bvh);
+            scenePackKey(rt::sceneName(scene_id), job.sceneDetail,
+                         job.sceneSeed, job.bvh);
         state.pack = cache_.getOrBuild<ScenePack>(
             ArtifactKind::ScenePack, pack_key,
             [&]() -> std::pair<std::shared_ptr<const ScenePack>, uint64_t> {
@@ -450,11 +493,13 @@ JobPipeline::runStartUnit(JobState &state)
         state.predictor->setCancelCheck(
             [this, s = &state]() { return jobShouldStop(*s); });
 
-        // Stage: heatmap profile + quantize, once per content key.
+        // Stage: heatmap profile + quantize, once per content key. When
+        // another job is building it, park on that build: this worker
+        // goes back to the pool and a prepare unit resumes the job.
         const uint64_t map_key =
             heatmapKey(state.pack->contentHash, job.params);
         std::shared_ptr<const heatmap::QuantizedHeatmap> quantized =
-            cache_.getOrBuild<heatmap::QuantizedHeatmap>(
+            cache_.getOrPark<heatmap::QuantizedHeatmap>(
                 ArtifactKind::QuantizedHeatmap, map_key,
                 [&]() -> std::pair<
                           std::shared_ptr<const heatmap::QuantizedHeatmap>,
@@ -476,42 +521,103 @@ JobPipeline::runStartUnit(JobState &state)
                         result->populations().size() * sizeof(size_t) +
                         sizeof(heatmap::QuantizedHeatmap);
                     return {result, bytes};
+                },
+                [this, s = &state](
+                    std::shared_ptr<const heatmap::QuantizedHeatmap> value,
+                    std::exception_ptr failure) {
+                    // The builder's failure costs this job a start
+                    // attempt, as it costs the builder's job one. It is
+                    // handled here, on the builder's thread, so the
+                    // exception never leaves the thread that threw it.
+                    if (failure) {
+                        failStartStage(*s, failure);
+                        return;
+                    }
+                    enqueueUnit(s->job.priority, Rank::Control,
+                                [this, s, value = std::move(value)]() {
+                                    runPrepareUnit(*s, *value);
+                                });
                 });
-        state.predictor->setPrebuiltHeatmap(*quantized);
-        state.predictor->prepare();
+        if (!quantized) {
+            // Parked: the prepare unit owns the job from here on.
+            pipelineMetrics().parkedHeatmap->inc();
+            return;
+        }
+        fanOut(state, *quantized);
+    } catch (...) {
+        failStartStage(state, std::current_exception());
+    }
+}
 
-        // Stage: fan the K group simulations out as priority units.
-        const size_t group_count = state.predictor->groupCount();
-        state.tasks.resize(group_count);
-        state.groupAttempts.assign(group_count, 0);
-        if (params_.stallTimeoutSeconds > 0.0) {
-            // One heartbeat slot per group plus one for the oracle;
-            // the release store on progressSlots publishes the array
-            // to the watchdog thread.
-            const size_t slots = group_count + 1;
-            state.groupProgressNs =
-                std::make_unique<std::atomic<uint64_t>[]>(slots);
-            for (size_t i = 0; i < slots; ++i)
-                state.groupProgressNs[i].store(
-                    0, std::memory_order_relaxed);
-            state.progressSlots.store(slots, std::memory_order_release);
-            state.predictor->setSimulationProbe(
-                params_.probeIntervalCycles,
-                [s = &state, group_count](size_t group_index, uint64_t) {
-                    const size_t slot = group_index == SIZE_MAX
-                                            ? group_count
-                                            : group_index;
-                    s->groupProgressNs[slot].store(
-                        nowNs(), std::memory_order_relaxed);
-                });
+void
+JobPipeline::runPrepareUnit(JobState &state,
+                            const heatmap::QuantizedHeatmap &quantized)
+{
+    ZATEL_TRACE_SCOPE("job.prepare");
+    pipelineMetrics().unitsPrepare->inc();
+    try {
+        fanOut(state, quantized);
+    } catch (...) {
+        failStartStage(state, std::current_exception());
+    }
+}
+
+void
+JobPipeline::fanOut(JobState &state,
+                    const heatmap::QuantizedHeatmap &quantized)
+{
+    state.predictor->setPrebuiltHeatmap(quantized);
+    state.predictor->prepare();
+
+    // Fan the oracle and the K group simulations out as priority units.
+    const size_t group_count = state.predictor->groupCount();
+    state.tasks.resize(group_count);
+    state.groupAttempts.assign(group_count, 0);
+    if (params_.stallTimeoutSeconds > 0.0) {
+        // One heartbeat slot per group plus one for the oracle; the
+        // release store on progressSlots publishes the arrays to the
+        // watchdog thread.
+        const size_t slots = group_count + 1;
+        state.groupProgressNs =
+            std::make_unique<std::atomic<uint64_t>[]>(slots);
+        state.stallVerdicts = std::make_unique<std::atomic<bool>[]>(slots);
+        for (size_t i = 0; i < slots; ++i) {
+            state.groupProgressNs[i].store(0, std::memory_order_relaxed);
+            state.stallVerdicts[i].store(false, std::memory_order_relaxed);
         }
-        state.groupsRemaining.store(group_count);
-        state.simStart = std::chrono::steady_clock::now();
-        for (size_t g = 0; g < group_count; ++g) {
-            enqueueUnit(state.job.priority, [this, s = &state, g]() {
-                runGroupUnit(*s, g);
+        state.progressSlots.store(slots, std::memory_order_release);
+        state.predictor->setSimulationProbe(
+            params_.probeIntervalCycles,
+            [s = &state, group_count](size_t group_index, uint64_t) {
+                const size_t slot =
+                    group_index == SIZE_MAX ? group_count : group_index;
+                s->groupProgressNs[slot].store(nowNs(),
+                                               std::memory_order_relaxed);
             });
-        }
+    }
+    const int priority = state.job.priority;
+    const bool with_oracle = state.job.withOracle;
+    state.unitsRemaining.store(group_count + (with_oracle ? 1 : 0));
+    state.simStartNs = nowNs();
+    if (with_oracle) {
+        enqueueUnit(priority, Rank::Oracle,
+                    [this, s = &state]() { runOracleUnit(*s); });
+    }
+    for (size_t g = 0; g < group_count; ++g) {
+        enqueueUnit(priority, Rank::Group,
+                    [this, s = &state, g]() { runGroupUnit(*s, g); });
+    }
+}
+
+void
+JobPipeline::failStartStage(JobState &state, std::exception_ptr error)
+{
+    ResultRow row;
+    row.jobId = state.job.id;
+    row.scene = state.pack ? state.pack->scene.name() : state.job.scene;
+    row.gpu = state.job.gpu;
+    try {
+        std::rethrow_exception(error);
     } catch (const core::PredictionCancelled &) {
         const bool timed_out = deadlineExceeded(state) &&
                                !pipelineCancelled();
@@ -519,30 +625,158 @@ JobPipeline::runStartUnit(JobState &state)
             timed_out ? JobStatus::TimedOut : JobStatus::Cancelled;
         row.error = timed_out ? "job timeout during preprocessing"
                               : "campaign cancelled";
-        finishJob(state, std::move(row));
     } catch (const CampaignError &err) {
         // Configuration problems (unknown scene/GPU) are permanent:
         // retrying cannot fix a typo.
         row.status = JobStatus::Failed;
         row.error = err.what();
-        finishJob(state, std::move(row));
     } catch (const std::exception &err) {
         // Possibly-transient failure (I/O, injected fault): retry the
-        // whole start stage with deterministic backoff.
+        // whole start stage with deterministic backoff, slept by the
+        // retry unit (this may run on another job's builder thread).
         if (state.startAttempts < params_.stageRetries) {
             const uint32_t attempt = ++state.startAttempts;
             warn("campaign job '", state.job.id,
                  "': start stage failed (", err.what(), "); retry ",
                  attempt, "/", params_.stageRetries);
-            retryBackoffSleep(attempt);
-            enqueueUnit(state.job.priority,
-                        [this, s = &state]() { runStartUnit(*s); });
+            enqueueUnit(state.job.priority, Rank::Control,
+                        [this, s = &state, attempt]() {
+                            runStartUnit(*s, attempt);
+                        });
             return;
         }
         row.status = JobStatus::Failed;
         row.error = err.what();
-        finishJob(state, std::move(row));
+    } catch (...) {
+        row.status = JobStatus::Failed;
+        row.error = "start stage failed with an unknown exception";
     }
+    finishJob(state, std::move(row));
+}
+
+void
+JobPipeline::runOracleUnit(JobState &state, uint32_t backoff_attempt)
+{
+    if (backoff_attempt > 0)
+        retryBackoffSleep(backoff_attempt);
+    ZATEL_TRACE_SCOPE("job.oracle");
+    pipelineMetrics().unitsOracle->inc();
+    if (state.broken.load()) {
+        // Dropped without simulating, like a broken job's group units.
+        unitLanded(state);
+        return;
+    }
+    if (stallDraining(state)) {
+        enqueueUnit(state.job.priority, Rank::Oracle,
+                    [this, s = &state]() { runOracleUnit(*s); });
+        return;
+    }
+
+    const bool watchdog_on = params_.stallTimeoutSeconds > 0.0;
+    const size_t slot = state.predictor->groupCount();
+    bool self_stalled = false;
+    WallTimer timer;
+    std::shared_ptr<const gpusim::GpuStats> stats;
+    std::exception_ptr error;
+    try {
+        stats = cache_.getOrPark<gpusim::GpuStats>(
+            ArtifactKind::OracleStats,
+            oracleKey(state.pack->contentHash, state.config,
+                      state.job.params),
+            [&]() -> std::pair<std::shared_ptr<const gpusim::GpuStats>,
+                               uint64_t> {
+                ZATEL_INJECT_FAULT("oracle.run");
+                if (watchdog_on)
+                    simEnter(state, slot);
+                core::OracleResult oracle;
+                try {
+                    oracle = state.predictor->runOracle();
+                } catch (...) {
+                    if (watchdog_on) {
+                        self_stalled = takeStallVerdict(state, slot);
+                        simExit(state, slot);
+                    }
+                    throw;
+                }
+                if (watchdog_on)
+                    simExit(state, slot);
+                return {std::make_shared<const gpusim::GpuStats>(
+                            oracle.stats),
+                        sizeof(gpusim::GpuStats)};
+            },
+            [this, s = &state](std::shared_ptr<const gpusim::GpuStats> value,
+                               std::exception_ptr failure) {
+                // Another job's build landed. Its cancellation (its own
+                // watchdog or timeout) is no stall of this job's oracle.
+                settleOracle(*s, std::move(value), std::move(failure),
+                             false);
+            });
+        if (!stats) {
+            // Parked: the continuation owns the job from here on and
+            // may already have finished it, so touch nothing.
+            pipelineMetrics().parkedOracle->inc();
+            return;
+        }
+    } catch (...) {
+        error = std::current_exception();
+    }
+    state.oracleSeconds += timer.elapsedSeconds();
+    settleOracle(state, std::move(stats), error,
+                 !watchdog_on || self_stalled);
+}
+
+void
+JobPipeline::settleOracle(JobState &state,
+                          std::shared_ptr<const gpusim::GpuStats> stats,
+                          std::exception_ptr error, bool stalled)
+{
+    if (stats) {
+        state.oracleStats = std::move(stats);
+        unitLanded(state);
+        return;
+    }
+    std::string message;
+    try {
+        std::rethrow_exception(error);
+    } catch (const core::PredictionCancelled &) {
+        const bool cancelled = pipelineCancelled();
+        if (cancelled || deadlineExceeded(state)) {
+            markBroken(state,
+                       cancelled ? JobStatus::Cancelled
+                                 : JobStatus::TimedOut,
+                       cancelled ? "campaign cancelled"
+                                 : "job timeout during the oracle run");
+            unitLanded(state);
+            return;
+        }
+        if (!stalled) {
+            // A sibling's stall took this run down with it: requeue
+            // without spending a retry, as sibling groups do.
+            enqueueUnit(state.job.priority, Rank::Oracle,
+                        [this, s = &state]() { runOracleUnit(*s); });
+            return;
+        }
+        message = "stalled: no simulated-cycle progress within " +
+                  std::to_string(params_.stallTimeoutSeconds) + "s";
+    } catch (const std::exception &err) {
+        message = err.what();
+    } catch (...) {
+        message = "unknown exception";
+    }
+    if (state.oracleAttempts < params_.stageRetries) {
+        const uint32_t attempt = ++state.oracleAttempts;
+        warn("campaign job '", state.job.id, "': oracle run failed (",
+             message, "); retry ", attempt, "/", params_.stageRetries);
+        // The retry unit sleeps the backoff: this may run on another
+        // job's builder thread.
+        enqueueUnit(state.job.priority, Rank::Oracle,
+                    [this, s = &state, attempt]() {
+                        runOracleUnit(*s, attempt);
+                    });
+        return;
+    }
+    state.oracleError = message;
+    unitLanded(state);
 }
 
 void
@@ -557,27 +791,12 @@ JobPipeline::runGroupUnit(JobState &state, size_t group_index)
         // drains quickly (SchedulerTimeout.CancelsPendingStages).
         pipelineMetrics().groupUnitsSkipped->inc();
     } else {
-        if (watchdog_on &&
-            state.stallCancelled.load(std::memory_order_relaxed)) {
-            if (state.activeSimUnits.load(std::memory_order_acquire) ==
-                0) {
-                // No simulation left to cancel: the flag is stale
-                // (set after the last unit drained); clear it and run.
-                state.stallCancelled.store(false,
-                                           std::memory_order_relaxed);
-            } else {
-                // A stall cancellation is still draining this job's
-                // sim units; starting a fresh simulation now would be
-                // instantly cancelled. Requeue without burning a
-                // retry attempt, pacing with the sanctioned backoff
-                // (1 ms at attempt 1) instead of a raw sleep.
-                retryBackoffSleep(1);
-                enqueueUnit(state.job.priority,
-                            [this, s = &state, group_index]() {
-                                runGroupUnit(*s, group_index);
-                            });
-                return;
-            }
+        if (stallDraining(state)) {
+            enqueueUnit(state.job.priority, Rank::Group,
+                        [this, s = &state, group_index]() {
+                            runGroupUnit(*s, group_index);
+                        });
+            return;
         }
         if (watchdog_on)
             simEnter(state, group_index);
@@ -593,17 +812,10 @@ JobPipeline::runGroupUnit(JobState &state, size_t group_index)
                 markBroken(state, JobStatus::TimedOut,
                            "job timeout during group simulation");
             } else if (watchdog_on) {
-                // Stall cancellation. Only the unit whose heartbeat
-                // actually went stale burns a retry; siblings taken
-                // down with it requeue for free.
-                const uint64_t timeout_ns = static_cast<uint64_t>(
-                    params_.stallTimeoutSeconds * 1e9);
-                const uint64_t ts = state.groupProgressNs[group_index]
-                                        .load(std::memory_order_relaxed);
-                const uint64_t now = nowNs();
-                const bool self_stalled =
-                    ts != 0 && now > ts && now - ts > timeout_ns;
-                if (!self_stalled) {
+                // Stall cancellation. Only a unit the watchdog found
+                // stalled burns a retry; siblings taken down with it
+                // requeue for free.
+                if (!takeStallVerdict(state, group_index)) {
                     requeue = true;
                 } else {
                     const uint32_t attempt =
@@ -641,16 +853,28 @@ JobPipeline::runGroupUnit(JobState &state, size_t group_index)
         if (watchdog_on)
             simExit(state, group_index);
         if (requeue) {
-            enqueueUnit(state.job.priority,
+            enqueueUnit(state.job.priority, Rank::Group,
                         [this, s = &state, group_index]() {
                             runGroupUnit(*s, group_index);
                         });
-            return; // groupsRemaining stays owed to the retry.
+            return; // unitsRemaining stays owed to the retry.
         }
     }
-    if (state.groupsRemaining.fetch_sub(1) == 1) {
-        // Last group out schedules the finalize stage.
-        enqueueUnit(state.job.priority,
+    // The group phase ends when its last group lands, whether or not
+    // the oracle is still running.
+    const uint64_t now = nowNs();
+    uint64_t seen = state.simEndNs.load(std::memory_order_relaxed);
+    while (seen < now && !state.simEndNs.compare_exchange_weak(
+                             seen, now, std::memory_order_relaxed)) {
+    }
+    unitLanded(state);
+}
+
+void
+JobPipeline::unitLanded(JobState &state)
+{
+    if (state.unitsRemaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        enqueueUnit(state.job.priority, Rank::Control,
                     [this, s = &state]() { runFinalizeUnit(*s); });
     }
 }
@@ -674,7 +898,11 @@ JobPipeline::runFinalizeUnit(JobState &state)
     }
 
     try {
-        const double sim_seconds = secondsSince(state.simStart);
+        const double sim_seconds =
+            static_cast<double>(state.simEndNs.load(
+                                    std::memory_order_relaxed) -
+                                state.simStartNs) *
+            1e-9;
         core::ZatelResult result = state.predictor->assemble(
             std::move(state.tasks), sim_seconds);
         state.tasks.clear();
@@ -700,76 +928,19 @@ JobPipeline::runFinalizeUnit(JobState &state)
         }
 
         if (state.job.withOracle) {
-            const uint64_t key = oracleKey(state.pack->contentHash,
-                                           state.config, state.job.params);
-            const size_t oracle_slot = state.predictor->groupCount();
-            const bool watchdog_on = params_.stallTimeoutSeconds > 0.0;
-            WallTimer oracle_timer;
-            std::shared_ptr<const gpusim::GpuStats> stats;
-            std::string oracle_error;
-            const uint32_t max_attempts = params_.stageRetries + 1;
-            for (uint32_t attempt = 1; attempt <= max_attempts;
-                 ++attempt) {
-                try {
-                    stats = cache_.getOrBuild<gpusim::GpuStats>(
-                        ArtifactKind::OracleStats, key,
-                        [&]() -> std::pair<
-                                  std::shared_ptr<const gpusim::GpuStats>,
-                                  uint64_t> {
-                            ZATEL_INJECT_FAULT("oracle.run");
-                            if (watchdog_on)
-                                simEnter(state, oracle_slot);
-                            core::OracleResult oracle;
-                            try {
-                                oracle = state.predictor->runOracle();
-                            } catch (...) {
-                                if (watchdog_on)
-                                    simExit(state, oracle_slot);
-                                throw;
-                            }
-                            if (watchdog_on)
-                                simExit(state, oracle_slot);
-                            return {
-                                std::make_shared<const gpusim::GpuStats>(
-                                    oracle.stats),
-                                sizeof(gpusim::GpuStats)};
-                        });
-                    oracle_error.clear();
-                    break;
-                } catch (const core::PredictionCancelled &) {
-                    // Pipeline cancellation / timeout end the job;
-                    // a watchdog stall is retried like any other
-                    // transient oracle failure (the oracle is this
-                    // job's only active simulation here, so its
-                    // simExit already cleared the stall flag).
-                    if (pipelineCancelled() || deadlineExceeded(state))
-                        throw;
-                    oracle_error =
-                        "stalled: no simulated-cycle progress within " +
-                        std::to_string(params_.stallTimeoutSeconds) +
-                        "s";
-                } catch (const std::exception &err) {
-                    oracle_error = err.what();
+            if (state.oracleStats) {
+                row.oracleSeconds = state.oracleSeconds;
+                for (gpusim::Metric metric : gpusim::allMetrics()) {
+                    row.oracle[metric] =
+                        state.oracleStats->metricValue(metric);
                 }
-                if (attempt < max_attempts) {
-                    warn("campaign job '", state.job.id,
-                         "': oracle run failed (", oracle_error,
-                         "); retry ", attempt, "/",
-                         params_.stageRetries);
-                    retryBackoffSleep(attempt);
-                }
-            }
-            if (stats) {
-                row.oracleSeconds = oracle_timer.elapsedSeconds();
-                for (gpusim::Metric metric : gpusim::allMetrics())
-                    row.oracle[metric] = stats->metricValue(metric);
             } else {
                 // The prediction itself is fine — deliver it, flagged
                 // Degraded because the requested reference is missing.
                 row.status = JobStatus::Degraded;
                 if (!row.error.empty())
                     row.error += "; ";
-                row.error += "oracle failed: " + oracle_error;
+                row.error += "oracle failed: " + state.oracleError;
             }
         }
     } catch (const core::PredictionCancelled &) {

@@ -7,20 +7,32 @@
  *
  * Each submitted job decomposes into pipeline stages:
  *
- *   start     resolve scene + GPU, get the ScenePack and quantized
- *             heatmap from the artifact cache (built at most once per
- *             recipe thanks to single-flight getOrBuild), prepare the
- *             predictor
+ *   start     resolve scene + GPU, get the ScenePack (blocking
+ *             single-flight getOrBuild) and the quantized heatmap
+ *             (getOrPark: built at most once per recipe), prepare the
+ *             predictor and fan the job out
+ *   prepare   the rest of a start stage whose heatmap another job was
+ *             building: the start unit parked on that build instead of
+ *             holding a worker, and resumes here when it lands
+ *   oracle    optional full-frame oracle run, enqueued at fan-out and
+ *             run beside the groups; a job whose oracle another job is
+ *             building parks on it the same way
  *   group g   one unit per image-plane group: the downscaled simulator
  *             instance (the bulk of the work)
- *   finalize  extrapolate + combine, optional cached oracle run, invoke
- *             the submission's done callback with the terminal row
+ *   finalize  once the groups and the oracle landed: extrapolate +
+ *             combine, attach the oracle stats, invoke the submission's
+ *             done callback with the terminal row
  *
  * Stage units go through a priority ready-queue (job priority desc,
- * enqueue order asc) that a dedicated pump thread feeds into the shared
- * ThreadPool only while the pool queue is shallower than its worker
- * count. That load-aware dispatch keeps the FIFO pool from burying a
- * late high-priority job under an earlier job's long unit backlog.
+ * then stage rank, then enqueue order asc) that a dedicated pump thread
+ * feeds into the shared ThreadPool only while the pool queue is
+ * shallower than its worker count. That load-aware dispatch keeps the
+ * FIFO pool from burying a late high-priority job under an earlier
+ * job's long unit backlog. Within a priority, start, prepare and
+ * finalize units go first (they are short and create work or deliver a
+ * row), then oracles, then groups: the oracle is a job's longest unit
+ * and cannot be split, so starting it before the group slices that fill
+ * in around it is longest-first list scheduling.
  *
  * Cancellation and timeouts are cooperative: every predictor polls a
  * cancel hook between stages and before each group simulation, so a
@@ -48,6 +60,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -134,19 +147,31 @@ class JobPipeline
     size_t queueDepth() const;
 
   private:
+    /** Dispatch rank of a stage unit within one job priority. */
+    enum class Rank : uint8_t
+    {
+        /** start, prepare and finalize units. */
+        Control = 0,
+        Oracle = 1,
+        Group = 2,
+    };
+
     /** One schedulable unit of work. */
     struct Unit
     {
         int priority = 0;
+        Rank rank = Rank::Control;
         uint64_t seq = 0;
         std::function<void()> fn;
 
-        /** Higher priority first; FIFO within a priority. */
+        /** Higher priority first, then lower rank; FIFO within both. */
         bool
         operator<(const Unit &other) const
         {
             if (priority != other.priority)
                 return priority > other.priority;
+            if (rank != other.rank)
+                return rank < other.rank;
             return seq < other.seq;
         }
     };
@@ -164,7 +189,9 @@ class JobPipeline
         std::shared_ptr<const ScenePack> pack;
         std::unique_ptr<core::ZatelPredictor> predictor;
         std::vector<core::ZatelPredictor::GroupTask> tasks;
-        std::atomic<size_t> groupsRemaining{0};
+        /** Group and oracle units still to land; the last schedules
+         *  finalize. */
+        std::atomic<size_t> unitsRemaining{0};
 
         /** Set once by whichever unit fails first. */
         std::atomic<bool> broken{false};
@@ -175,17 +202,34 @@ class JobPipeline
         std::chrono::steady_clock::time_point startTime;
         std::chrono::steady_clock::time_point deadline;
         bool hasDeadline = false;
-        std::chrono::steady_clock::time_point simStart;
+        /** Group phase: fan-out, and the landing of its last group
+         *  (monotonic ns). */
+        uint64_t simStartNs = 0;
+        std::atomic<uint64_t> simEndNs{0};
+
+        // ---- Oracle stage (touched by one oracle unit or its
+        // continuation at a time, read by finalize) ----
+        std::shared_ptr<const gpusim::GpuStats> oracleStats;
+        /** Why the oracle is missing once its attempts ran out. */
+        std::string oracleError;
+        /** Wall time of this job's own oracle units. */
+        double oracleSeconds = 0.0;
+        /** Oracle retries consumed. */
+        uint32_t oracleAttempts = 0;
 
         // ---- Hang-watchdog state (docs/ROBUSTNESS.md) ----
         /**
          * Per-slot last-heartbeat timestamps (monotonic ns): one slot
          * per group plus a final slot for the oracle run. 0 means "no
-         * simulation active in this slot". Allocated by the start unit;
+         * simulation active in this slot". Allocated at fan-out;
          * progressSlots (released after the allocation) publishes the
-         * array to the watchdog thread.
+         * arrays to the watchdog thread.
          */
         std::unique_ptr<std::atomic<uint64_t>[]> groupProgressNs;
+        /** Per-slot verdicts: set by the watchdog for every slot it
+         *  found stale when it cancelled the job's simulations, taken by
+         *  the cancelled unit to tell its own stall from a sibling's. */
+        std::unique_ptr<std::atomic<bool>[]> stallVerdicts;
         std::atomic<size_t> progressSlots{0};
         /** Simulations of this job currently inside the GPU loop. */
         std::atomic<size_t> activeSimUnits{0};
@@ -202,7 +246,7 @@ class JobPipeline
         std::atomic<bool> finished{false};
     };
 
-    void enqueueUnit(int priority, std::function<void()> fn);
+    void enqueueUnit(int priority, Rank rank, std::function<void()> fn);
     void pumpLocked(std::unique_lock<std::mutex> &lock);
     /** Pump-thread body: dispatch ready units, sweep finished jobs. */
     void pumpLoop();
@@ -214,14 +258,44 @@ class JobPipeline
     /** Cancel-hook body for @p state (pipeline cancel or job timeout). */
     bool jobShouldStop(const JobState &state) const;
 
-    void runStartUnit(JobState &state);
+    /** @param backoff_attempt Retry pacing owed before this attempt. */
+    void runStartUnit(JobState &state, uint32_t backoff_attempt = 0);
+    /** Resume a start stage that parked on another job's heatmap
+     *  build, with the heatmap that build produced. */
+    void runPrepareUnit(JobState &state,
+                        const heatmap::QuantizedHeatmap &quantized);
+    /** prepare() the predictor, then enqueue the oracle and groups. */
+    void fanOut(JobState &state,
+                const heatmap::QuantizedHeatmap &quantized);
+    /** Retry the start stage or finish the job with a terminal row.
+     *  Call it on the thread that threw @p error. */
+    void failStartStage(JobState &state, std::exception_ptr error);
+    /** @param backoff_attempt Retry pacing owed before this attempt. */
+    void runOracleUnit(JobState &state, uint32_t backoff_attempt = 0);
+    /**
+     * Settle one oracle attempt: land @p stats, or classify @p error
+     * and retry, requeue or give up. @p stalled says the run was this
+     * job's own and its heartbeat went stale, so a watchdog
+     * cancellation spends an attempt instead of requeueing for free.
+     */
+    void settleOracle(JobState &state,
+                      std::shared_ptr<const gpusim::GpuStats> stats,
+                      std::exception_ptr error, bool stalled);
     void runGroupUnit(JobState &state, size_t group_index);
     void runFinalizeUnit(JobState &state);
+    /** Count a group or oracle unit as landed; the last schedules
+     *  finalize. @p state may be gone once this returns. */
+    void unitLanded(JobState &state);
 
     /** Mark @p slot's simulation active (heartbeat baseline = now). */
     void simEnter(JobState &state, size_t slot);
     /** Clear @p slot; the last unit out clears a pending stall flag. */
     void simExit(JobState &state, size_t slot);
+    /** True (once) when the watchdog found @p slot itself stalled. */
+    static bool takeStallVerdict(JobState &state, size_t slot);
+    /** True when a stall cancellation is still draining @p state's
+     *  simulations: the caller requeues without spending a retry. */
+    bool stallDraining(JobState &state);
     /** True when @p state's deadline exists and has passed. */
     static bool deadlineExceeded(const JobState &state);
     /** Watchdog thread body: flags jobs with stale progress slots. */

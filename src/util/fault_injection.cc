@@ -288,7 +288,7 @@ FaultRegistry::knownSiteNames()
         "group.sim.stall",     // Group sim stops making progress (keyed)
         "pool.task",           // Scheduler unit submission to the pool
         "result.store.append", // ResultStore row append I/O
-        "oracle.run",          // Scheduler finalize unit: oracle sim
+        "oracle.run",          // Scheduler oracle unit: oracle sim
         "serve.accept",        // Daemon acceptor: shed the connection
         "serve.read",          // Daemon request read: fail with 500
         "serve.write",         // Daemon response write: bare 500

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the campaign service's content-addressed artifact cache:
- * stable hashing, single-flight builds, LRU byte-budget eviction,
- * counters, and on-disk persistence round trips.
+ * stable hashing, single-flight builds, parked requests that hold no
+ * thread, LRU byte-budget eviction, counters, and on-disk persistence
+ * round trips.
  *
  * The ArtifactCache* suites are part of the tsan-determinism CI subset
  * (see CMakePresets.json): the concurrency tests double as the cache's
@@ -12,9 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <exception>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -342,6 +346,221 @@ TEST(ArtifactCacheConcurrency, ConcurrentGetPutMixIsRaceFree)
     EXPECT_LE(cache.usage().bytesInUse, 4096u);
     ArtifactCache::Counters totals = cache.totals();
     EXPECT_GT(totals.hits + totals.misses, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Parking: a request for a key another thread is building holds no
+// thread (runs under the tsan preset)
+// ---------------------------------------------------------------------
+
+/**
+ * A build that signals when it has started and then blocks until the
+ * test releases it, so requests can be made while it is in flight.
+ */
+struct HeldBuild
+{
+    std::promise<void> started;
+    std::promise<void> release;
+    std::shared_future<void> gate = release.get_future().share();
+
+    ArtifactCache::BuiltValue
+    run(ArtifactCache::BuiltValue result)
+    {
+        started.set_value();
+        gate.wait();
+        return result;
+    }
+};
+
+TEST(ArtifactCacheParking, ParkedRequestReturnsAtOnceAndResumesOnce)
+{
+    ArtifactCache cache(1 << 20);
+    HeldBuild held;
+    std::future<void> started = held.started.get_future();
+    std::shared_ptr<const void> built;
+    std::thread builder([&]() {
+        built = cache.getOrParkRaw(
+            ArtifactKind::OracleStats, 11,
+            [&]() { return held.run({boxedInt(5), 8}); },
+            [](std::shared_ptr<const void>, std::exception_ptr) {
+                ADD_FAILURE() << "the builder must not park";
+            });
+    });
+    started.wait();
+
+    // The second request must come back while the build is still held.
+    std::atomic<int> resumed{0};
+    std::shared_ptr<const void> delivered;
+    std::exception_ptr delivered_error;
+    auto parking = std::async(std::launch::async, [&]() {
+        return cache.getOrParkRaw(
+            ArtifactKind::OracleStats, 11,
+            [&]() -> ArtifactCache::BuiltValue {
+                ADD_FAILURE() << "a parked request must not build";
+                return {boxedInt(-1), 8};
+            },
+            [&](std::shared_ptr<const void> value,
+                std::exception_ptr error) {
+                delivered = std::move(value);
+                delivered_error = std::move(error);
+                resumed.fetch_add(1);
+            });
+    });
+    const bool returned = parking.wait_for(std::chrono::seconds(10)) ==
+                          std::future_status::ready;
+    EXPECT_TRUE(returned) << "the parking call held its thread";
+    EXPECT_EQ(resumed.load(), 0) << "resumed before the build landed";
+
+    held.release.set_value();
+    builder.join();
+    EXPECT_EQ(parking.get(), nullptr);
+    EXPECT_EQ(resumed.load(), 1);
+    EXPECT_EQ(delivered.get(), built.get());
+    EXPECT_EQ(*std::static_pointer_cast<const int>(delivered), 5);
+    EXPECT_FALSE(delivered_error);
+    const ArtifactCache::Counters c =
+        cache.counters(ArtifactKind::OracleStats);
+    EXPECT_EQ(c.misses, 1u);
+    EXPECT_EQ(c.hits, 1u);
+}
+
+TEST(ArtifactCacheParking, BuilderExceptionReachesEveryWaiter)
+{
+    ArtifactCache cache(1 << 20);
+    HeldBuild held;
+    std::future<void> started = held.started.get_future();
+    // Every waiter rethrows the builder's one exception object. The
+    // blocking waiter reads it only after the builder's handler is done:
+    // libstdc++ counts the object's references with atomics the race
+    // detector does not see, so unordered handlers would look racy.
+    std::promise<void> builder_done;
+    std::shared_future<void> builder_handled =
+        builder_done.get_future().share();
+    std::string builder_error;
+    std::thread builder([&]() {
+        try {
+            cache.getOrBuildRaw(ArtifactKind::QuantizedHeatmap, 12,
+                                [&]() -> ArtifactCache::BuiltValue {
+                                    held.run({nullptr, 0});
+                                    throw std::runtime_error("boom");
+                                });
+        } catch (const std::runtime_error &err) {
+            builder_error = err.what();
+        }
+        builder_done.set_value();
+    });
+    started.wait();
+
+    // A request that arrives after the failure would build again; its
+    // build throws a different message, so it cannot pass for a waiter.
+    std::atomic<int> late_builds{0};
+    auto late_build = [&]() -> ArtifactCache::BuiltValue {
+        late_builds.fetch_add(1);
+        throw std::runtime_error("late");
+    };
+
+    // Parked continuations run on the builder's thread.
+    constexpr int kParked = 3;
+    std::vector<std::string> parked_errors(kParked);
+    int resumed = 0;
+    for (int i = 0; i < kParked; ++i) {
+        auto value = cache.getOrParkRaw(
+            ArtifactKind::QuantizedHeatmap, 12, late_build,
+            [&, i](std::shared_ptr<const void> got,
+                   std::exception_ptr error) {
+                EXPECT_EQ(got, nullptr);
+                try {
+                    std::rethrow_exception(error);
+                } catch (const std::runtime_error &err) {
+                    parked_errors[i] = err.what();
+                }
+                ++resumed;
+            });
+        EXPECT_EQ(value, nullptr);
+    }
+
+    std::string blocked_error;
+    std::thread blocked([&]() {
+        try {
+            cache.getOrBuildRaw(ArtifactKind::QuantizedHeatmap, 12,
+                                late_build);
+        } catch (const std::runtime_error &err) {
+            builder_handled.wait();
+            blocked_error = err.what();
+        }
+    });
+    // Give the blocking waiter time to join the flight; one that is late
+    // shows up as a late build below, not as a hang.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    held.release.set_value();
+    builder.join();
+    blocked.join();
+
+    EXPECT_EQ(builder_error, "boom");
+    EXPECT_EQ(resumed, kParked);
+    for (const std::string &error : parked_errors)
+        EXPECT_EQ(error, "boom");
+    EXPECT_EQ(blocked_error, "boom");
+    EXPECT_EQ(late_builds.load(), 0);
+    // One failed build, no hits, and the key is still absent.
+    const ArtifactCache::Counters c =
+        cache.counters(ArtifactKind::QuantizedHeatmap);
+    EXPECT_EQ(c.misses, 1u);
+    EXPECT_EQ(c.hits, 0u);
+    EXPECT_EQ(cache.usage().entries, 0u);
+}
+
+TEST(ArtifactCacheParking, ManyThreadsParkingLoseNoContinuation)
+{
+    ArtifactCache cache(1 << 20);
+    HeldBuild held;
+    std::future<void> started = held.started.get_future();
+    std::thread builder([&]() {
+        cache.getOrBuildRaw(ArtifactKind::OracleStats, 13, [&]() {
+            return held.run({boxedInt(9), 8});
+        });
+    });
+    started.wait();
+
+    constexpr int kThreads = 8;
+    constexpr int kPerThread = 16;
+    std::vector<std::atomic<int>> resumed(kThreads * kPerThread);
+    std::atomic<int> parked{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t]() {
+            for (int i = 0; i < kPerThread; ++i) {
+                const int slot = t * kPerThread + i;
+                auto value = cache.getOrParkRaw(
+                    ArtifactKind::OracleStats, 13,
+                    [&]() -> ArtifactCache::BuiltValue {
+                        ADD_FAILURE() << "a parked request must not build";
+                        return {boxedInt(-1), 8};
+                    },
+                    [&, slot](std::shared_ptr<const void> value,
+                              std::exception_ptr) {
+                        EXPECT_EQ(*std::static_pointer_cast<const int>(value),
+                                  9);
+                        resumed[slot].fetch_add(1);
+                    });
+                if (value == nullptr)
+                    parked.fetch_add(1);
+            }
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+    EXPECT_EQ(parked.load(), kThreads * kPerThread)
+        << "every request made during the build must park";
+
+    held.release.set_value();
+    builder.join();
+    for (int slot = 0; slot < kThreads * kPerThread; ++slot)
+        EXPECT_EQ(resumed[slot].load(), 1) << "continuation " << slot;
+    const ArtifactCache::Counters c =
+        cache.counters(ArtifactKind::OracleStats);
+    EXPECT_EQ(c.misses, 1u);
+    EXPECT_EQ(c.hits, static_cast<uint64_t>(kThreads * kPerThread));
 }
 
 // ---------------------------------------------------------------------

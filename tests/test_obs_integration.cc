@@ -216,7 +216,9 @@ TEST_F(ObsIntegration, PredictIsByteIdenticalWithObservabilityOn)
                     .empty());
 }
 
-/** A small, fast campaign job: 32x32 PARK at reduced density. */
+/** A small, fast campaign job: 32x32 PARK at reduced density. Every
+ *  job also asks for the oracle, which they all share, so with several
+ *  workers most of them park on its build. */
 service::CampaignJob
 makeJob(double fraction)
 {
@@ -226,6 +228,7 @@ makeJob(double fraction)
     job.params.width = 32;
     job.params.height = 32;
     job.params.selector.fixedFraction = fraction;
+    job.withOracle = true;
     return job;
 }
 
@@ -269,10 +272,23 @@ TEST_F(ObsIntegration, CampaignByteIdenticalAndCacheMetricsMatch)
         globalCounter(cache_total, pack_miss);
     const uint64_t map_hit_before = globalCounter(cache_total, map_hit);
     const uint64_t map_miss_before = globalCounter(cache_total, map_miss);
+    const obs::Labels oracle_hit = {{"kind", "oracle"}, {"event", "hit"}};
+    const obs::Labels oracle_miss = {{"kind", "oracle"},
+                                     {"event", "miss"}};
+    const std::string parked_total = "zatel_campaign_parked_total";
+    const uint64_t oracle_hit_before = globalCounter(cache_total, oracle_hit);
+    const uint64_t oracle_miss_before =
+        globalCounter(cache_total, oracle_miss);
     const uint64_t start_units_before =
         globalCounter(units_total, {{"stage", "start"}});
+    const uint64_t prepare_units_before =
+        globalCounter(units_total, {{"stage", "prepare"}});
+    const uint64_t oracle_units_before =
+        globalCounter(units_total, {{"stage", "oracle"}});
     const uint64_t finalize_units_before =
         globalCounter(units_total, {{"stage", "finalize"}});
+    const uint64_t parked_heatmap_before =
+        globalCounter(parked_total, {{"kind", "heatmap"}});
     const uint64_t ok_jobs_before =
         globalCounter("zatel_campaign_jobs_total", {{"status", "ok"}});
 
@@ -309,6 +325,10 @@ TEST_F(ObsIntegration, CampaignByteIdenticalAndCacheMetricsMatch)
                       bitsOf(it->second.predicted.at(metric)))
                 << row.jobId << ": " << gpusim::metricName(metric)
                 << " changed when observability was enabled";
+            EXPECT_EQ(bitsOf(row.oracle.at(metric)),
+                      bitsOf(it->second.oracle.at(metric)))
+                << row.jobId << ": oracle " << gpusim::metricName(metric)
+                << " changed when observability was enabled";
         }
     }
 
@@ -326,11 +346,19 @@ TEST_F(ObsIntegration, CampaignByteIdenticalAndCacheMetricsMatch)
               map.hits);
     EXPECT_EQ(globalCounter(cache_total, map_miss) - map_miss_before,
               map.misses);
+    const service::ArtifactCache::Counters oracle =
+        traced_cache.counters(service::ArtifactKind::OracleStats);
+    EXPECT_EQ(globalCounter(cache_total, oracle_hit) - oracle_hit_before,
+              oracle.hits);
+    EXPECT_EQ(globalCounter(cache_total, oracle_miss) - oracle_miss_before,
+              oracle.misses);
     // And the cache really did its job: one build per artifact kind.
     EXPECT_EQ(pack.misses, 1u);
     EXPECT_EQ(pack.hits, kJobs - 1);
     EXPECT_EQ(map.misses, 1u);
     EXPECT_EQ(map.hits, kJobs - 1);
+    EXPECT_EQ(oracle.misses, 1u);
+    EXPECT_EQ(oracle.hits, kJobs - 1);
 
     // Scheduler stage units: one start + one finalize per job.
     EXPECT_EQ(globalCounter(units_total, {{"stage", "start"}}) -
@@ -339,6 +367,17 @@ TEST_F(ObsIntegration, CampaignByteIdenticalAndCacheMetricsMatch)
     EXPECT_EQ(globalCounter(units_total, {{"stage", "finalize"}}) -
                   finalize_units_before,
               kJobs);
+    // One oracle unit per job, whether it built, parked or hit.
+    EXPECT_EQ(globalCounter(units_total, {{"stage", "oracle"}}) -
+                  oracle_units_before,
+              kJobs);
+    // A prepare unit resumes exactly the start stages that parked.
+    const uint64_t prepare_units =
+        globalCounter(units_total, {{"stage", "prepare"}}) -
+        prepare_units_before;
+    EXPECT_EQ(prepare_units,
+              globalCounter(parked_total, {{"kind", "heatmap"}}) -
+                  parked_heatmap_before);
     EXPECT_EQ(globalCounter("zatel_campaign_jobs_total",
                             {{"status", "ok"}}) -
                   ok_jobs_before,
@@ -350,6 +389,25 @@ TEST_F(ObsIntegration, CampaignByteIdenticalAndCacheMetricsMatch)
     EXPECT_EQ(countSpans(events, "job.start"), kJobs);
     EXPECT_EQ(countSpans(events, "job.finalize"), kJobs);
     EXPECT_GE(countSpans(events, "job.group"), kJobs);
+    EXPECT_EQ(countSpans(events, "job.oracle"), kJobs);
+    EXPECT_EQ(countSpans(events, "job.prepare"), prepare_units);
+    // The one oracle build runs inside a job.oracle unit on its thread,
+    // never inside job.finalize.
+    ASSERT_EQ(countSpans(events, "oracle.run"), 1u);
+    for (const obs::TraceEvent &run : events) {
+        if (run.name != "oracle.run")
+            continue;
+        bool in_oracle_unit = false;
+        for (const obs::TraceEvent &unit : events) {
+            if (unit.tid == run.tid && unit.tsMicros <= run.tsMicros &&
+                run.tsMicros + run.durMicros <=
+                    unit.tsMicros + unit.durMicros) {
+                EXPECT_NE(unit.name, "job.finalize");
+                in_oracle_unit |= unit.name == "job.oracle";
+            }
+        }
+        EXPECT_TRUE(in_oracle_unit);
+    }
     size_t pool_threads = 0;
     for (const auto &entry : obs::TraceRecorder::global().threadNames()) {
         if (entry.second.rfind("pool", 0) == 0)

@@ -23,15 +23,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gpusim/config.hh"
 #include "gpusim/stats.hh"
+#include "obs/metrics_registry.hh"
 #include "rt/bvh.hh"
 #include "rt/scene_library.hh"
 #include "service/artifact_cache.hh"
@@ -317,6 +322,115 @@ TEST_F(Resilience, StalledGroupWithRetriesRecoversToOk)
     ASSERT_EQ(store.rows().size(), 1u);
     EXPECT_EQ(store.rows()[0].status, JobStatus::Ok)
         << store.rows()[0].error;
+}
+
+/** A seed for which prob:@p p fires for group 0 only: not for groups
+ *  1..@p groups-1 nor for the oracle's heartbeat key. */
+uint64_t
+seedStallingOnlyGroupZero(double p, size_t groups)
+{
+    FaultRegistry scratch;
+    for (uint64_t seed = 0;; ++seed) {
+        scratch.setPolicy("group.sim.stall",
+                          FaultPolicy::withProbability(p, seed));
+        FaultSite *site = scratch.site("group.sim.stall");
+        bool only_zero = site->shouldFire(0) && !site->shouldFire(SIZE_MAX);
+        for (size_t g = 1; only_zero && g < groups; ++g)
+            only_zero = !site->shouldFire(g);
+        if (only_zero)
+            return seed;
+    }
+}
+
+TEST_F(Resilience, SiblingStallRequeuesTheOracleForFree)
+{
+    // The oracle runs beside the groups, so a sibling group's stall
+    // cancels it too. Only the simulation whose heartbeat went stale
+    // spends a retry: with zero oracle retries, a charged oracle would
+    // turn the row degraded.
+    CampaignJob job = makeJob(0.05);
+    job.sceneDetail = 1.0f;
+    job.params.width = 128;
+    job.params.height = 128;
+    job.params.groupRetries = 1;
+    job.withOracle = true;
+
+    // Size the stall timeout to this build's oracle: longer than the
+    // oracle's workload build (about a fifth of its run), which sends
+    // no heartbeat, and short enough that group 0's stall is caught,
+    // a watchdog tick later, while the oracle is still simulating.
+    double oracle_seconds = 0.0;
+    {
+        rt::SceneDetail detail;
+        detail.density = job.sceneDetail;
+        rt::Scene scene = rt::buildScene(rt::SceneId::Park, detail,
+                                         job.sceneSeed);
+        rt::Bvh bvh;
+        bvh.build(scene.triangles(), job.bvh);
+        core::ZatelPredictor predictor(scene, bvh,
+                                       gpuConfigFromName(job.gpu),
+                                       job.params);
+        oracle_seconds = predictor.runOracle().wallSeconds;
+    }
+    SchedulerParams params;
+    params.workers = 2; // the oracle on one, group 0 on the other
+    params.stageRetries = 0;
+    params.stallTimeoutSeconds = std::max(0.1, 0.45 * oracle_seconds);
+    params.probeIntervalCycles = 1000;
+
+    constexpr size_t kMaxGroups = 64;
+    FaultRegistry::global().setPolicy(
+        "group.sim.stall",
+        FaultPolicy::withProbability(
+            0.02, seedStallingOnlyGroupZero(0.02, kMaxGroups)));
+    // Group 0 stalls once: the site is disarmed as soon as it fires,
+    // long before the watchdog cancels the hang and the group retries.
+    std::atomic<bool> stop_watcher{false};
+    std::thread watcher([&]() {
+        const FaultSite *site =
+            FaultRegistry::global().site("group.sim.stall");
+        while (!stop_watcher.load() && site->fires() == 0)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        FaultRegistry::global().setPolicy("group.sim.stall",
+                                          FaultPolicy::never());
+    });
+
+    std::vector<CampaignJob> jobs{job};
+    finalizeCampaign(jobs);
+    ArtifactCache cache(kCacheBudget, "");
+    ResultStore store("");
+    auto &registry = obs::MetricsRegistry::global();
+    const auto counter = [&](const std::string &name,
+                             const obs::Labels &labels) {
+        return registry.counter(name, "test probe", labels)->value();
+    };
+    const obs::Labels oracle_stage = {{"stage", "oracle"}};
+    const uint64_t oracle_units_before =
+        counter("zatel_campaign_units_total", oracle_stage);
+    const uint64_t stalls_before =
+        counter("zatel_campaign_stall_cancellations_total", {});
+    registry.setEnabled(true);
+    CampaignScheduler scheduler(std::move(jobs), cache, store, params);
+    const CampaignSummary summary = scheduler.run();
+    registry.setEnabled(false);
+    stop_watcher.store(true);
+    watcher.join();
+
+    EXPECT_EQ(FaultRegistry::global().site("group.sim.stall")->fires(), 1u);
+    EXPECT_EQ(counter("zatel_campaign_stall_cancellations_total", {}) -
+                  stalls_before,
+              1u);
+    // The oracle unit ran again after the cancellation: the stall
+    // really did take the oracle down with group 0.
+    EXPECT_GE(counter("zatel_campaign_units_total", oracle_stage) -
+                  oracle_units_before,
+              2u);
+    EXPECT_EQ(summary.ok, 1u) << summary.toString();
+    ASSERT_EQ(store.rows().size(), 1u);
+    const ResultRow row = store.rows()[0];
+    EXPECT_EQ(row.status, JobStatus::Ok) << row.error;
+    EXPECT_LE(row.k, kMaxGroups);
+    EXPECT_EQ(row.oracle.size(), gpusim::allMetrics().size());
 }
 
 // ---------------------------------------------------------------------

@@ -11,8 +11,10 @@
  *    jobs in the TimedOut / Cancelled terminal states;
  *  - a scheduled prediction is byte-identical to a direct
  *    ZatelPredictor::predict() on the same inputs, with a cold AND a
- *    warm artifact cache (the SchedulerDeterminism suite name keeps
- *    these running under the tsan determinism preset).
+ *    warm artifact cache, and jobs that park on a shared heatmap or
+ *    oracle build get the same rows at any worker count (the
+ *    SchedulerDeterminism suite name keeps these running under the tsan
+ *    determinism preset).
  */
 
 #include <gtest/gtest.h>
@@ -115,6 +117,21 @@ directPredict(const CampaignJob &job)
     core::ZatelPredictor predictor(scene, bvh, gpuConfigFromName(job.gpu),
                                    job.params);
     return predictor.predict();
+}
+
+/** Exactly what `zatel oracle` does for the job's scene and GPU. */
+gpusim::GpuStats
+directOracle(const CampaignJob &job)
+{
+    rt::SceneDetail detail;
+    detail.density = job.sceneDetail;
+    rt::Scene scene = rt::buildScene(rt::sceneIdFromName(job.scene),
+                                     detail, job.sceneSeed);
+    rt::Bvh bvh;
+    bvh.build(scene.triangles(), job.bvh);
+    core::ZatelPredictor predictor(scene, bvh, gpuConfigFromName(job.gpu),
+                                   job.params);
+    return predictor.runOracle().stats;
 }
 
 TEST(ServiceScheduler, EightJobsOneSceneBuildArtifactsOnce)
@@ -322,6 +339,68 @@ TEST(SchedulerDeterminism, WarmCacheRunIsByteIdentical)
             if (row.jobId == job.id)
                 expectRowMatchesResult(row, directPredict(job),
                                        "warm cache vs direct " + job.id);
+        }
+    }
+}
+
+TEST(SchedulerDeterminism, SharedOracleAndHeatmapRowsMatchAtAnyWorkerCount)
+{
+    // Six jobs on one scene and GPU share one heatmap and one oracle, so
+    // with several workers most of them park on a build another job is
+    // running and resume when it lands.
+    std::vector<CampaignJob> jobs;
+    for (size_t i = 0; i < 6; ++i) {
+        jobs.push_back(makeJob(0.15 + 0.05 * static_cast<double>(i)));
+        jobs.back().withOracle = true;
+    }
+    finalizeCampaign(jobs);
+
+    std::map<std::string, core::ZatelResult> direct;
+    for (const CampaignJob &job : jobs)
+        direct.emplace(job.id, directPredict(job));
+    const gpusim::GpuStats oracle = directOracle(jobs[0]);
+
+    std::map<std::string, std::string> first_lines;
+    for (size_t workers : {1u, 2u, 4u}) {
+        const std::string context =
+            "workers=" + std::to_string(workers);
+        ArtifactCache cache(kCacheBudget, "");
+        ResultStoreOptions options;
+        options.includeTiming = false;
+        ResultStore store("", options);
+        SchedulerParams params;
+        params.workers = workers;
+        CampaignScheduler scheduler(jobs, cache, store, params);
+        EXPECT_EQ(scheduler.run().ok, jobs.size()) << context;
+        ASSERT_EQ(store.rowCount(), jobs.size()) << context;
+
+        for (const ResultRow &row : store.rows()) {
+            expectRowMatchesResult(row, direct.at(row.jobId),
+                                   context + " " + row.jobId);
+            for (gpusim::Metric metric : gpusim::allMetrics()) {
+                ASSERT_TRUE(row.oracle.count(metric)) << context;
+                EXPECT_EQ(bitsOf(row.oracle.at(metric)),
+                          bitsOf(oracle.metricValue(metric)))
+                    << context << " " << row.jobId << ": oracle "
+                    << gpusim::metricName(metric);
+            }
+            // The same row, byte for byte, at every worker count.
+            const std::string line = store.formatRow(row);
+            const auto [it, first] = first_lines.emplace(row.jobId, line);
+            if (!first) {
+                EXPECT_EQ(line, it->second) << context;
+            }
+        }
+
+        // Parking changes who waits, not what is built or served.
+        for (ArtifactKind kind :
+             {ArtifactKind::ScenePack, ArtifactKind::QuantizedHeatmap,
+              ArtifactKind::OracleStats}) {
+            const ArtifactCache::Counters c = cache.counters(kind);
+            EXPECT_EQ(c.misses, 1u) << context << " "
+                                    << artifactKindName(kind);
+            EXPECT_EQ(c.hits, jobs.size() - 1)
+                << context << " " << artifactKindName(kind);
         }
     }
 }
