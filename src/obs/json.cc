@@ -1,16 +1,34 @@
 #include "obs/json.hh"
 
+#include <algorithm>
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
+#include <set>
 
 namespace zatel::obs
 {
 
+namespace
+{
+
+const JsonValue *
+findMember(const JsonValue &object, const std::string &key)
+{
+    if (object.type != JsonValue::Type::Object)
+        return nullptr;
+    auto it = std::find_if(
+        object.objectValue.begin(), object.objectValue.end(),
+        [&key](const auto &member) { return member.first == key; });
+    return it == object.objectValue.end() ? nullptr : &it->second;
+}
+
+} // namespace
+
 bool
 JsonValue::has(const std::string &key) const
 {
-    return type == Type::Object &&
-           objectValue.find(key) != objectValue.end();
+    return findMember(*this, key) != nullptr;
 }
 
 const JsonValue &
@@ -18,10 +36,10 @@ JsonValue::at(const std::string &key) const
 {
     if (type != Type::Object)
         throw JsonError("at('" + key + "'): value is not an object");
-    auto it = objectValue.find(key);
-    if (it == objectValue.end())
+    const JsonValue *member = findMember(*this, key);
+    if (member == nullptr)
         throw JsonError("missing object member '" + key + "'");
-    return it->second;
+    return *member;
 }
 
 namespace
@@ -105,9 +123,15 @@ class Parser
         JsonValue value;
         switch (peek()) {
         case '{':
-            return parseObject();
         case '[':
-            return parseArray();
+            // One recursion level per container: cap it so a body of
+            // nested brackets is a JsonError, not a stack overflow.
+            if (++depth_ > kMaxJsonDepth)
+                fail("nesting deeper than " +
+                     std::to_string(kMaxJsonDepth) + " levels");
+            value = text_[pos_] == '{' ? parseObject() : parseArray();
+            --depth_;
+            return value;
         case '"':
             value.type = JsonValue::Type::String;
             value.stringValue = parseString();
@@ -139,10 +163,13 @@ class Parser
         expect('{');
         if (consumeIf('}'))
             return value;
+        std::set<std::string> names;
         while (true) {
             std::string key = parseString();
+            if (!names.insert(key).second)
+                fail("duplicate member name '" + key + "'");
             expect(':');
-            value.objectValue.emplace(std::move(key), parseValue());
+            value.objectValue.emplace_back(std::move(key), parseValue());
             if (consumeIf(','))
                 continue;
             expect('}');
@@ -262,8 +289,12 @@ class Parser
             }
             return n;
         };
-        if (digits() == 0)
+        const size_t int_start = pos_;
+        const size_t int_digits = digits();
+        if (int_digits == 0)
             fail("expected a number");
+        if (int_digits > 1 && text_[int_start] == '0')
+            fail("leading zero in number");
         if (pos_ < text_.size() && text_[pos_] == '.') {
             ++pos_;
             if (digits() == 0)
@@ -280,14 +311,14 @@ class Parser
         }
         JsonValue value;
         value.type = JsonValue::Type::Number;
-        value.numberValue =
-            std::strtod(text_.substr(start, pos_ - start).c_str(),
-                        nullptr);
+        value.numberText = text_.substr(start, pos_ - start);
+        value.numberValue = std::strtod(value.numberText.c_str(), nullptr);
         return value;
     }
 
     const std::string &text_;
     size_t pos_ = 0;
+    size_t depth_ = 0;
 };
 
 } // namespace
@@ -297,6 +328,51 @@ parseJson(const std::string &text)
 {
     Parser parser(text);
     return parser.parse();
+}
+
+std::string
+jsonEscaped(const std::string &text)
+{
+    std::string out;
+    out.reserve(text.size());
+    for (char c : text) {
+        switch (c) {
+        case '"':
+            out += "\\\"";
+            break;
+        case '\\':
+            out += "\\\\";
+            break;
+        case '\n':
+            out += "\\n";
+            break;
+        case '\t':
+            out += "\\t";
+            break;
+        case '\r':
+            out += "\\r";
+            break;
+        default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char hex[8];
+                std::snprintf(hex, sizeof(hex), "\\u%04x",
+                              static_cast<unsigned>(
+                                  static_cast<unsigned char>(c)));
+                out += hex;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
+}
+
+std::string
+formatDouble17(double value)
+{
+    char buffer[64];
+    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+    return buffer;
 }
 
 } // namespace zatel::obs

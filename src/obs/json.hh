@@ -1,18 +1,25 @@
 /**
  * @file
- * Minimal recursive-descent JSON parser used to validate the
- * observability exports (Chrome trace JSON, metrics JSON dump) in
- * tests and in tools/zatel-trace-check. Not a general-purpose JSON
- * library: no streaming, whole document in memory, doubles only.
+ * The repo's JSON codec. parseJson() is the one reader: campaign JSONL
+ * lines, /predict bodies, result-file rows on resume and merge, and the
+ * observability export checks all go through it. jsonEscaped() and
+ * formatDouble17() are the writers every JSON producer shares (result
+ * rows, campaign lines, serve replies, trace and metrics exports).
+ *
+ * The reader is strict where a lenient guess would change a job:
+ * object members keep document order, duplicate names are rejected,
+ * numbers follow RFC 8259 (no barewords, hex, leading zeros or NaN)
+ * and keep their literal text, and nesting is capped at kMaxJsonDepth.
+ * Whole documents in memory; no streaming.
  */
 
 #ifndef ZATEL_OBS_JSON_HH
 #define ZATEL_OBS_JSON_HH
 
-#include <map>
-#include <memory>
+#include <cstddef>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace zatel::obs
@@ -36,10 +43,13 @@ class JsonValue
     Type type = Type::Null;
     bool boolValue = false;
     double numberValue = 0.0;
+    /** A number's literal text: integers wider than a double's
+     *  mantissa reach applyJobField() exactly. */
+    std::string numberText;
     std::string stringValue;
     std::vector<JsonValue> arrayValue;
-    /** std::map: deterministic iteration for error messages/tests. */
-    std::map<std::string, JsonValue> objectValue;
+    /** Members in document order; names are unique. */
+    std::vector<std::pair<std::string, JsonValue>> objectValue;
 
     bool
     isNull() const
@@ -79,9 +89,21 @@ class JsonValue
     const JsonValue &at(const std::string &key) const;
 };
 
+/** Deepest array/object nesting parseJson() accepts. */
+constexpr size_t kMaxJsonDepth = 64;
+
 /** Parse a complete JSON document; throws JsonError on any syntax
- *  error or trailing garbage. */
+ *  error, duplicate member name, nesting deeper than kMaxJsonDepth or
+ *  trailing garbage. */
 JsonValue parseJson(const std::string &text);
+
+/** Escape @p text for a JSON string literal (quotes not included):
+ *  \" \\ \n \t \r, other bytes below 0x20 as \u00XX, the rest as is.
+ *  parseJson() reads every byte string back unchanged. */
+std::string jsonEscaped(const std::string &text);
+
+/** %.17g: enough digits that parsing reproduces the exact double. */
+std::string formatDouble17(double value);
 
 } // namespace zatel::obs
 

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/json.hh"
 #include "util/logging.hh"
 
 namespace zatel::obs
@@ -130,7 +131,7 @@ validLabelName(const std::string &name)
     return true;
 }
 
-/** Escape a label value / JSON string payload (shared rules). */
+/** Escape a Prometheus label value or HELP text. */
 std::string
 escapeValue(const std::string &text)
 {
@@ -451,16 +452,16 @@ MetricsRegistry::jsonText() const
             if (!firstSeries)
                 out << ",\n";
             firstSeries = false;
-            out << "{\"name\":\"" << escapeValue(family->name)
+            out << "{\"name\":\"" << jsonEscaped(family->name)
                 << "\",\"kind\":\"" << kind << "\",\"help\":\""
-                << escapeValue(family->help) << "\",\"labels\":{";
+                << jsonEscaped(family->help) << "\",\"labels\":{";
             bool firstLabel = true;
             for (const auto &[key, value] : entry->labels) {
                 if (!firstLabel)
                     out << ",";
                 firstLabel = false;
-                out << "\"" << escapeValue(key) << "\":\""
-                    << escapeValue(value) << "\"";
+                out << "\"" << jsonEscaped(key) << "\":\""
+                    << jsonEscaped(value) << "\"";
             }
             out << "}";
             if (family->kind == Kind::Counter) {

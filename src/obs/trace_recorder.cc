@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/json.hh"
 #include "util/logging.hh"
 
 namespace zatel::obs
@@ -279,44 +280,6 @@ TraceRecorder::threadNames() const
 namespace
 {
 
-/** Minimal JSON string escaping (quotes, backslash, control chars). */
-std::string
-escapeJson(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size() + 2);
-    for (char c : text) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char hex[8];
-                std::snprintf(hex, sizeof(hex), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += hex;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 /** Fixed-point microseconds (Chrome accepts fractional ts/dur). */
 std::string
 formatMicros(double value)
@@ -346,12 +309,12 @@ TraceRecorder::exportChromeTrace() const
     for (const auto &[tid, name] : threadNames()) {
         comma();
         out << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":"
-            << tid << ",\"args\":{\"name\":\"" << escapeJson(name)
+            << tid << ",\"args\":{\"name\":\"" << jsonEscaped(name)
             << "\"}}";
     }
     for (const TraceEvent &event : snapshot()) {
         comma();
-        out << "{\"ph\":\"X\",\"name\":\"" << escapeJson(event.name)
+        out << "{\"ph\":\"X\",\"name\":\"" << jsonEscaped(event.name)
             << "\",\"cat\":\"zatel\",\"pid\":0,\"tid\":" << event.tid
             << ",\"ts\":" << formatMicros(event.tsMicros)
             << ",\"dur\":" << formatMicros(event.durMicros);

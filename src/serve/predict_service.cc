@@ -1,9 +1,6 @@
 #include "serve/predict_service.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -56,27 +53,13 @@ predictMetrics()
     return metrics;
 }
 
-/** JSON error document ({"error":"..."}). */
+} // namespace
+
 std::string
 errorBody(const std::string &message)
 {
-    return "{\"error\":\"" + service::jsonEscaped(message) + "\"}";
+    return "{\"error\":\"" + obs::jsonEscaped(message) + "\"}";
 }
-
-/** Render a JSON number the way applyJobField can parse back. */
-std::string
-numberToField(double value)
-{
-    if (std::floor(value) == value && std::abs(value) < 9.2e18) {
-        char buffer[32];
-        std::snprintf(buffer, sizeof(buffer), "%lld",
-                      static_cast<long long>(value));
-        return buffer;
-    }
-    return service::formatDouble17(value);
-}
-
-} // namespace
 
 PredictService::PredictService(service::JobPipeline &pipeline,
                                PredictParams params)
@@ -91,37 +74,30 @@ service::CampaignJob
 PredictService::parseRequest(const std::string &requestBody,
                              double &deadlineSeconds) const
 {
-    const obs::JsonValue doc = obs::parseJson(requestBody);
+    obs::JsonValue doc = obs::parseJson(requestBody);
     if (!doc.isObject())
         throw service::CampaignError(
             "request body must be a JSON object");
 
-    service::CampaignJob job;
+    // deadline_ms is the one serving-only field: take it out, then the
+    // rest is a campaign job like any JSONL line.
     deadlineSeconds = params_.defaultDeadlineSeconds;
-    for (const auto &member : doc.objectValue) {
-        const std::string &key = member.first;
-        const obs::JsonValue &value = member.second;
-        if (key == "deadline_ms") {
+    auto &members = doc.objectValue;
+    auto deadline = std::find_if(
+        members.begin(), members.end(),
+        [](const auto &member) { return member.first == "deadline_ms"; });
+    if (deadline != members.end()) {
+        const obs::JsonValue &value = deadline->second;
+        if (!value.isNull()) {
             if (!value.isNumber() || value.numberValue < 0.0)
                 throw service::CampaignError(
                     "deadline_ms must be a non-negative number");
             deadlineSeconds = std::min(value.numberValue / 1000.0,
                                        params_.maxDeadlineSeconds);
-            continue;
         }
-        std::string field;
-        if (value.isString())
-            field = value.stringValue;
-        else if (value.isNumber())
-            field = numberToField(value.numberValue);
-        else if (value.isBool())
-            field = value.boolValue ? "true" : "false";
-        else
-            throw service::CampaignError(
-                "field '" + key +
-                "' must be a string, number or boolean");
-        service::applyJobField(job, key, field);
+        members.erase(deadline);
     }
+    service::CampaignJob job = service::jobFromJson(doc);
 
     // Permanent config errors must answer 400 here, not 500 later.
     service::resolveSceneName(job.scene);
@@ -154,53 +130,10 @@ PredictService::buildReply(const service::ResultRow &row)
         reply.status = 500;
         break;
     }
-
-    // No wall-clock fields: identical recipes serialize identically.
-    std::ostringstream oss;
-    oss << "{\"job\":\"" << service::jsonEscaped(row.jobId) << "\""
-        << ",\"status\":\"" << service::jobStatusName(row.status) << "\""
-        << ",\"scene\":\"" << service::jsonEscaped(row.scene) << "\""
-        << ",\"gpu\":\"" << service::jsonEscaped(row.gpu) << "\"";
-    if (reply.status == 200) {
-        oss << ",\"k\":" << row.k << ",\"fraction_traced\":"
-            << service::formatDouble17(row.fractionTraced)
-            << ",\"predicted\":{";
-        bool first = true;
-        for (gpusim::Metric metric : gpusim::allMetrics()) {
-            auto it = row.predicted.find(metric);
-            const double value =
-                it == row.predicted.end() ? 0.0 : it->second;
-            oss << (first ? "" : ",") << "\""
-                << service::metricJsonKey(metric)
-                << "\":" << service::formatDouble17(value);
-            first = false;
-        }
-        oss << "}";
-        if (!row.oracle.empty()) {
-            oss << ",\"oracle\":{";
-            first = true;
-            for (gpusim::Metric metric : gpusim::allMetrics()) {
-                auto it = row.oracle.find(metric);
-                const double value =
-                    it == row.oracle.end() ? 0.0 : it->second;
-                oss << (first ? "" : ",") << "\""
-                    << service::metricJsonKey(metric)
-                    << "\":" << service::formatDouble17(value);
-                first = false;
-            }
-            oss << "}";
-        }
-        if (row.status == service::JobStatus::Degraded) {
-            oss << ",\"failed_groups\":" << row.failedGroups
-                << ",\"survivor_extrapolation\":"
-                << service::formatDouble17(row.survivorExtrapolation);
-        }
-    }
-    if (!row.error.empty())
-        oss << ",\"error\":\"" << service::jsonEscaped(row.error)
-            << "\"";
-    oss << "}";
-    reply.body = oss.str();
+    // The result row with timing off: identical recipes serialize
+    // identically, and the body is the line zatel-batch --no-timing
+    // writes for the same recipe.
+    reply.body = service::formatJsonlRow(row, /*include_timing=*/false);
     return reply;
 }
 

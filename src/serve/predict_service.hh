@@ -4,9 +4,10 @@
  * (docs/SERVING.md). Maps one JSON request body to one terminal HTTP
  * reply, composing the pieces the batch service already has:
  *
- *   parse       obs::parseJson -> applyJobField() -> CampaignJob; any
- *               malformed field answers 400 before touching the
- *               pipeline (unknown scene/GPU typos included — they are
+ *   parse       obs::parseJson -> jobFromJson() -> CampaignJob, the
+ *               campaign JSONL path minus "deadline_ms"; any malformed
+ *               field answers 400 before touching the pipeline
+ *               (unknown scene/GPU typos included — they are
  *               permanent, retrying cannot fix them)
  *   dedupe      response cache: a recipe that already produced an Ok
  *               reply is answered from memory (LRU-bounded), counted
@@ -20,9 +21,10 @@
  *               terminal ResultRow maps to HTTP status (Ok/Degraded ->
  *               200, TimedOut -> 504, Cancelled -> 503, Failed -> 500)
  *
- * Reply bodies carry no wall-clock fields, so identical recipes always
- * serialize to identical bytes — the property the CI serve smoke and
- * the single-flight end-to-end test assert.
+ * A reply body is the job's result row (service::formatJsonlRow) with
+ * timing off: identical recipes serialize to identical bytes, the same
+ * line zatel-batch --no-timing writes — the properties the CI serve
+ * smoke and the single-flight end-to-end test assert.
  *
  * Thread-safe: predict() is called concurrently from every HTTP
  * worker; blocking (on the shared simulation) is the design — the
@@ -46,6 +48,9 @@
 namespace zatel::serve
 {
 
+/** JSON error document ({"error":"..."}) for every non-row reply. */
+std::string errorBody(const std::string &message);
+
 /** Knobs for the /predict core (flag-mapped in tools/zatel_serve.cpp). */
 struct PredictParams
 {
@@ -68,7 +73,7 @@ class PredictService
     struct Reply
     {
         int status = 200;
-        std::string body; ///< JSON document (docs/SERVING.md schema).
+        std::string body; ///< Result row or {"error":...} document.
     };
 
     /** Monotonic counters for /status and tests. */

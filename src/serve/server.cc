@@ -12,6 +12,7 @@
 #include <sstream>
 #include <utility>
 
+#include "obs/json.hh"
 #include "obs/metrics_registry.hh"
 #include "util/fault_injection.hh"
 #include "util/logging.hh"
@@ -22,13 +23,6 @@ namespace zatel::serve
 
 namespace
 {
-
-/** JSON error document ({"error":"..."}). */
-std::string
-errorBody(const std::string &message)
-{
-    return "{\"error\":\"" + service::jsonEscaped(message) + "\"}";
-}
 
 /** The fixed endpoint label set (bounded metric cardinality). */
 const char *const kEndpoints[] = {"predict", "healthz", "status",
@@ -444,9 +438,9 @@ PredictionServer::statusJson() const
                   .count()
             : 0.0;
     std::ostringstream oss;
-    oss << "{\"listening\":\"" << service::jsonEscaped(params_.host)
+    oss << "{\"listening\":\"" << obs::jsonEscaped(params_.host)
         << ":" << boundPort_ << "\""
-        << ",\"uptime_seconds\":" << service::formatDouble17(uptime)
+        << ",\"uptime_seconds\":" << obs::formatDouble17(uptime)
         << ",\"http\":{\"accepted\":" << snap.accepted
         << ",\"shed\":" << snap.shedConnections
         << ",\"queue_depth\":" << snap.queueDepth

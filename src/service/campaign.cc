@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cfloat>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
 
 #include "service/artifact_cache.hh"
+#include "util/csv.hh"
 
 namespace zatel::service
 {
@@ -53,8 +57,9 @@ parseU64(const std::string &value, const std::string &key)
     if (first < value.size() && value[first] == '-')
         throw CampaignError("negative value in " + key + "='" + value + "'");
     try {
+        // Base 10 only: "010" is ten in every reader, never octal 8.
         size_t used = 0;
-        uint64_t parsed = std::stoull(value, &used, 0);
+        uint64_t parsed = std::stoull(value, &used, 10);
         if (used != value.size())
             throw CampaignError("trailing junk in " + key + "='" + value +
                                 "'");
@@ -67,6 +72,16 @@ parseU64(const std::string &value, const std::string &key)
     }
 }
 
+/** A 32-bit field: out of range is an error, never a wrapped value. */
+uint32_t
+parseU32(const std::string &value, const std::string &key)
+{
+    const uint64_t parsed = parseU64(value, key);
+    if (parsed > UINT32_MAX)
+        throw CampaignError(key + "='" + value + "' is out of range");
+    return static_cast<uint32_t>(parsed);
+}
+
 double
 parseF64(const std::string &value, const std::string &key)
 {
@@ -76,6 +91,8 @@ parseF64(const std::string &value, const std::string &key)
         if (used != value.size())
             throw CampaignError("trailing junk in " + key + "='" + value +
                                 "'");
+        if (!std::isfinite(parsed))
+            throw CampaignError(key + "='" + value + "' is not finite");
         return parsed;
     } catch (const CampaignError &) {
         throw;
@@ -83,6 +100,17 @@ parseF64(const std::string &value, const std::string &key)
         throw CampaignError("cannot parse " + key + "='" + value +
                             "' as a number");
     }
+}
+
+/** A double that must fit @p lo..@p hi before a narrowing cast. */
+double
+parseF64InRange(const std::string &value, const std::string &key,
+                double lo, double hi)
+{
+    const double parsed = parseF64(value, key);
+    if (parsed < lo || parsed > hi)
+        throw CampaignError(key + "='" + value + "' is out of range");
+    return parsed;
 }
 
 bool
@@ -96,171 +124,7 @@ parseBool(const std::string &value, const std::string &key)
                         "' as a boolean");
 }
 
-// ---- Minimal flat-object JSON parsing (strings, numbers, booleans) ----
-
-struct JsonCursor
-{
-    const std::string &text;
-    size_t pos = 0;
-    int line = 0;
-
-    explicit JsonCursor(const std::string &t, int line_number)
-        : text(t), line(line_number)
-    {
-    }
-
-    [[noreturn]] void
-    fail(const std::string &what) const
-    {
-        throw CampaignError("line " + std::to_string(line) + ": " + what);
-    }
-
-    void
-    skipWs()
-    {
-        while (pos < text.size() &&
-               std::isspace(static_cast<unsigned char>(text[pos]))) {
-            ++pos;
-        }
-    }
-
-    bool
-    consume(char expected)
-    {
-        skipWs();
-        if (pos < text.size() && text[pos] == expected) {
-            ++pos;
-            return true;
-        }
-        return false;
-    }
-
-    std::string
-    parseString()
-    {
-        skipWs();
-        if (pos >= text.size() || text[pos] != '"')
-            fail("expected a '\"'-quoted string");
-        ++pos;
-        std::string out;
-        while (pos < text.size() && text[pos] != '"') {
-            char c = text[pos++];
-            if (c == '\\') {
-                if (pos >= text.size())
-                    fail("dangling escape in string");
-                char esc = text[pos++];
-                switch (esc) {
-                case '"':
-                    out.push_back('"');
-                    break;
-                case '\\':
-                    out.push_back('\\');
-                    break;
-                case '/':
-                    out.push_back('/');
-                    break;
-                case 'n':
-                    out.push_back('\n');
-                    break;
-                case 't':
-                    out.push_back('\t');
-                    break;
-                default:
-                    fail(std::string("unsupported escape '\\") + esc + "'");
-                }
-            } else {
-                out.push_back(c);
-            }
-        }
-        if (pos >= text.size())
-            fail("unterminated string");
-        ++pos; // closing quote
-        return out;
-    }
-
-    /** Parse a scalar value (string, number, true/false/null) as text. */
-    std::string
-    parseScalar()
-    {
-        skipWs();
-        if (pos < text.size() && text[pos] == '"')
-            return parseString();
-        size_t begin = pos;
-        while (pos < text.size() && text[pos] != ',' && text[pos] != '}' &&
-               !std::isspace(static_cast<unsigned char>(text[pos]))) {
-            ++pos;
-        }
-        if (pos == begin)
-            fail("expected a value");
-        return text.substr(begin, pos - begin);
-    }
-};
-
-CampaignJob
-parseJsonlLine(const std::string &line, int line_number)
-{
-    JsonCursor cursor(line, line_number);
-    if (!cursor.consume('{'))
-        cursor.fail("expected a JSON object ('{')");
-    CampaignJob job;
-    if (cursor.consume('}'))
-        return job;
-    while (true) {
-        std::string key = cursor.parseString();
-        if (!cursor.consume(':'))
-            cursor.fail("expected ':' after key '" + key + "'");
-        std::string value = cursor.parseScalar();
-        if (value == "null") {
-            // Explicit null = keep the default.
-        } else {
-            try {
-                applyJobField(job, key, value);
-            } catch (const CampaignError &err) {
-                cursor.fail(err.what());
-            }
-        }
-        if (cursor.consume('}'))
-            break;
-        if (!cursor.consume(','))
-            cursor.fail("expected ',' or '}' after value of '" + key + "'");
-    }
-    cursor.skipWs();
-    if (cursor.pos != line.size())
-        cursor.fail("trailing characters after the JSON object");
-    return job;
-}
-
-// ---- CSV parsing with '|' sweep expansion ----
-
-std::vector<std::string>
-splitCsvLine(const std::string &line)
-{
-    std::vector<std::string> cells;
-    std::string cell;
-    bool quoted = false;
-    for (size_t i = 0; i < line.size(); ++i) {
-        char c = line[i];
-        if (quoted) {
-            if (c == '"' && i + 1 < line.size() && line[i + 1] == '"') {
-                cell.push_back('"');
-                ++i;
-            } else if (c == '"') {
-                quoted = false;
-            } else {
-                cell.push_back(c);
-            }
-        } else if (c == '"') {
-            quoted = true;
-        } else if (c == ',') {
-            cells.push_back(trimmed(cell));
-            cell.clear();
-        } else {
-            cell.push_back(c);
-        }
-    }
-    cells.push_back(trimmed(cell));
-    return cells;
-}
+// ---- CSV '|' sweep expansion ----
 
 std::vector<std::string>
 splitSweepCell(const std::string &cell)
@@ -382,28 +246,28 @@ applyJobField(CampaignJob &job, const std::string &key,
     } else if (key == "scene") {
         job.scene = value;
     } else if (key == "detail") {
-        job.sceneDetail = static_cast<float>(parseF64(value, key));
+        job.sceneDetail = static_cast<float>(
+            parseF64InRange(value, key, -FLT_MAX, FLT_MAX));
     } else if (key == "scene_seed") {
         job.sceneSeed = parseU64(value, key);
     } else if (key == "gpu") {
         job.gpu = value;
     } else if (key == "res") {
-        uint32_t res = static_cast<uint32_t>(parseU64(value, key));
+        const uint32_t res = parseU32(value, key);
         job.params.width = res;
         job.params.height = res;
     } else if (key == "width") {
-        job.params.width = static_cast<uint32_t>(parseU64(value, key));
+        job.params.width = parseU32(value, key);
     } else if (key == "height") {
-        job.params.height = static_cast<uint32_t>(parseU64(value, key));
+        job.params.height = parseU32(value, key);
     } else if (key == "spp") {
-        job.params.samplesPerPixel =
-            static_cast<uint32_t>(parseU64(value, key));
+        job.params.samplesPerPixel = parseU32(value, key);
     } else if (key == "seed") {
         job.params.seed = parseU64(value, key);
     } else if (key == "fraction") {
         job.params.selector.fixedFraction = parseF64(value, key);
     } else if (key == "k") {
-        job.params.forcedK = static_cast<uint32_t>(parseU64(value, key));
+        job.params.forcedK = parseU32(value, key);
     } else if (key == "division") {
         if (value == "coarse")
             job.params.partition.method = core::DivisionMethod::CoarseGrained;
@@ -436,12 +300,12 @@ applyJobField(CampaignJob &job, const std::string &key,
         job.params.profiler.source = heatmap::ProfilingSource::HardwareTimer;
         job.params.profiler.timerNoise = parseF64(value, key);
     } else if (key == "quantize_colors") {
-        job.params.quantizeColors =
-            static_cast<uint32_t>(parseU64(value, key));
+        job.params.quantizeColors = parseU32(value, key);
     } else if (key == "threads") {
-        job.params.numThreads = static_cast<uint32_t>(parseU64(value, key));
+        job.params.numThreads = parseU32(value, key);
     } else if (key == "priority") {
-        job.priority = static_cast<int>(parseF64(value, key));
+        job.priority =
+            static_cast<int>(parseF64InRange(value, key, INT_MIN, INT_MAX));
     } else if (key == "oracle") {
         job.withOracle = parseBool(value, key);
     } else {
@@ -452,45 +316,58 @@ applyJobField(CampaignJob &job, const std::string &key,
 namespace
 {
 
-/** %.17g: parseF64 reproduces the exact double on re-parse. */
+/** A JSON string literal: the shared escaper, in quotes. */
 std::string
-jsonNumber(double value)
+quoted(const std::string &text)
 {
-    char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-    return buffer;
-}
-
-/** Escape for the subset of JSON strings JsonCursor reads back. */
-std::string
-jsonString(const std::string &text)
-{
-    std::string out = "\"";
-    for (char c : text) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    out += "\"";
-    return out;
+    return "\"" + obs::jsonEscaped(text) + "\"";
 }
 
 } // namespace
+
+CampaignJob
+jobFromJson(const obs::JsonValue &object)
+{
+    if (!object.isObject())
+        throw CampaignError("expected a JSON object");
+    CampaignJob job;
+    for (const auto &[key, value] : object.objectValue) {
+        switch (value.type) {
+        case obs::JsonValue::Type::Null:
+            break; // explicit null = keep the default
+        case obs::JsonValue::Type::Bool:
+            applyJobField(job, key, value.boolValue ? "true" : "false");
+            break;
+        case obs::JsonValue::Type::Number:
+            applyJobField(job, key, value.numberText);
+            break;
+        case obs::JsonValue::Type::String:
+            applyJobField(job, key, value.stringValue);
+            break;
+        default:
+            throw CampaignError("field '" + key +
+                                "' must be a string, number, boolean "
+                                "or null");
+        }
+    }
+    return job;
+}
 
 std::string
 serializeJobJsonl(const CampaignJob &job)
 {
     const core::ZatelParams &p = job.params;
     std::ostringstream oss;
-    oss << "{\"id\":" << jsonString(job.id)
-        << ",\"scene\":" << jsonString(job.scene)
-        << ",\"detail\":" << jsonNumber(job.sceneDetail)
+    oss << "{\"id\":" << quoted(job.id)
+        << ",\"scene\":" << quoted(job.scene)
+        << ",\"detail\":" << obs::formatDouble17(job.sceneDetail)
         << ",\"scene_seed\":" << job.sceneSeed
-        << ",\"gpu\":" << jsonString(job.gpu)
+        << ",\"gpu\":" << quoted(job.gpu)
         << ",\"width\":" << p.width << ",\"height\":" << p.height
         << ",\"spp\":" << p.samplesPerPixel << ",\"seed\":" << p.seed;
     if (p.selector.fixedFraction)
-        oss << ",\"fraction\":" << jsonNumber(*p.selector.fixedFraction);
+        oss << ",\"fraction\":"
+            << obs::formatDouble17(*p.selector.fixedFraction);
     if (p.forcedK)
         oss << ",\"k\":" << *p.forcedK;
     oss << ",\"division\":"
@@ -510,7 +387,8 @@ serializeJobJsonl(const CampaignJob &job)
                 : "false");
     oss << ",\"downscale\":" << (p.downscaleGpu ? "true" : "false");
     if (p.profiler.source == heatmap::ProfilingSource::HardwareTimer)
-        oss << ",\"profile_noise\":" << jsonNumber(p.profiler.timerNoise);
+        oss << ",\"profile_noise\":"
+            << obs::formatDouble17(p.profiler.timerNoise);
     oss << ",\"quantize_colors\":" << p.quantizeColors;
     oss << ",\"threads\":" << p.numThreads;
     oss << ",\"priority\":" << job.priority;
@@ -544,7 +422,13 @@ parseCampaignJsonl(std::istream &in)
         ++line_number;
         if (isSkippableLine(line))
             continue;
-        jobs.push_back(parseJsonlLine(line, line_number));
+        try {
+            jobs.push_back(jobFromJson(obs::parseJson(line)));
+        } catch (const std::runtime_error &err) {
+            // JsonError (syntax) or CampaignError (field value).
+            throw CampaignError("line " + std::to_string(line_number) +
+                                ": " + err.what());
+        }
     }
     return jobs;
 }
@@ -562,6 +446,8 @@ parseCampaignCsv(std::istream &in)
             continue;
         if (header.empty()) {
             header = splitCsvLine(line);
+            for (std::string &name : header)
+                name = trimmed(name);
             continue;
         }
         std::vector<std::string> cells = splitCsvLine(line);

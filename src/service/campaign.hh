@@ -5,7 +5,7 @@
  * A campaign is a list of prediction jobs — (scene, GPU, ZatelParams)
  * combinations — parsed from either of two on-disk formats:
  *
- *   JSONL  one flat JSON object per line, e.g.
+ *   JSONL  one flat JSON object per line, read by obs::parseJson, e.g.
  *          {"scene": "PARK", "gpu": "soc", "res": 96, "fraction": 0.4}
  *   CSV    a header row naming job fields, one job per data row; a cell
  *          may hold several '|'-separated values, in which case the row
@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "gpusim/config.hh"
+#include "obs/json.hh"
 #include "rt/bvh.hh"
 #include "rt/scene_library.hh"
 #include "zatel/predictor.hh"
@@ -103,14 +104,25 @@ gpusim::GpuConfig gpuConfigFromName(const std::string &name);
 rt::SceneId resolveSceneName(const std::string &name);
 
 /**
- * Apply one "key = value" field to @p job.
+ * Apply one "key = value" field to @p job; an empty value keeps the
+ * default. Every reader (campaign JSONL and CSV, /predict) ends here.
  * Recognized keys: id scene detail scene_seed gpu res width height spp
  * seed fraction k division distribution regression downscale
  * profile_noise quantize_colors threads priority oracle.
+ * Integers are base 10; numbers must be finite and fit their field.
  * @throws CampaignError for unknown keys or unparsable values.
  */
 void applyJobField(CampaignJob &job, const std::string &key,
                    const std::string &value);
+
+/**
+ * Build a job from one parsed JSON object: campaign JSONL lines and
+ * /predict bodies both come through here. Members apply in document
+ * order, numbers as their literal text; null keeps the default.
+ * @throws CampaignError when @p object is not an object, a member is
+ *         an array or object, or applyJobField() rejects a value.
+ */
+CampaignJob jobFromJson(const obs::JsonValue &object);
 
 /**
  * Serialize @p job as one flat JSONL campaign line (the exact format

@@ -1,7 +1,5 @@
 #include "service/result_store.hh"
 
-#include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <sstream>
 
@@ -10,6 +8,7 @@
 #include <unistd.h>
 #endif
 
+#include "util/csv.hh"
 #include "util/fault_injection.hh"
 #include "util/logging.hh"
 
@@ -38,43 +37,6 @@ metricJsonKey(gpusim::Metric metric)
     return "unknown";
 }
 
-std::string
-formatDouble17(double value)
-{
-    char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-    return buffer;
-}
-
-std::string
-jsonEscaped(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += ' ';
-            else
-                out.push_back(c);
-        }
-    }
-    return out;
-}
-
 namespace
 {
 
@@ -85,6 +47,26 @@ metricOrZero(const std::map<gpusim::Metric, double> &values,
 {
     auto it = values.find(metric);
     return it == values.end() ? 0.0 : it->second;
+}
+
+/** RFC-4180-quote a text cell that holds a comma, quote or newline
+ *  (a newline becomes a space: one row stays one line). */
+std::string
+csvCell(const std::string &text)
+{
+    if (text.find_first_of(",\"\n") == std::string::npos)
+        return text;
+    std::string out = "\"";
+    for (char c : text) {
+        if (c == '"')
+            out += "\"\"";
+        else if (c == '\n')
+            out += ' ';
+        else
+            out.push_back(c);
+    }
+    out += "\"";
+    return out;
 }
 
 } // namespace
@@ -152,40 +134,30 @@ ResultStore::csvHeader() const
 std::string
 ResultStore::formatRow(const ResultRow &row) const
 {
+    if (!csv_)
+        return formatJsonlRow(row, options_.includeTiming);
     std::ostringstream oss;
-    if (csv_) {
-        oss << row.jobId << "," << jobStatusName(row.status) << ","
-            << row.scene << "," << row.gpu << "," << row.k << ","
-            << formatDouble17(row.fractionTraced);
-        for (gpusim::Metric metric : gpusim::allMetrics())
-            oss << "," << formatDouble17(metricOrZero(row.predicted, metric));
-        for (gpusim::Metric metric : gpusim::allMetrics())
-            oss << "," << formatDouble17(metricOrZero(row.oracle, metric));
-        if (options_.includeTiming) {
-            oss << "," << formatDouble17(row.preprocessSeconds) << ","
-                << formatDouble17(row.simSeconds) << ","
-                << formatDouble17(row.maxGroupSeconds) << ","
-                << formatDouble17(row.oracleSeconds);
-        }
-        // The error message may hold commas/quotes; RFC-4180-quote it.
-        std::string quoted = row.error;
-        if (quoted.find_first_of(",\"\n") != std::string::npos) {
-            std::string escaped = "\"";
-            for (char c : quoted) {
-                if (c == '"')
-                    escaped += "\"\"";
-                else if (c == '\n')
-                    escaped += ' ';
-                else
-                    escaped.push_back(c);
-            }
-            escaped += "\"";
-            quoted = escaped;
-        }
-        oss << "," << quoted;
-        return oss.str();
+    oss << csvCell(row.jobId) << "," << jobStatusName(row.status) << ","
+        << csvCell(row.scene) << "," << csvCell(row.gpu) << "," << row.k
+        << "," << formatDouble17(row.fractionTraced);
+    for (gpusim::Metric metric : gpusim::allMetrics())
+        oss << "," << formatDouble17(metricOrZero(row.predicted, metric));
+    for (gpusim::Metric metric : gpusim::allMetrics())
+        oss << "," << formatDouble17(metricOrZero(row.oracle, metric));
+    if (options_.includeTiming) {
+        oss << "," << formatDouble17(row.preprocessSeconds) << ","
+            << formatDouble17(row.simSeconds) << ","
+            << formatDouble17(row.maxGroupSeconds) << ","
+            << formatDouble17(row.oracleSeconds);
     }
+    oss << "," << csvCell(row.error);
+    return oss.str();
+}
 
+std::string
+formatJsonlRow(const ResultRow &row, bool include_timing)
+{
+    std::ostringstream oss;
     oss << "{\"job\":\"" << jsonEscaped(row.jobId) << "\""
         << ",\"status\":\"" << jobStatusName(row.status) << "\""
         << ",\"scene\":\"" << jsonEscaped(row.scene) << "\""
@@ -204,7 +176,7 @@ ResultStore::formatRow(const ResultRow &row) const
                 << "\":" << formatDouble17(metricOrZero(row.oracle, metric));
         }
     }
-    if (options_.includeTiming) {
+    if (include_timing) {
         oss << ",\"preprocess_s\":" << formatDouble17(row.preprocessSeconds)
             << ",\"sim_s\":" << formatDouble17(row.simSeconds)
             << ",\"max_group_s\":" << formatDouble17(row.maxGroupSeconds)
@@ -381,79 +353,45 @@ ResultStore::scanRows(const std::string &path)
         path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
 
     std::string line;
-    bool first = true;
-    size_t header_commas = 0;
+    size_t header_cells = 0;
     while (std::getline(in, line)) {
         if (line.empty())
             continue;
+        ScannedRow row;
+        std::string status;
         if (is_csv) {
-            if (first) {
-                first = false; // header row
-                header_commas = static_cast<size_t>(
-                    std::count(line.begin(), line.end(), ','));
+            const std::vector<std::string> cells = splitCsvLine(line);
+            if (header_cells == 0) {
+                header_cells = cells.size();
                 continue;
             }
             // Truncation guard: a row the writer died in the middle of
-            // is short of the header's column count — ignore it so the
-            // job re-executes on resume. (Quoted error cells can only
-            // ADD commas, so a complete row never has fewer.)
-            const size_t commas = static_cast<size_t>(
-                std::count(line.begin(), line.end(), ','));
-            if (commas < header_commas)
+            // is short of the header's cell count -- ignore it so the
+            // job re-executes on resume. A file whose rows lack the
+            // job and status cells is not a result file.
+            if (cells.size() != header_cells || cells.size() < 2)
                 continue;
-            size_t comma1 = line.find(',');
-            if (comma1 == std::string::npos)
+            row.jobId = cells[0];
+            status = cells[1];
+        } else {
+            // A line cut mid-append, or two rows glued onto one line
+            // (a torn row a later writer appended after), is not one
+            // JSON object: neither half can be trusted.
+            obs::JsonValue doc;
+            try {
+                doc = obs::parseJson(line);
+            } catch (const obs::JsonError &) {
                 continue;
-            size_t comma2 = line.find(',', comma1 + 1);
-            if (comma2 == std::string::npos)
+            }
+            if (!doc.has("job") || !doc.at("job").isString() ||
+                !doc.has("status") || !doc.at("status").isString()) {
                 continue;
-            ScannedRow row;
-            row.jobId = line.substr(0, comma1);
-            const std::string status =
-                line.substr(comma1 + 1, comma2 - comma1 - 1);
-            if (!statusFromName(status, row.status))
-                continue;
-            row.rawLine = line;
-            rows.push_back(std::move(row));
-            continue;
+            }
+            row.jobId = doc.at("job").stringValue;
+            status = doc.at("status").stringValue;
         }
-        // Truncation guard (JSONL): every complete row closes its
-        // object; a line cut mid-append cannot be trusted even if the
-        // status substring happens to survive.
-        if (line.back() != '}')
+        if (!statusFromName(status, row.status))
             continue;
-        // JSONL: we only read files this store wrote, so the compact
-        // "key":"value" layout is reliable.
-        const std::string job_tag = "\"job\":\"";
-        size_t job_pos = line.find(job_tag);
-        if (job_pos == std::string::npos)
-            continue;
-        // Two objects glued onto one line (a torn row a later writer
-        // appended after, before repairTruncatedTail existed) carry
-        // two job tags; neither half can be trusted.
-        if (line.find(job_tag, job_pos + job_tag.size()) !=
-            std::string::npos) {
-            continue;
-        }
-        job_pos += job_tag.size();
-        size_t job_end = line.find('"', job_pos);
-        if (job_end == std::string::npos)
-            continue;
-        const std::string status_tag = "\"status\":\"";
-        size_t status_pos = line.find(status_tag);
-        if (status_pos == std::string::npos)
-            continue;
-        status_pos += status_tag.size();
-        size_t status_end = line.find('"', status_pos);
-        if (status_end == std::string::npos)
-            continue;
-        ScannedRow row;
-        row.jobId = line.substr(job_pos, job_end - job_pos);
-        if (!statusFromName(line.substr(status_pos,
-                                        status_end - status_pos),
-                            row.status)) {
-            continue;
-        }
         row.rawLine = line;
         rows.push_back(std::move(row));
     }

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "gpusim/stats.hh"
+#include "obs/json.hh"
 
 namespace zatel::service
 {
@@ -53,18 +54,13 @@ enum class JobStatus : uint8_t
 
 const char *jobStatusName(JobStatus status);
 
-/**
- * Stable snake_case key per Table I metric. Shared by the row
- * serializers here and the serve layer's /predict response bodies so
- * both spell metrics identically.
- */
+/** Stable snake_case key per Table I metric (row column names). */
 const char *metricJsonKey(gpusim::Metric metric);
 
-/** %.17g: enough digits that parsing reproduces the exact double. */
-std::string formatDouble17(double value);
-
-/** Escape for embedding in a JSON string literal. */
-std::string jsonEscaped(const std::string &text);
+// The repo's JSON writers (obs/json.hh), also reachable under the
+// service names existing callers use.
+using obs::formatDouble17;
+using obs::jsonEscaped;
 
 /**
  * One row recovered from an existing result file by scanRows():
@@ -112,6 +108,13 @@ struct ResultRow
     /** Sum-rule re-weighting factor applied to the survivors. */
     double survivorExtrapolation = 1.0;
 };
+
+/**
+ * One result row as a JSONL object (no newline): the line a JSONL
+ * ResultStore writes, the distributed merge copies and /predict
+ * answers. @p include_timing adds the wall-clock columns.
+ */
+std::string formatJsonlRow(const ResultRow &row, bool include_timing);
 
 /** ResultStore construction options. */
 struct ResultStoreOptions
@@ -196,9 +199,9 @@ class ResultStore
      *
      * Crash tolerance: a final line truncated mid-append (the writer
      * died between write and flush, e.g. kill -9) is ignored — JSONL
-     * rows must close their '}', CSV rows must carry the header's
-     * column count — so --resume re-executes that job instead of
-     * trusting half a row.
+     * rows must parse as one JSON object, CSV rows must carry the
+     * header's cell count — so --resume re-executes that job instead
+     * of trusting half a row.
      */
     static std::set<std::string>
     completedJobIds(const std::string &path, bool degraded_as_done = true);

@@ -84,4 +84,34 @@ CsvWriter::writeTo(const std::string &path) const
     return static_cast<bool>(out);
 }
 
+std::vector<std::string>
+splitCsvLine(const std::string &line)
+{
+    std::vector<std::string> cells;
+    std::string cell;
+    bool quoted = false;
+    for (size_t i = 0; i < line.size(); ++i) {
+        char c = line[i];
+        if (quoted) {
+            if (c == '"' && i + 1 < line.size() && line[i + 1] == '"') {
+                cell.push_back('"');
+                ++i;
+            } else if (c == '"') {
+                quoted = false;
+            } else {
+                cell.push_back(c);
+            }
+        } else if (c == '"') {
+            quoted = true;
+        } else if (c == ',') {
+            cells.push_back(std::move(cell));
+            cell.clear();
+        } else {
+            cell.push_back(c);
+        }
+    }
+    cells.push_back(std::move(cell));
+    return cells;
+}
+
 } // namespace zatel

@@ -1,6 +1,8 @@
 /**
  * @file
- * Minimal CSV writer used by benches to dump reproducible result series.
+ * Minimal CSV writer used by benches to dump reproducible result series,
+ * and the quote-aware line splitter the campaign and result-store
+ * readers share.
  */
 
 #ifndef ZATEL_UTIL_CSV_HH
@@ -53,6 +55,12 @@ class CsvWriter
     std::vector<std::string> header_;
     std::vector<std::vector<std::string>> rows_;
 };
+
+/**
+ * Split one CSV line into cells: commas inside double quotes stay in
+ * the cell, and "" inside quotes is one quote. Cells are not trimmed.
+ */
+std::vector<std::string> splitCsvLine(const std::string &line);
 
 } // namespace zatel
 

@@ -124,6 +124,24 @@ TEST(Campaign, ApplyJobFieldRejectsBadInput)
     EXPECT_THROW(applyJobField(job, "oracle", "maybe"), CampaignError);
     EXPECT_THROW(applyJobField(job, "division", "diagonal"), CampaignError);
     EXPECT_THROW(applyJobField(job, "distribution", "zipf"), CampaignError);
+    // Values the job cannot hold: non-finite numbers, integers wider
+    // than their 32-bit field, a priority outside int, a float detail
+    // outside float.
+    EXPECT_THROW(applyJobField(job, "fraction", "nan"), CampaignError);
+    EXPECT_THROW(applyJobField(job, "fraction", "inf"), CampaignError);
+    EXPECT_THROW(applyJobField(job, "profile_noise", "-inf"),
+                 CampaignError);
+    EXPECT_THROW(applyJobField(job, "res", "4294967312"), CampaignError);
+    EXPECT_THROW(applyJobField(job, "k", "4294967296"), CampaignError);
+    EXPECT_THROW(applyJobField(job, "priority", "1e300"), CampaignError);
+    EXPECT_THROW(applyJobField(job, "priority", "-3e9"), CampaignError);
+    EXPECT_THROW(applyJobField(job, "detail", "1e300"), CampaignError);
+    EXPECT_THROW(applyJobField(job, "seed", "0x10"), CampaignError);
+    // Integers are base 10: "010" is ten, never octal 8.
+    applyJobField(job, "res", "010");
+    EXPECT_EQ(job.params.width, 10u);
+    applyJobField(job, "res", "4294967295");
+    EXPECT_EQ(job.params.width, 4294967295u);
 }
 
 TEST(Campaign, ApplyJobFieldRejectsNegativeIntegers)
@@ -188,11 +206,47 @@ TEST(Campaign, JsonlParsingRejectsMalformedLines)
         "{\"scene\": \"PARK\"",           // unterminated object
         "{\"wat\": 1}",                   // unknown field
         "{\"res\": \"NaNpx\"}",           // unparsable value
+        "{\"fraction\": nan}",            // bareword, not a number
+        "{\"fraction\": \"nan\"}",        // not finite
+        "{\"res\": 4294967312}",          // wider than 32 bits
+        "{\"res\": 010}",                 // leading zero
+        "{\"priority\": 1e300}",          // outside int
+        "{\"seed\": 0x10}",               // hex
+        "{\"oracle\": yes}",              // bareword
+        "{\"division\": coarse}",         // bareword
+        "{\"res\": 16, \"res\": 32}",     // duplicate field
+        "{\"scene\": [\"PARK\"]}",        // not a scalar
+        "[{\"scene\": \"PARK\"}]",        // not an object
     };
     for (const char *line : bad_lines) {
         std::istringstream in(line);
         EXPECT_THROW(parseCampaignJsonl(in), CampaignError)
             << "accepted malformed line: " << line;
+    }
+}
+
+TEST(Campaign, JsonlFieldsApplyInDocumentOrderWithExactIntegers)
+{
+    std::istringstream in(
+        "{\"res\": 32, \"height\": 16, \"seed\": 9007199254740993, "
+        "\"scene_seed\": 18446744073709551615}\n"
+        "{\"height\": 16, \"res\": 32}\n");
+    const std::vector<CampaignJob> jobs = parseCampaignJsonl(in);
+    ASSERT_EQ(jobs.size(), 2u);
+    EXPECT_EQ(jobs[0].params.width, 32u);
+    EXPECT_EQ(jobs[0].params.height, 16u);
+    EXPECT_EQ(jobs[0].params.seed, 9007199254740993ull);
+    EXPECT_EQ(jobs[0].sceneSeed, 18446744073709551615ull);
+    EXPECT_EQ(jobs[1].params.width, 32u);
+    EXPECT_EQ(jobs[1].params.height, 32u);
+}
+
+TEST(Campaign, CsvRejectsNonFiniteAndOverflowingCells)
+{
+    for (const char *csv : {"fraction\nnan\n", "res\n4294967312\n",
+                            "priority\n1e300\n", "detail\ninf\n"}) {
+        std::istringstream in(csv);
+        EXPECT_THROW(parseCampaignCsv(in), CampaignError) << csv;
     }
 }
 

@@ -262,6 +262,30 @@ TEST_F(Dist, MergedRowsAreByteIdenticalAtEveryWorkerCount)
     }
 }
 
+TEST_F(Dist, JobIdsWithQuotesBackslashesAndCommasMergeOk)
+{
+    // The merge matches fragment rows to jobs by the id it reads back;
+    // an id the row writer escapes must come back as written, or the
+    // job looks lost and is synthesized as degraded.
+    const auto dir = scratchDir("quoted-ids");
+    std::vector<service::CampaignJob> jobs = makeCampaign(2);
+    jobs[0].id = "a\"b\\c";
+    jobs[1].id = "d,e";
+    const std::string path = (dir / "out.jsonl").string();
+    service::ResultStoreOptions store_options;
+    store_options.includeTiming = false;
+    service::ResultStore store(path, store_options);
+    DistParams params = baseParams(dir);
+    params.workers = 2;
+    const DistSummary summary =
+        DistCoordinator(jobs, store, std::move(params)).run();
+    EXPECT_EQ(summary.ok, 2u);
+    EXPECT_EQ(summary.degradedSynthesized, 0u);
+    EXPECT_EQ(service::ResultStore::completedJobIds(
+                  path, /*degraded_as_done=*/false),
+              (std::set<std::string>{"a\"b\\c", "d,e"}));
+}
+
 // ---------------------------------------------------------------------
 // Chaos matrix: SIGKILL at every seeded point recovers
 // ---------------------------------------------------------------------

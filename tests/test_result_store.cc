@@ -2,7 +2,8 @@
  * @file
  * Result store tests (src/service/result_store.*): JSONL/CSV row
  * formats, %.17g bit-exact double round trips, resume scanning via
- * completedJobIds(), append mode, the --no-timing determinism switch and
+ * completedJobIds() (ids holding quotes, backslashes and commas
+ * included), append mode, the --no-timing determinism switch and
  * thread-safe appends.
  */
 
@@ -18,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/json.hh"
 #include "service/result_store.hh"
 #include "util/fault_injection.hh"
 
@@ -233,6 +235,56 @@ TEST(ResultStore, CompletedJobIdsScansCsv)
         ResultStore::completedJobIds((dir / "missing.csv").string())
             .empty());
     std::filesystem::remove_all(dir);
+}
+
+TEST(ResultStore, IdsWithQuotesBackslashesAndCommasSurviveAScan)
+{
+    // Resume and the distributed merge identify rows by the id read
+    // back from the file; it must be the id that was written.
+    const std::vector<std::string> ids = {"a\"b", "a\\b", "a,b"};
+    for (const char *name : {"ids.jsonl", "ids.csv"}) {
+        const auto dir = scratchDir("quoted-ids");
+        const std::string path = (dir / name).string();
+        {
+            ResultStore store(path);
+            for (const std::string &id : ids) {
+                ResultRow row = sampleRow(id);
+                row.scene = "PARK,\"x\"";
+                store.append(row);
+            }
+            store.finalize();
+        }
+        EXPECT_EQ(ResultStore::completedJobIds(path),
+                  std::set<std::string>(ids.begin(), ids.end()))
+            << name;
+        std::vector<std::string> scanned;
+        for (const ScannedRow &row : ResultStore::scanRows(path))
+            scanned.push_back(row.jobId);
+        EXPECT_EQ(scanned, ids) << name;
+    }
+}
+
+TEST(ResultStore, ScanSkipsACsvFileWithoutJobAndStatusCells)
+{
+    const auto dir = scratchDir("one-column-csv");
+    const std::string path = (dir / "foreign.csv").string();
+    {
+        std::ofstream out(path);
+        out << "job\nj1\n";
+    }
+    EXPECT_TRUE(ResultStore::scanRows(path).empty());
+}
+
+TEST(ResultStore, JsonlRowsCarryEveryByteOfTheirText)
+{
+    std::string text;
+    for (int byte = 0; byte < 256; ++byte)
+        text += static_cast<char>(byte);
+    ResultRow row = sampleRow("bytes", JobStatus::Failed);
+    row.error = text;
+    ResultStore store("");
+    const obs::JsonValue doc = obs::parseJson(store.formatRow(row));
+    EXPECT_EQ(doc.at("error").stringValue, text);
 }
 
 TEST(ResultStore, AppendModeKeepsExistingRowsAndHeader)

@@ -13,6 +13,9 @@
  *    and never kills the daemon (docs/ROBUSTNESS.md)
  *  - stop() drains gracefully: in-flight requests finish, the listener
  *    closes, a second stop() is a no-op
+ *  - a reply is the job's --no-timing result row, and a request names
+ *    the same job a campaign JSONL line with the same text would (or
+ *    both reject it); a deeply nested body is a 400, not a crash
  *
  * The ServeConcurrency suite doubles as the TSan target for the serve
  * layer (tsan-determinism preset).
@@ -29,12 +32,17 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/json.hh"
 #include "serve/server.hh"
 #include "service/artifact_cache.hh"
+#include "service/campaign.hh"
+#include "service/result_store.hh"
+#include "service/scheduler.hh"
 #include "util/fault_injection.hh"
 
 namespace zatel::serve
@@ -240,6 +248,83 @@ TEST_F(Serve, NegativeIntegerFieldAnswers400)
     EXPECT_EQ(statusOf(seed), 400);
     EXPECT_EQ(server_->snapshot().predict.invalid, 2u);
     EXPECT_EQ(server_->snapshot().predict.simulated, 0u);
+}
+
+TEST_F(Serve, DeeplyNestedBodyAnswers400AndTheDaemonStaysUp)
+{
+    start();
+    // 50,000 '[' is far below the body limit; without a depth cap the
+    // recursive parser would overflow the worker's stack.
+    const std::string deep = exchange(
+        port(), postPredict(std::string(50000, '[')));
+    EXPECT_EQ(statusOf(deep), 400);
+    EXPECT_NE(bodyOf(deep).find("nesting"), std::string::npos)
+        << bodyOf(deep);
+    const std::string normal = exchange(port(), postPredict(kRecipe));
+    EXPECT_EQ(statusOf(normal), 200) << normal;
+}
+
+TEST_F(Serve, ReplyIsTheNoTimingResultRow)
+{
+    start();
+    const std::string response = exchange(port(), postPredict(kRecipe));
+    ASSERT_EQ(statusOf(response), 200) << response;
+
+    // The same recipe as a one-line campaign, written the way
+    // zatel-batch --no-timing writes it.
+    std::istringstream line(kRecipe);
+    std::vector<service::CampaignJob> jobs =
+        service::parseCampaignJsonl(line);
+    service::finalizeCampaign(jobs);
+    service::ArtifactCache cache(kCacheBudget, std::string());
+    service::ResultStoreOptions options;
+    options.includeTiming = false;
+    service::ResultStore store("", options);
+    service::SchedulerParams sched;
+    sched.workers = 2;
+    service::CampaignScheduler(jobs, cache, store, sched).run();
+    ASSERT_EQ(store.rowCount(), 1u);
+    EXPECT_EQ(bodyOf(response), store.formatRow(store.rows()[0]));
+}
+
+TEST_F(Serve, RequestsAndCampaignLinesNameTheSameJob)
+{
+    start();
+    // Each document once as a /predict body and once as a campaign
+    // JSONL line: both readers must build the same job, or both must
+    // reject it.
+    const std::string docs[] = {
+        R"({"scene":"PARK","detail":0.3,"res":32,"fraction":0.2,)"
+        R"("seed":9007199254740993})",
+        R"({"scene":"PARK","detail":0.3,"res":32,"height":16,)"
+        R"("fraction":0.2})",
+        R"({"scene":"PARK","detail":0.3,"res":16,"res":32,)"
+        R"("fraction":0.2})",
+        R"({"scene":"PARK","detail":null,"res":32,"fraction":0.2})",
+        R"({"scene":"PARK","detail":0.3,"res":32,"fraction":"nan"})",
+        R"({"scene":"PARK","detail":0.3,"res":010,"fraction":0.2})",
+    };
+    for (const std::string &doc : docs) {
+        std::vector<service::CampaignJob> jobs;
+        bool campaignAccepts = true;
+        try {
+            std::istringstream line(doc);
+            jobs = service::parseCampaignJsonl(line);
+        } catch (const service::CampaignError &) {
+            campaignAccepts = false;
+        }
+        const std::string response = exchange(port(), postPredict(doc));
+        if (!campaignAccepts) {
+            EXPECT_EQ(statusOf(response), 400) << doc;
+            continue;
+        }
+        ASSERT_EQ(jobs.size(), 1u) << doc;
+        ASSERT_EQ(statusOf(response), 200) << doc << "\n" << response;
+        const obs::JsonValue reply = obs::parseJson(bodyOf(response));
+        EXPECT_EQ(reply.at("job").stringValue,
+                  service::autoJobId(jobs[0]))
+            << doc;
+    }
 }
 
 TEST_F(Serve, IdenticalConcurrentRequestsRunOneSimulation)
