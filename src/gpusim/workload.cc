@@ -31,14 +31,9 @@ SimWorkload::build(const rt::Tracer &tracer, uint32_t width, uint32_t height,
     workload.bvh = &tracer.bvh();
     workload.threads.resize(pixels.size());
 
-    // Selected pixels, in launch order, for the packetized recorder.
-    std::vector<uint32_t> xs;
-    std::vector<uint32_t> ys;
-    std::vector<uint32_t> thread_of;
-    xs.reserve(pixels.size());
-    ys.reserve(pixels.size());
-    thread_of.reserve(pixels.size());
-
+    // Without a frame record each selected pixel is traced here, into
+    // one buffer that keeps its capacity from pixel to pixel.
+    std::vector<rt::RayTask> traced;
     for (size_t i = 0; i < pixels.size(); ++i) {
         const PixelCoord &pixel = pixels[i];
         ZATEL_ASSERT(pixel.x < width && pixel.y < height,
@@ -49,33 +44,26 @@ SimWorkload::build(const rt::Tracer &tracer, uint32_t width, uint32_t height,
         if (!thread.selected)
             continue;
         ++workload.selectedCount;
+        const rt::RayTask *rays = nullptr;
+        size_t count = 0;
         if (frame) {
             // The render already traced this pixel: copy its slice.
             const size_t begin = frame->offsets[thread.pixelLinear];
-            thread.rayCount = static_cast<uint32_t>(
-                frame->offsets[thread.pixelLinear + 1] - begin);
-            thread.rays = workload.rayArena.copySpan(
-                frame->rays.data() + begin, thread.rayCount);
+            rays = frame->rays.data() + begin;
+            count = frame->offsets[thread.pixelLinear + 1] - begin;
         } else {
-            xs.push_back(pixel.x);
-            ys.push_back(pixel.y);
-            thread_of.push_back(static_cast<uint32_t>(i));
+            traced.clear();
+            rt::PixelProfile profile;
+            tracer.tracePixel(pixel.x, pixel.y, width, height, profile,
+                              &traced);
+            rays = traced.data();
+            count = traced.size();
         }
+        // Flattened into the workload's arena, so the timed hot path
+        // walks one contiguous RayTask stream per thread.
+        thread.rayCount = static_cast<uint32_t>(count);
+        thread.rays = workload.rayArena.copySpan(rays, count);
     }
-
-    // Record rays in RayPacket batches; every completed pixel's tasks
-    // are flattened into the workload's arena so the timed hot path
-    // walks one contiguous RayTask stream per thread.
-    rt::recordPixelRaysBatch(
-        tracer, xs.data(), ys.data(), static_cast<uint32_t>(xs.size()),
-        width, height,
-        [&workload, &thread_of](uint32_t index,
-                                const rt::PixelRayRecord &record) {
-            ThreadWork &thread = workload.threads[thread_of[index]];
-            thread.rayCount = static_cast<uint32_t>(record.rays.size());
-            thread.rays = workload.rayArena.copySpan(record.rays.data(),
-                                                     record.rays.size());
-        });
     return workload;
 }
 

@@ -3,8 +3,8 @@
  * Per-pixel ray recording for the timed simulator.
  *
  * The cycle-level GPU simulator replays the exact rays the functional
- * tracer would cast for each pixel: the recording walks the same shading
- * control flow as Tracer::shade() and emits one RayTask per cast ray.
+ * tracer casts for each pixel: Tracer::shade(), given a ray sink, emits
+ * one RayTask per cast ray while it shades.
  * During timed simulation each task is re-traversed with a
  * TraversalStepper, so the memory access stream (BVH node fetches) is
  * regenerated cycle-accurately rather than stored.
@@ -14,7 +14,6 @@
 #define ZATEL_RT_RAY_RECORD_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "rt/ray.hh"
@@ -76,28 +75,11 @@ struct FrameRayRecord
 };
 
 /**
- * Record the rays pixel (x, y) casts under @p tracer's configuration.
- * Matches Tracer::shade() exactly (same jitter, same recursion).
+ * Record the rays pixel (x, y) casts under @p tracer's configuration:
+ * Tracer::tracePixel() with a ray sink, the image and profile dropped.
  */
 PixelRayRecord recordPixelRays(const Tracer &tracer, uint32_t x, uint32_t y,
                                uint32_t width, uint32_t height);
-
-/**
- * Packetized batch form of recordPixelRays(): records pixel
- * (xs[i], ys[i]) for every i < count, tracing the pixels' rays in
- * RayPacket batches, and invokes @p sink once per pixel, in index
- * order, with that pixel's completed record. The record reference is
- * engine-internal scratch reused between calls — copy what you keep.
- *
- * Per pixel the emitted record is byte-identical to recordPixelRays()
- * (the packet only interleaves independent per-ray traversals;
- * tests/test_tracer.cc holds the differential).
- */
-void recordPixelRaysBatch(
-    const Tracer &tracer, const uint32_t *xs, const uint32_t *ys,
-    uint32_t count, uint32_t width, uint32_t height,
-    const std::function<void(uint32_t index, const PixelRayRecord &record)>
-        &sink);
 
 } // namespace zatel::rt
 

@@ -27,6 +27,7 @@ namespace zatel::rt
 {
 
 struct FrameRayRecord;
+struct RayTask;
 
 /** Per-pixel work record produced by the functional tracer. */
 struct PixelProfile
@@ -67,10 +68,6 @@ struct RenderResult
     }
 };
 
-/**
- * Functional renderer. Stateless apart from configuration; safe to share
- * across threads when each thread renders distinct pixels.
- */
 /** Functional-renderer tuning knobs. */
 struct TracerParams
 {
@@ -82,6 +79,10 @@ struct TracerParams
     float ambient = 0.06f;
 };
 
+/**
+ * Functional renderer. Stateless apart from configuration; safe to share
+ * across threads when each thread renders distinct pixels.
+ */
 class Tracer
 {
   public:
@@ -94,9 +95,9 @@ class Tracer
      * Render the full image plane.
      *
      * @param pool When non-null, the frame is split into row bands that
-     *        run concurrently on @p pool, one wavefront engine per band.
-     *        Pixels are independent, so the image and the profiles are
-     *        bit-identical to a serial render.
+     *        run concurrently on @p pool, each band tracing its pixels
+     *        one after another. Pixels are independent, so the image and
+     *        the profiles are bit-identical to a serial render.
      * @param rays When non-null, the same pass also records every
      *        pixel's rays into this frame record. Each band fills its
      *        own buffer; the buffers are joined in band order.
@@ -108,18 +109,29 @@ class Tracer
     /**
      * Trace one pixel (all its samples).
      * @param profile Out: accumulated work for this pixel.
+     * @param rays When non-null, every ray the pixel casts is appended
+     *        to it in program order: the record the timed simulator
+     *        replays (rt/ray_record.hh).
      * @return average sample radiance.
      */
     Vec3 tracePixel(uint32_t x, uint32_t y, uint32_t width, uint32_t height,
-                    PixelProfile &profile) const;
+                    PixelProfile &profile,
+                    std::vector<RayTask> *rays = nullptr) const;
 
     const Scene &scene() const { return scene_; }
     const Bvh &bvh() const { return bvh_; }
     const Params &params() const { return params_; }
 
   private:
-    /** Recursive radiance estimate for @p ray at depth @p bounce. */
-    Vec3 shade(const Ray &ray, int bounce, PixelProfile &profile) const;
+    /**
+     * Recursive radiance estimate for @p ray at depth @p bounce. This is
+     * the only place the shading control flow is written: one shadow ray
+     * per lit hit, one reflection ray per mirror hit. It adds the work
+     * of every ray it casts to @p profile and, when @p rays is non-null,
+     * appends those rays to it in program order.
+     */
+    Vec3 shade(const Ray &ray, int bounce, PixelProfile &profile,
+               std::vector<RayTask> *rays) const;
 
     const Scene &scene_;
     const Bvh &bvh_;

@@ -102,40 +102,6 @@ TraversalStepper::step()
     return info;
 }
 
-uint32_t
-RayPacket::add(const Bvh *bvh, const Ray &ray, TraversalMode mode)
-{
-    ZATEL_ASSERT(count_ < kWidth, "ray packet is full");
-    uint32_t lane = count_++;
-    lanes_[lane].init(bvh, ray, mode);
-    return lane;
-}
-
-void
-RayPacket::trace()
-{
-    uint32_t active = 0;
-    for (uint32_t lane = 0; lane < count_; ++lane) {
-        if (!lanes_[lane].finished())
-            active |= 1u << lane;
-    }
-    // Lockstep rounds: one step per active lane per round keeps up to
-    // kWidth independent node visits in flight; a lane's own step
-    // sequence is untouched by the interleaving, so its hit record and
-    // counters match the scalar helpers bit for bit.
-    while (active != 0) {
-        uint32_t pending = active;
-        while (pending != 0) {
-            uint32_t lane =
-                static_cast<uint32_t>(__builtin_ctz(pending));
-            pending &= pending - 1;
-            lanes_[lane].step();
-            if (lanes_[lane].finished())
-                active &= ~(1u << lane);
-        }
-    }
-}
-
 HitRecord
 closestHit(const Bvh &bvh, const Ray &ray, TraversalCounters *counters)
 {

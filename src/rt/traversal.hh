@@ -103,60 +103,6 @@ class TraversalStepper
     uint32_t triangleTests_ = 0;
 };
 
-/**
- * Lockstep packet of up to kWidth independent rays.
- *
- * Functional batching for SIMD-friendly traversal: every lane owns a
- * TraversalStepper and trace() interleaves one step() per still-active
- * lane per round under a 32-bit active mask, so up to kWidth
- * independent node fetches and slab tests are in flight at once
- * instead of one ray's serial dependency chain. Each lane executes
- * exactly the step sequence the scalar closestHit()/anyHit() helpers
- * would — per-ray results are byte-identical by construction
- * (docs/SIMULATOR.md, "Data layout of the hot path").
- *
- * Lanes may mix ClosestHit and AnyHit queries freely; an any-hit lane
- * drops out of the mask as soon as its traversal terminates.
- */
-class RayPacket
-{
-  public:
-    /** One lane per bit of the active mask. */
-    static constexpr uint32_t kWidth = 32;
-
-    /** Drop all lanes (steppers are reused in place by the next add). */
-    void reset() { count_ = 0; }
-
-    uint32_t size() const { return count_; }
-    bool full() const { return count_ == kWidth; }
-
-    /**
-     * Add a ray to the packet.
-     * @return the lane index the results are read back from.
-     * @pre !full()
-     */
-    uint32_t add(const Bvh *bvh, const Ray &ray, TraversalMode mode);
-
-    /** Run every lane to completion in lockstep. */
-    void trace();
-
-    /** Per-lane results; valid once trace() returned. */
-    const HitRecord &hit(uint32_t lane) const { return lanes_[lane].hit(); }
-    bool hasHit(uint32_t lane) const { return lanes_[lane].hasHit(); }
-    uint32_t nodesVisited(uint32_t lane) const
-    {
-        return lanes_[lane].nodesVisited();
-    }
-    uint32_t triangleTests(uint32_t lane) const
-    {
-        return lanes_[lane].triangleTests();
-    }
-
-  private:
-    TraversalStepper lanes_[kWidth];
-    uint32_t count_ = 0;
-};
-
 /** Aggregate work counters for a completed functional query. */
 struct TraversalCounters
 {

@@ -99,14 +99,15 @@ PredictService::parseRequest(const std::string &requestBody,
     }
     service::CampaignJob job = service::jobFromJson(doc);
 
-    // Permanent config errors must answer 400 here, not 500 later.
-    service::resolveSceneName(job.scene);
-    service::gpuConfigFromName(job.gpu);
-
     // The client-supplied id is ignored: replies are keyed, cached and
     // coalesced by recipe, so the id must be a pure function of the
     // parameters or two coalesced requests could disagree on it.
     job.id = service::autoJobId(job);
+
+    // Permanent config errors must answer 400 here, not 500 later.
+    service::resolveSceneName(job.scene);
+    service::gpuConfigFromName(job.gpu);
+    service::checkRecipe(job);
     return job;
 }
 

@@ -490,6 +490,47 @@ parseCampaignCsv(std::istream &in)
 }
 
 void
+checkRecipe(const CampaignJob &job)
+{
+    const core::ZatelParams &p = job.params;
+    const std::string where = "job '" + job.id + "': ";
+    if (p.width == 0 || p.height == 0)
+        throw CampaignError(where + "width and height must be at least 1");
+    if (p.samplesPerPixel == 0)
+        throw CampaignError(where + "spp must be at least 1");
+    if (p.quantizeColors == 0)
+        throw CampaignError(where + "quantize_colors must be at least 1");
+
+    gpusim::GpuConfig gpu;
+    try {
+        gpu = gpuConfigFromName(job.gpu);
+    } catch (const CampaignError &) {
+        return; // fails its own job when it runs
+    }
+    const uint32_t k = core::effectiveK(p, gpu);
+    if (p.downscaleGpu && k > 1 &&
+        (gpu.numSms % k != 0 || gpu.numMemPartitions % k != 0)) {
+        throw CampaignError(where + "k=" + std::to_string(k) +
+                            " does not divide the " +
+                            std::to_string(gpu.numSms) + " SMs and " +
+                            std::to_string(gpu.numMemPartitions) +
+                            " memory partitions of GPU '" + job.gpu +
+                            "'");
+    }
+    const std::string empty_group =
+        where + "a " + std::to_string(p.width) + "x" +
+        std::to_string(p.height) + " image plane leaves one of its " +
+        std::to_string(k) + " groups without pixels";
+    if (k > static_cast<uint64_t>(p.width) * p.height)
+        throw CampaignError(empty_group);
+    for (const core::PixelGroup &group :
+         core::divideImagePlane(p.width, p.height, k, p.partition)) {
+        if (group.empty())
+            throw CampaignError(empty_group);
+    }
+}
+
+void
 finalizeCampaign(std::vector<CampaignJob> &jobs)
 {
     if (jobs.empty())
@@ -497,6 +538,7 @@ finalizeCampaign(std::vector<CampaignJob> &jobs)
     for (CampaignJob &job : jobs) {
         if (job.id.empty())
             job.id = autoJobId(job);
+        checkRecipe(job);
     }
     std::set<std::string> seen;
     for (const CampaignJob &job : jobs) {

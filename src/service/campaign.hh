@@ -148,9 +148,23 @@ std::vector<CampaignJob> parseCampaignCsv(std::istream &in);
 std::vector<CampaignJob> loadCampaignFile(const std::string &path);
 
 /**
- * Finalize a parsed job list: derive missing ids and verify uniqueness.
- * Exposed separately for campaigns assembled programmatically.
- * @throws CampaignError on duplicate ids or an empty list.
+ * Reject a recipe the predictor cannot run, before it starts: width,
+ * height, spp and quantize_colors must be at least 1; a forced k must
+ * divide the GPU's SM and memory-partition counts when the GPU is
+ * downscaled; and every image-plane group (core::effectiveK groups
+ * from core::divideImagePlane) must get at least one pixel. An unknown
+ * GPU name is left to fail its own job when it runs, like an unknown
+ * scene. finalizeCampaign() and the /predict parser both call this.
+ * @throws CampaignError naming the job and the broken rule.
+ */
+void checkRecipe(const CampaignJob &job);
+
+/**
+ * Finalize a parsed job list: derive missing ids, verify uniqueness and
+ * checkRecipe() every job. Exposed separately for campaigns assembled
+ * programmatically.
+ * @throws CampaignError on duplicate ids, an empty list or a recipe
+ *         checkRecipe() rejects.
  */
 void finalizeCampaign(std::vector<CampaignJob> &jobs);
 

@@ -123,13 +123,19 @@ ZatelPredictor::ZatelPredictor(const rt::Scene &scene, const rt::Bvh &bvh,
 }
 
 uint32_t
+effectiveK(const ZatelParams &params, const gpusim::GpuConfig &target)
+{
+    if (params.forcedK)
+        return std::max(1u, *params.forcedK);
+    if (!params.downscaleGpu)
+        return 1;
+    return downscaleFactor(target);
+}
+
+uint32_t
 ZatelPredictor::effectiveK() const
 {
-    if (params_.forcedK)
-        return std::max(1u, *params_.forcedK);
-    if (!params_.downscaleGpu)
-        return 1;
-    return downscaleFactor(targetConfig_);
+    return core::effectiveK(params_, targetConfig_);
 }
 
 void

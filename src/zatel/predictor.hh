@@ -216,6 +216,15 @@ buildQuantizedHeatmap(const rt::Scene &scene, const rt::Bvh &bvh,
                       const ZatelParams &params, ThreadPool *pool = nullptr,
                       rt::FrameRayRecord *rays = nullptr);
 
+/**
+ * Step (3)'s division/downscale factor for @p params on @p target: the
+ * forced K (at least 1), else gcd(#SMs, #partitions) when the GPU is
+ * downscaled, else 1. The predictor and the campaign service's recipe
+ * check (service::checkRecipe) both use this one rule.
+ */
+uint32_t effectiveK(const ZatelParams &params,
+                    const gpusim::GpuConfig &target);
+
 /** Oracle (full-resolution, full-GPU) reference run. */
 struct OracleResult
 {

@@ -20,6 +20,10 @@
  * and must not change with it. Regenerating them is a deliberate act:
  * on a mismatch the test prints the actual values in the table's own
  * format, and the diff of the table is what gets reviewed.
+ *
+ * FramePin does the same for the functional tracer alone, at more than
+ * one sample per pixel: a pooled render's image, profiles and frame ray
+ * record, and the full-frame workload the oracle simulates.
  */
 
 #include <gtest/gtest.h>
@@ -74,8 +78,23 @@ fnvValue(uint64_t h, const T &value)
     return fnv(h, &value, sizeof(value));
 }
 
-/** Hash of a workload's threads and RayTasks, field by field (RayTask
- *  has padding bytes, which carry no meaning). */
+/** Hash of a RayTask, field by field (RayTask has padding bytes, which
+ *  carry no meaning). */
+uint64_t
+hashRayTask(uint64_t h, const rt::RayTask &task)
+{
+    const float fields[] = {task.ray.origin.x,    task.ray.origin.y,
+                            task.ray.origin.z,    task.ray.direction.x,
+                            task.ray.direction.y, task.ray.direction.z,
+                            task.ray.tMin,        task.ray.tMax};
+    h = fnv(h, fields, sizeof(fields));
+    h = fnvValue(h, static_cast<uint8_t>(task.mode));
+    h = fnvValue(h, static_cast<uint8_t>(task.hit));
+    h = fnvValue(h, task.materialId);
+    return fnvValue(h, task.bounce);
+}
+
+/** Hash of a workload's threads and RayTasks. */
 uint64_t
 hashWorkload(uint64_t h, const gpusim::SimWorkload &workload)
 {
@@ -83,19 +102,8 @@ hashWorkload(uint64_t h, const gpusim::SimWorkload &workload)
         h = fnvValue(h, thread.pixelLinear);
         h = fnvValue(h, static_cast<uint8_t>(thread.selected));
         h = fnvValue(h, thread.rayCount);
-        for (uint32_t r = 0; r < thread.rayCount; ++r) {
-            const rt::RayTask &task = thread.rays[r];
-            const float fields[] = {
-                task.ray.origin.x,    task.ray.origin.y,
-                task.ray.origin.z,    task.ray.direction.x,
-                task.ray.direction.y, task.ray.direction.z,
-                task.ray.tMin,        task.ray.tMax};
-            h = fnv(h, fields, sizeof(fields));
-            h = fnvValue(h, static_cast<uint8_t>(task.mode));
-            h = fnvValue(h, static_cast<uint8_t>(task.hit));
-            h = fnvValue(h, task.materialId);
-            h = fnvValue(h, task.bounce);
-        }
+        for (uint32_t r = 0; r < thread.rayCount; ++r)
+            h = hashRayTask(h, thread.rays[r]);
     }
     return h;
 }
@@ -254,6 +262,94 @@ INSTANTIATE_TEST_SUITE_P(Recipes, AnswerPin, testing::Values(0, 1),
                          [](const testing::TestParamInfo<size_t> &info) {
                              return info.param == 0 ? "ParkSoc"
                                                     : "SprngRtx2060";
+                         });
+
+/** One pinned functional frame: the tracer's whole output. */
+struct FrameCase
+{
+    const char *name;
+    rt::SceneId scene;
+    uint32_t samplesPerPixel;
+    /** Image bits, every PixelProfile field and the FrameRayRecord of
+     *  a render on a 3-worker pool. */
+    uint64_t renderHash;
+    /** SimWorkload::buildFullFrame(), the oracle's input. */
+    uint64_t fullFrameHash;
+};
+
+/**
+ * Frame pin: the functional tracer's bits for the two mirror-heavy
+ * scenes at more than one sample per pixel, where reflection chains run
+ * deepest and jittered samples differ. AnswerPin covers 1 spp only.
+ * Generated before the tracer's shading recursion was unified and must
+ * not change with it.
+ */
+class FramePin : public testing::TestWithParam<size_t>
+{
+};
+
+const std::vector<FrameCase> &
+frameCases()
+{
+    static const std::vector<FrameCase> table = {
+        {"Park2spp", rt::SceneId::Park, 2, 0x957e98ed5fa52cd3ull,
+         0x13d7d98b92e9ad2full},
+        {"Bath3spp", rt::SceneId::Bath, 3, 0x1767de8106dd24b7ull,
+         0xc754c487d7f68abaull},
+    };
+    return table;
+}
+
+TEST_P(FramePin, RenderAndFullFrameRecordMatchCommittedHashes)
+{
+    constexpr uint32_t kSize = 48;
+    const FrameCase &pin = frameCases()[GetParam()];
+    const rt::Scene scene = rt::buildScene(pin.scene);
+    rt::Bvh bvh;
+    bvh.build(scene.triangles());
+    rt::TracerParams tp;
+    tp.samplesPerPixel = pin.samplesPerPixel;
+    const rt::Tracer tracer(scene, bvh, tp);
+
+    ThreadPool pool(3);
+    rt::FrameRayRecord frame;
+    const rt::RenderResult render =
+        tracer.render(kSize, kSize, &pool, &frame);
+    uint64_t render_hash = kFnvBasis;
+    for (const rt::Vec3 &color : render.image.pixels()) {
+        const float bits[] = {color.x, color.y, color.z};
+        render_hash = fnv(render_hash, bits, sizeof(bits));
+    }
+    for (const rt::PixelProfile &profile : render.profiles) {
+        render_hash = fnvValue(render_hash, profile.nodesVisited);
+        render_hash = fnvValue(render_hash, profile.triangleTests);
+        render_hash = fnvValue(render_hash, profile.raysCast);
+        render_hash =
+            fnvValue(render_hash, static_cast<uint8_t>(profile.primaryHit));
+    }
+    render_hash = fnvValue(render_hash, frame.width);
+    render_hash = fnvValue(render_hash, frame.height);
+    for (size_t offset : frame.offsets)
+        render_hash = fnvValue(render_hash, static_cast<uint64_t>(offset));
+    for (const rt::RayTask &task : frame.rays)
+        render_hash = hashRayTask(render_hash, task);
+
+    const uint64_t full_frame_hash = hashWorkload(
+        kFnvBasis,
+        gpusim::SimWorkload::buildFullFrame(tracer, kSize, kSize));
+
+    char actual[96];
+    std::snprintf(actual, sizeof(actual),
+                  "0x%016" PRIx64 "ull, 0x%016" PRIx64 "ull", render_hash,
+                  full_frame_hash);
+    SCOPED_TRACE(std::string("actual: ") + actual);
+    EXPECT_EQ(render_hash, pin.renderHash);
+    EXPECT_EQ(full_frame_hash, pin.fullFrameHash);
+}
+
+INSTANTIATE_TEST_SUITE_P(MirrorScenes, FramePin, testing::Values(0, 1),
+                         [](const testing::TestParamInfo<size_t> &info) {
+                             return std::string(frameCases()[info.param].name);
                          });
 
 } // namespace

@@ -2,7 +2,8 @@
  * @file
  * Campaign specification tests (src/service/campaign.*): field
  * application, JSONL and CSV parsing, '|' sweep-cell expansion,
- * deterministic auto job ids, and finalization rules.
+ * deterministic auto job ids, and finalization rules (unique ids and
+ * recipes the predictor can run).
  *
  * The auto-id determinism tests double as the contract behind --resume:
  * re-parsing the same campaign file must always name jobs identically,
@@ -365,6 +366,42 @@ TEST(Campaign, FinalizeCampaignFillsIdsAndRejectsDuplicates)
     named[1].id = "same";
     named[1].params.width = 96;
     EXPECT_THROW(finalizeCampaign(named), CampaignError);
+}
+
+/** finalizeCampaign() over a one-line JSONL campaign. */
+void
+finalizeLine(const std::string &line)
+{
+    std::istringstream in(line);
+    std::vector<CampaignJob> jobs = parseCampaignJsonl(in);
+    finalizeCampaign(jobs);
+}
+
+TEST(Campaign, FinalizeCampaignRejectsRecipesThePredictorCannotRun)
+{
+    // Each of these once aborted or fatal()ed the whole process after
+    // its job started. soc downscales by K = 4 and fine division deals
+    // 32x2 chunks to the groups, so a plane needs four chunks.
+    std::vector<std::string> impossible;
+    for (int res = 0; res <= 4; ++res) {
+        impossible.push_back("{\"gpu\":\"soc\",\"res\":" +
+                             std::to_string(res) + "}");
+    }
+    impossible.push_back(R"({"gpu":"soc","res":32,"spp":0})");
+    impossible.push_back(R"({"gpu":"soc","res":32,"quantize_colors":0})");
+    impossible.push_back(R"({"gpu":"soc","width":16,"height":1})");
+    impossible.push_back(R"({"gpu":"soc","res":32,"k":1000})");
+    impossible.push_back(R"({"gpu":"soc","res":32,"k":3})");
+    for (const std::string &line : impossible)
+        EXPECT_THROW(finalizeLine(line), CampaignError) << line;
+
+    // Recipes that run stay accepted: the smallest square planes with
+    // four chunks, and a forced k that only splits the plane because
+    // the GPU is not downscaled.
+    EXPECT_NO_THROW(finalizeLine(R"({"gpu":"soc","res":7})"));
+    EXPECT_NO_THROW(finalizeLine(R"({"gpu":"soc","res":8})"));
+    EXPECT_NO_THROW(
+        finalizeLine(R"({"gpu":"soc","res":32,"k":3,"downscale":false})"));
 }
 
 TEST(Campaign, LoadCampaignFileDispatchesOnExtension)

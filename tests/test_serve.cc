@@ -15,7 +15,8 @@
  *    closes, a second stop() is a no-op
  *  - a reply is the job's --no-timing result row, and a request names
  *    the same job a campaign JSONL line with the same text would (or
- *    both reject it); a deeply nested body is a 400, not a crash
+ *    both reject it); a deeply nested body or a recipe the predictor
+ *    cannot run is a 400, not a crash
  *
  * The ServeConcurrency suite doubles as the TSan target for the serve
  * layer (tsan-determinism preset).
@@ -260,6 +261,22 @@ TEST_F(Serve, DeeplyNestedBodyAnswers400AndTheDaemonStaysUp)
     EXPECT_EQ(statusOf(deep), 400);
     EXPECT_NE(bodyOf(deep).find("nesting"), std::string::npos)
         << bodyOf(deep);
+    const std::string normal = exchange(port(), postPredict(kRecipe));
+    EXPECT_EQ(statusOf(normal), 200) << normal;
+}
+
+TEST_F(Serve, ImpossibleRecipeAnswers400AndTheDaemonStaysUp)
+{
+    start();
+    // spp 0 once aborted the daemon; a 2x2 plane cannot give each of
+    // soc's four groups a pixel.
+    for (const char *body : {R"({"scene":"PARK","res":16,"spp":0})",
+                             R"({"scene":"PARK","res":2})"}) {
+        const std::string response = exchange(port(), postPredict(body));
+        EXPECT_EQ(statusOf(response), 400) << body << "\n" << response;
+    }
+    EXPECT_EQ(server_->snapshot().predict.invalid, 2u);
+    EXPECT_EQ(server_->snapshot().predict.simulated, 0u);
     const std::string normal = exchange(port(), postPredict(kRecipe));
     EXPECT_EQ(statusOf(normal), 200) << normal;
 }

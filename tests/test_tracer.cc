@@ -208,17 +208,7 @@ TEST_F(TracerFixture, EmissiveTerminatesPath)
     EXPECT_EQ(profile.raysCast, 1u);
 }
 
-// ---------------------------------------------------------------------
-// Packetized/scalar differential: render() and recordPixelRaysBatch()
-// run the wavefront engine (32-wide ray packets, docs/SIMULATOR.md
-// "Data layout of the hot path"); tracePixel() and recordPixelRays()
-// are the scalar recursive reference. Both pairs must be byte-identical
-// per pixel — colors bit-exact, profiles field-exact, ray streams
-// task-by-task equal.
-// ---------------------------------------------------------------------
-
-/** Scene with a mirror so reflection chains exercise the packet
- *  engine's deepest-first contribution folding. */
+/** Scene with a mirror, so pixels shade reflection chains. */
 Scene
 mirrorScene()
 {
@@ -254,97 +244,13 @@ expectSameRayTask(const RayTask &want, const RayTask &got, size_t pixel,
     EXPECT_EQ(want.bounce, got.bounce) << "pixel " << pixel << " ray " << ray;
 }
 
-void
-expectPacketizedRenderMatchesScalar(const Scene &scene, uint32_t spp,
-                                    uint32_t width, uint32_t height)
-{
-    Bvh bvh;
-    bvh.build(scene.triangles());
-    TracerParams params;
-    params.samplesPerPixel = spp;
-    Tracer tracer(scene, bvh, params);
-
-    RenderResult frame = tracer.render(width, height);
-    for (uint32_t y = 0; y < height; ++y) {
-        for (uint32_t x = 0; x < width; ++x) {
-            PixelProfile scalarProfile;
-            Vec3 scalar =
-                tracer.tracePixel(x, y, width, height, scalarProfile);
-            Vec3 packet = frame.image.at(x, y);
-            const PixelProfile &profile = frame.profileAt(x, y);
-            ASSERT_EQ(std::memcmp(&scalar, &packet, sizeof(Vec3)), 0)
-                << "color diverged at (" << x << "," << y << ") spp="
-                << spp;
-            EXPECT_EQ(scalarProfile.nodesVisited, profile.nodesVisited);
-            EXPECT_EQ(scalarProfile.triangleTests, profile.triangleTests);
-            EXPECT_EQ(scalarProfile.raysCast, profile.raysCast);
-            EXPECT_EQ(scalarProfile.primaryHit, profile.primaryHit);
-        }
-    }
-}
-
-TEST_F(TracerFixture, PacketizedRenderMatchesScalarTracePixel)
-{
-    // 9x7 = 63 pixels: two packets, the second under-full.
-    expectPacketizedRenderMatchesScalar(scene, 1, 9, 7);
-    expectPacketizedRenderMatchesScalar(scene, 2, 8, 8);
-}
-
-TEST(TracerPacketDifferential, MirrorChainsAndMultiSample)
-{
-    Scene scene = mirrorScene();
-    expectPacketizedRenderMatchesScalar(scene, 1, 16, 16);
-    expectPacketizedRenderMatchesScalar(scene, 3, 11, 5);
-}
-
-TEST(TracerPacketDifferential, BatchRayRecordMatchesScalar)
-{
-    Scene scene = mirrorScene();
-    Bvh bvh;
-    bvh.build(scene.triangles());
-    TracerParams params;
-    params.samplesPerPixel = 2;
-    Tracer tracer(scene, bvh, params);
-
-    // 13x3 = 39 pixels in one batch: one full packet plus a remainder.
-    constexpr uint32_t kWidth = 13, kHeight = 3;
-    std::vector<uint32_t> xs, ys;
-    for (uint32_t y = 0; y < kHeight; ++y) {
-        for (uint32_t x = 0; x < kWidth; ++x) {
-            xs.push_back(x);
-            ys.push_back(y);
-        }
-    }
-    std::vector<PixelRayRecord> batched(xs.size());
-    uint32_t callbacks = 0;
-    recordPixelRaysBatch(
-        tracer, xs.data(), ys.data(), static_cast<uint32_t>(xs.size()),
-        kWidth, kHeight,
-        [&](uint32_t index, const PixelRayRecord &record) {
-            ASSERT_LT(index, batched.size());
-            batched[index] = record; // the reference is reused scratch
-            ++callbacks;
-        });
-    ASSERT_EQ(callbacks, xs.size());
-
-    for (size_t i = 0; i < xs.size(); ++i) {
-        PixelRayRecord scalar =
-            recordPixelRays(tracer, xs[i], ys[i], kWidth, kHeight);
-        ASSERT_EQ(scalar.rays.size(), batched[i].rays.size())
-            << "ray count diverged at pixel " << i;
-        for (size_t r = 0; r < scalar.rays.size(); ++r)
-            expectSameRayTask(scalar.rays[r], batched[i].rays[r], i, r);
-    }
-}
-
 // ---------------------------------------------------------------------
 // Pooled render differential: render() on a pool splits the frame into
-// row bands, one wavefront engine each, and records the frame's rays in
-// the same pass. For every worker count (and with no pool) the image and
-// profiles must equal the plain serial render and tracePixel() bit for
-// bit, and each pixel's slice of the frame record must equal
-// recordPixelRays(). The sizes leave partial bands and under-full
-// packets.
+// row bands and records the frame's rays in the same pass. For every
+// worker count (and with no pool) the image and profiles must equal the
+// plain serial render and tracePixel() bit for bit, and each pixel's
+// slice of the frame record must equal recordPixelRays(). The sizes
+// leave partial bands.
 // ---------------------------------------------------------------------
 
 void
