@@ -2,7 +2,7 @@
  * @file
  * Cross-file mutex-acquisition-order graph for the lock-order rule.
  *
- * Nodes are mutex identities ("CampaignScheduler::pumpMutex_",
+ * Nodes are mutex identities ("JobPipeline::jobsMutex_",
  * "LoopState::mutex", "logging.cc::logMutex"); a directed edge A -> B
  * records that somewhere in the tree B was acquired while A was held.
  * Edges from every translation unit merge into one graph, so an

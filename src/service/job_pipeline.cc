@@ -86,8 +86,8 @@ pipelineMetrics()
             reg.counter(jobName, jobHelp, {{"status", "timed_out"}});
         m.stallCancellations = reg.counter(
             "zatel_campaign_stall_cancellations_total",
-            "Watchdog cancellations of simulations that stopped "
-            "making simulated-cycle progress");
+            "Simulations the watchdog stopped because they made no "
+            "simulated-cycle progress");
         return m;
     }();
     return metrics;
@@ -103,12 +103,15 @@ nowNs()
             .count());
 }
 
+/** A progress slot's value once the watchdog found its heartbeat stale
+ *  (JobState::progressNs); no heartbeat timestamp reaches it. */
+constexpr uint64_t kStalledSlot = UINT64_MAX;
+
 } // namespace
 
 JobPipeline::JobPipeline(ArtifactCache &cache, PipelineParams params)
     : cache_(cache), params_(std::move(params)), pool_(params_.workers)
 {
-    pumpThread_ = std::thread([this]() { pumpLoop(); });
     if (params_.stallTimeoutSeconds > 0.0)
         watchdogThread_ = std::thread([this]() { watchdogLoop(); });
 }
@@ -116,13 +119,6 @@ JobPipeline::JobPipeline(ArtifactCache &cache, PipelineParams params)
 JobPipeline::~JobPipeline()
 {
     drain();
-    {
-        std::lock_guard<std::mutex> guard(pumpMutex_);
-        stopPump_ = true;
-        pumpCv_.notify_all();
-    }
-    pumpThread_.join();
-    pool_.waitAll();
     if (watchdogThread_.joinable()) {
         watchdogStop_.store(true);
         watchdogThread_.join();
@@ -144,7 +140,6 @@ JobPipeline::submit(Submission submission)
         std::lock_guard<std::mutex> guard(jobsMutex_);
         jobs_.push_back(std::move(state));
     }
-    pendingJobs_.fetch_add(1, std::memory_order_acq_rel);
     enqueueUnit(s->job.priority, Rank::Control,
                 [this, s]() { runStartUnit(*s); });
 }
@@ -152,11 +147,12 @@ JobPipeline::submit(Submission submission)
 void
 JobPipeline::waitIdle()
 {
-    std::unique_lock<std::mutex> lock(pumpMutex_);
-    pumpCv_.wait(lock, [this]() {
-        return pendingJobs_.load(std::memory_order_acquire) == 0 &&
-               ready_.empty() && unitsInFlight_ == 0;
-    });
+    {
+        std::unique_lock<std::mutex> lock(jobsMutex_);
+        jobsIdle_.wait(lock, [this]() { return jobs_.empty(); });
+    }
+    // The unit that finished the last job may still be returning.
+    pool_.waitAll();
 }
 
 void
@@ -169,14 +165,8 @@ JobPipeline::drain()
 size_t
 JobPipeline::pendingJobs() const
 {
-    return pendingJobs_.load(std::memory_order_acquire);
-}
-
-size_t
-JobPipeline::queueDepth() const
-{
-    std::lock_guard<std::mutex> guard(pumpMutex_);
-    return ready_.size() + unitsInFlight_;
+    std::lock_guard<std::mutex> guard(jobsMutex_);
+    return jobs_.size();
 }
 
 bool
@@ -195,60 +185,28 @@ JobPipeline::deadlineExceeded(const JobState &state)
 bool
 JobPipeline::jobShouldStop(const JobState &state) const
 {
-    // Acquire pairs with the watchdog's release: a unit it cancelled
-    // then sees its slot's stall verdict.
-    if (state.stallCancelled.load(std::memory_order_acquire))
-        return true;
-    if (pipelineCancelled())
-        return true;
-    return deadlineExceeded(state);
+    return pipelineCancelled() || deadlineExceeded(state);
 }
 
 void
 JobPipeline::simEnter(JobState &state, size_t slot)
 {
-    state.stallVerdicts[slot].store(false, std::memory_order_relaxed);
-    state.groupProgressNs[slot].store(nowNs(), std::memory_order_relaxed);
-    state.activeSimUnits.fetch_add(1, std::memory_order_acq_rel);
+    // A fresh simulation replaces its predecessor's value, stalled mark
+    // included: the heartbeat baseline is now.
+    state.progressNs[slot].store(nowNs(), std::memory_order_relaxed);
 }
 
 void
 JobPipeline::simExit(JobState &state, size_t slot)
 {
-    state.groupProgressNs[slot].store(0, std::memory_order_relaxed);
-    if (state.activeSimUnits.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        // Last active simulation out: a stall cancellation has fully
-        // drained, clear the flag so retried units can run. Deferred
-        // to here so siblings still inside the GPU loop observe it.
-        state.stallCancelled.store(false, std::memory_order_relaxed);
-    }
+    state.progressNs[slot].store(0, std::memory_order_relaxed);
 }
 
 bool
-JobPipeline::takeStallVerdict(JobState &state, size_t slot)
+JobPipeline::slotStalled(const JobState &state, size_t slot)
 {
-    return state.stallVerdicts[slot].exchange(false,
-                                              std::memory_order_relaxed);
-}
-
-bool
-JobPipeline::stallDraining(JobState &state)
-{
-    if (params_.stallTimeoutSeconds <= 0.0 ||
-        !state.stallCancelled.load(std::memory_order_relaxed))
-        return false;
-    if (state.activeSimUnits.load(std::memory_order_acquire) == 0) {
-        // No simulation left to cancel: the flag is stale (set after
-        // the last unit drained); clear it and run.
-        state.stallCancelled.store(false, std::memory_order_relaxed);
-        return false;
-    }
-    // A stall cancellation is still draining this job's sim units;
-    // starting a fresh simulation now would be instantly cancelled.
-    // Pace with the sanctioned backoff (1 ms at attempt 1) instead of a
-    // raw sleep.
-    retryBackoffSleep(1);
-    return true;
+    return state.progressNs[slot].load(std::memory_order_relaxed) ==
+           kStalledSlot;
 }
 
 void
@@ -269,39 +227,28 @@ JobPipeline::watchdogLoop()
         std::lock_guard<std::mutex> guard(jobsMutex_);
         for (const auto &job : jobs_) {
             JobState &state = *job;
-            if (state.finished.load(std::memory_order_acquire))
-                continue;
-            if (state.broken.load(std::memory_order_relaxed))
-                continue;
-            if (state.stallCancelled.load(std::memory_order_relaxed))
-                continue;
             // progressSlots (release-stored after the array alloc)
-            // publishes groupProgressNs to this thread.
+            // publishes progressNs to this thread.
             const size_t slots =
                 state.progressSlots.load(std::memory_order_acquire);
-            bool stalled = false;
             for (size_t i = 0; i < slots; ++i) {
-                const uint64_t ts = state.groupProgressNs[i].load(
-                    std::memory_order_relaxed);
-                if (ts == 0 || now <= ts || now - ts <= timeout_ns)
+                std::atomic<uint64_t> &slot = state.progressNs[i];
+                uint64_t ts = slot.load(std::memory_order_relaxed);
+                if (ts == 0 || ts == kStalledSlot || now <= ts ||
+                    now - ts <= timeout_ns)
                     continue;
-                // The verdict, not a later look at the heartbeat, tells
-                // the cancelled unit that its own simulation stalled: a
-                // unit whose workload build outlasted the timeout
-                // heartbeats once before it sees the cancellation.
-                state.stallVerdicts[i].store(true, std::memory_order_relaxed);
-                stalled = true;
+                // A heartbeat or a fresh simulation that lands in
+                // between wins: only the stale value is replaced.
+                if (!slot.compare_exchange_strong(ts, kStalledSlot,
+                                                  std::memory_order_relaxed))
+                    continue;
+                pipelineMetrics().stallCancellations->inc();
                 warn("campaign job '", state.job.id,
                      "': watchdog: no simulated-cycle progress in ",
                      i + 1 == slots ? std::string("the oracle run")
                                     : "group " + std::to_string(i),
                      " for over ", params_.stallTimeoutSeconds,
-                     "s; cancelling this job's in-flight simulations "
-                     "for retry");
-            }
-            if (stalled) {
-                state.stallCancelled.store(true, std::memory_order_release);
-                pipelineMetrics().stallCancellations->inc();
+                     "s; stopping that simulation for retry");
             }
         }
     }
@@ -310,27 +257,11 @@ JobPipeline::watchdogLoop()
 void
 JobPipeline::enqueueUnit(int priority, Rank rank, std::function<void()> fn)
 {
-    std::lock_guard<std::mutex> guard(pumpMutex_);
-    Unit unit;
-    unit.priority = priority;
-    unit.rank = rank;
-    unit.seq = nextSeq_++;
-    unit.fn = std::move(fn);
-    ready_.insert(std::move(unit));
-    pumpCv_.notify_all();
-}
-
-void
-JobPipeline::pumpLocked(std::unique_lock<std::mutex> &lock)
-{
-    // Load-aware dispatch: keep the pool's FIFO queue shallow so the
-    // priority order of ready_ actually governs execution order.
-    while (!ready_.empty() && pool_.queueDepth() < pool_.workerCount()) {
-        auto node = ready_.extract(ready_.begin());
-        std::function<void()> fn = std::move(node.value().fn);
-        ++unitsInFlight_;
-        lock.unlock();
-        pool_.submit([this, unit_fn = std::move(fn)]() {
+    // The pool starts the highest key first: job priority, then rank.
+    const int64_t key = static_cast<int64_t>(priority) * 3 +
+                        static_cast<int64_t>(rank);
+    pool_.submit(
+        [unit_fn = std::move(fn)]() {
             // "pool.task" fault site: models a worker that failed to
             // pick up a unit. A lost unit would strand the job
             // (unitsRemaining never reaches zero), so the recovery is
@@ -352,39 +283,8 @@ JobPipeline::pumpLocked(std::unique_lock<std::mutex> &lock)
             } catch (...) {
                 warn("campaign: stage unit leaked an unknown exception");
             }
-            std::lock_guard<std::mutex> guard(pumpMutex_);
-            --unitsInFlight_;
-            pumpCv_.notify_all();
-        });
-        lock.lock();
-    }
-}
-
-void
-JobPipeline::pumpLoop()
-{
-    std::unique_lock<std::mutex> lock(pumpMutex_);
-    while (true) {
-        pumpLocked(lock);
-        if (stopPump_ && ready_.empty() && unitsInFlight_ == 0)
-            break;
-        pumpCv_.wait_for(lock, std::chrono::milliseconds(5));
-        lock.unlock();
-        sweepFinished();
-        lock.lock();
-    }
-}
-
-void
-JobPipeline::sweepFinished()
-{
-    std::lock_guard<std::mutex> guard(jobsMutex_);
-    jobs_.erase(std::remove_if(jobs_.begin(), jobs_.end(),
-                               [](const std::unique_ptr<JobState> &s) {
-                                   return s->finished.load(
-                                       std::memory_order_acquire);
-                               }),
-                jobs_.end());
+        },
+        key);
 }
 
 void
@@ -423,17 +323,20 @@ JobPipeline::finishJob(JobState &state, ResultRow row)
     }
     if (state.done)
         state.done(row);
-    // Free the heavyweight state before signalling completion. After
-    // the finished store below the sweeper may destroy the state, so
-    // nothing here may touch it afterwards.
-    state.predictor.reset();
-    state.pack.reset();
-    state.tasks.clear();
-    state.done = nullptr;
-    pendingJobs_.fetch_sub(1, std::memory_order_acq_rel);
-    state.finished.store(true, std::memory_order_release);
-    std::lock_guard<std::mutex> guard(pumpMutex_);
-    pumpCv_.notify_all();
+    std::unique_ptr<JobState> owned;
+    {
+        std::lock_guard<std::mutex> guard(jobsMutex_);
+        auto it = std::find_if(jobs_.begin(), jobs_.end(),
+                               [&state](const std::unique_ptr<JobState> &s) {
+                                   return s.get() == &state;
+                               });
+        owned = std::move(*it);
+        jobs_.erase(it);
+        if (jobs_.empty())
+            jobsIdle_.notify_all();
+    }
+    // The heavyweight state (predictor, scene pack) is freed here,
+    // outside the lock the watchdog takes.
 }
 
 void
@@ -574,25 +477,31 @@ JobPipeline::fanOut(JobState &state,
     state.tasks.resize(group_count);
     state.groupAttempts.assign(group_count, 0);
     if (params_.stallTimeoutSeconds > 0.0) {
-        // One heartbeat slot per group plus one for the oracle; the
-        // release store on progressSlots publishes the arrays to the
-        // watchdog thread.
+        // One progress slot per group plus one for the oracle, all 0
+        // (make_unique value-initializes); the release store on
+        // progressSlots publishes the array to the watchdog thread.
         const size_t slots = group_count + 1;
-        state.groupProgressNs =
-            std::make_unique<std::atomic<uint64_t>[]>(slots);
-        state.stallVerdicts = std::make_unique<std::atomic<bool>[]>(slots);
-        for (size_t i = 0; i < slots; ++i) {
-            state.groupProgressNs[i].store(0, std::memory_order_relaxed);
-            state.stallVerdicts[i].store(false, std::memory_order_relaxed);
-        }
+        state.progressNs = std::make_unique<std::atomic<uint64_t>[]>(slots);
         state.progressSlots.store(slots, std::memory_order_release);
+        // The oracle run reports group index SIZE_MAX.
+        const auto slot_of = [group_count](size_t group_index) {
+            return group_index == SIZE_MAX ? group_count : group_index;
+        };
         state.predictor->setSimulationProbe(
             params_.probeIntervalCycles,
-            [s = &state, group_count](size_t group_index, uint64_t) {
-                const size_t slot =
-                    group_index == SIZE_MAX ? group_count : group_index;
-                s->groupProgressNs[slot].store(nowNs(),
-                                               std::memory_order_relaxed);
+            [s = &state, slot_of](size_t group_index, uint64_t) {
+                std::atomic<uint64_t> &slot =
+                    s->progressNs[slot_of(group_index)];
+                // A marked slot stays marked: the heartbeat only
+                // replaces a timestamp.
+                uint64_t seen = slot.load(std::memory_order_relaxed);
+                while (seen != kStalledSlot &&
+                       !slot.compare_exchange_weak(
+                           seen, nowNs(), std::memory_order_relaxed)) {
+                }
+            },
+            [s = &state, slot_of](size_t group_index) {
+                return slotStalled(*s, slot_of(group_index));
             });
     }
     const int priority = state.job.priority;
@@ -666,15 +575,9 @@ JobPipeline::runOracleUnit(JobState &state, uint32_t backoff_attempt)
         unitLanded(state);
         return;
     }
-    if (stallDraining(state)) {
-        enqueueUnit(state.job.priority, Rank::Oracle,
-                    [this, s = &state]() { runOracleUnit(*s); });
-        return;
-    }
 
     const bool watchdog_on = params_.stallTimeoutSeconds > 0.0;
     const size_t slot = state.predictor->groupCount();
-    bool self_stalled = false;
     WallTimer timer;
     std::shared_ptr<const gpusim::GpuStats> stats;
     std::exception_ptr error;
@@ -692,10 +595,8 @@ JobPipeline::runOracleUnit(JobState &state, uint32_t backoff_attempt)
                 try {
                     oracle = state.predictor->runOracle();
                 } catch (...) {
-                    if (watchdog_on) {
-                        self_stalled = takeStallVerdict(state, slot);
+                    if (watchdog_on)
                         simExit(state, slot);
-                    }
                     throw;
                 }
                 if (watchdog_on)
@@ -709,7 +610,7 @@ JobPipeline::runOracleUnit(JobState &state, uint32_t backoff_attempt)
                 // Another job's build landed. Its cancellation (its own
                 // watchdog or timeout) is no stall of this job's oracle.
                 settleOracle(*s, std::move(value), std::move(failure),
-                             false);
+                             true);
             });
         if (!stats) {
             // Parked: the continuation owns the job from here on and
@@ -721,14 +622,13 @@ JobPipeline::runOracleUnit(JobState &state, uint32_t backoff_attempt)
         error = std::current_exception();
     }
     state.oracleSeconds += timer.elapsedSeconds();
-    settleOracle(state, std::move(stats), error,
-                 !watchdog_on || self_stalled);
+    settleOracle(state, std::move(stats), error, false);
 }
 
 void
 JobPipeline::settleOracle(JobState &state,
                           std::shared_ptr<const gpusim::GpuStats> stats,
-                          std::exception_ptr error, bool stalled)
+                          std::exception_ptr error, bool parked)
 {
     if (stats) {
         state.oracleStats = std::move(stats);
@@ -749,13 +649,14 @@ JobPipeline::settleOracle(JobState &state,
             unitLanded(state);
             return;
         }
-        if (!stalled) {
-            // A sibling's stall took this run down with it: requeue
-            // without spending a retry, as sibling groups do.
+        if (parked) {
+            // The build this job parked on was stopped: this job's own
+            // oracle did not fail, so its retry is free.
             enqueueUnit(state.job.priority, Rank::Oracle,
                         [this, s = &state]() { runOracleUnit(*s); });
             return;
         }
+        // This job's own run was stopped: the watchdog found it stale.
         message = "stalled: no simulated-cycle progress within " +
                   std::to_string(params_.stallTimeoutSeconds) + "s";
     } catch (const std::exception &err) {
@@ -791,13 +692,6 @@ JobPipeline::runGroupUnit(JobState &state, size_t group_index)
         // drains quickly (SchedulerTimeout.CancelsPendingStages).
         pipelineMetrics().groupUnitsSkipped->inc();
     } else {
-        if (stallDraining(state)) {
-            enqueueUnit(state.job.priority, Rank::Group,
-                        [this, s = &state, group_index]() {
-                            runGroupUnit(*s, group_index);
-                        });
-            return;
-        }
         if (watchdog_on)
             simEnter(state, group_index);
         bool requeue = false;
@@ -811,36 +705,26 @@ JobPipeline::runGroupUnit(JobState &state, size_t group_index)
             } else if (deadlineExceeded(state)) {
                 markBroken(state, JobStatus::TimedOut,
                            "job timeout during group simulation");
-            } else if (watchdog_on) {
-                // Stall cancellation. Only a unit the watchdog found
-                // stalled burns a retry; siblings taken down with it
-                // requeue for free.
-                if (!takeStallVerdict(state, group_index)) {
+            } else if (watchdog_on && slotStalled(state, group_index)) {
+                // The watchdog stopped this simulation: it spends a
+                // group attempt.
+                const uint32_t attempt = ++state.groupAttempts[group_index];
+                if (attempt <= state.job.params.groupRetries) {
+                    warn("campaign job '", state.job.id, "': group ",
+                         group_index, " stalled; retry ", attempt, "/",
+                         state.job.params.groupRetries);
                     requeue = true;
                 } else {
-                    const uint32_t attempt =
-                        ++state.groupAttempts[group_index];
-                    if (attempt <=
-                        state.job.params.groupRetries) {
-                        warn("campaign job '", state.job.id,
-                             "': group ", group_index,
-                             " stalled; retry ", attempt, "/",
-                             state.job.params.groupRetries);
-                        requeue = true;
-                    } else {
-                        state.tasks[group_index] =
-                            state.predictor->failedGroupTask(
-                                group_index,
-                                "stalled: no simulated-cycle progress "
-                                "within " +
-                                    std::to_string(
-                                        params_.stallTimeoutSeconds) +
-                                    "s (retries exhausted)");
-                    }
+                    state.tasks[group_index] =
+                        state.predictor->failedGroupTask(
+                            group_index,
+                            "stalled: no simulated-cycle progress within " +
+                                std::to_string(params_.stallTimeoutSeconds) +
+                                "s (retries exhausted)");
                 }
             } else {
-                // No watchdog, so the cancel hook fired for a reason
-                // that has since cleared; treat it as cancellation.
+                // The cancel hook fired for a reason that has since
+                // cleared; treat it as cancellation.
                 markBroken(state, JobStatus::Cancelled,
                            "campaign cancelled");
             }
@@ -890,9 +774,11 @@ JobPipeline::runFinalizeUnit(JobState &state)
     row.gpu = state.job.gpu;
 
     if (state.broken.load()) {
-        std::lock_guard<std::mutex> guard(state.errorMutex);
-        row.status = state.terminalStatus;
-        row.error = state.errorMessage;
+        {
+            std::lock_guard<std::mutex> guard(state.errorMutex);
+            row.status = state.terminalStatus;
+            row.error = state.errorMessage;
+        }
         finishJob(state, std::move(row));
         return;
     }

@@ -23,16 +23,15 @@
  *             combine, attach the oracle stats, invoke the submission's
  *             done callback with the terminal row
  *
- * Stage units go through a priority ready-queue (job priority desc,
- * then stage rank, then enqueue order asc) that a dedicated pump thread
- * feeds into the shared ThreadPool only while the pool queue is
- * shallower than its worker count. That load-aware dispatch keeps the
- * FIFO pool from burying a late high-priority job under an earlier
- * job's long unit backlog. Within a priority, start, prepare and
- * finalize units go first (they are short and create work or deliver a
- * row), then oracles, then groups: the oracle is a job's longest unit
- * and cannot be split, so starting it before the group slices that fill
- * in around it is longest-first list scheduling.
+ * Stage units are submitted straight to the shared ThreadPool, whose
+ * queue is the only one they wait in: it starts them by job priority
+ * (descending), then stage rank, FIFO among equals, so a late
+ * high-priority job overtakes an earlier job's unit backlog. Within a
+ * priority, start, prepare and finalize units go first (they are short
+ * and create work or deliver a row), then oracles, then groups: the
+ * oracle is a job's longest unit and cannot be split, so starting it
+ * before the group slices that fill in around it is longest-first list
+ * scheduling.
  *
  * Cancellation and timeouts are cooperative: every predictor polls a
  * cancel hook between stages and before each group simulation, so a
@@ -42,9 +41,10 @@
  * Resilience (docs/ROBUSTNESS.md): transient start-stage failures are
  * retried (stageRetries) with deterministic backoff, group simulations
  * retry inside ZatelPredictor::runGroupTaskResilient, and a progress
- * watchdog thread cancels simulations that stop making simulated-cycle
- * progress for stallTimeoutSeconds so a hung instance is retried or
- * recorded as a failed group instead of wedging the pipeline.
+ * watchdog thread stops each simulation that makes no simulated-cycle
+ * progress for stallTimeoutSeconds — that one only, its siblings run
+ * on — so a hung instance is retried or recorded as a failed group
+ * instead of wedging the pipeline.
  *
  * Determinism: stage units compute into per-job, per-group slots and
  * assembly happens in group order, so a pipelined prediction is
@@ -64,7 +64,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -77,7 +76,7 @@
 namespace zatel::service
 {
 
-/** Pipeline tuning (the scheduler-level knobs of SchedulerParams). */
+/** Pipeline tuning; SchedulerParams extends it with the batch's knobs. */
 struct PipelineParams
 {
     /** Shared-pool worker count; 0 = hardware concurrency. */
@@ -85,7 +84,7 @@ struct PipelineParams
     /**
      * Hang watchdog (docs/ROBUSTNESS.md): a group/oracle simulation
      * that reports no simulated-cycle progress for this many seconds
-     * is cooperatively cancelled and retried (or recorded as a failed
+     * is cooperatively stopped and retried (or recorded as a failed
      * group once retries are exhausted). <= 0 disables the watchdog
      * (and the mid-run progress probe entirely).
      */
@@ -143,37 +142,15 @@ class JobPipeline
 
     size_t workerCount() const { return pool_.workerCount(); }
 
-    /** Stage units ready or executing (admission-control signal). */
-    size_t queueDepth() const;
-
   private:
-    /** Dispatch rank of a stage unit within one job priority. */
+    /** Dispatch rank of a stage unit within one job priority: the
+     *  higher rank starts first. */
     enum class Rank : uint8_t
     {
-        /** start, prepare and finalize units. */
-        Control = 0,
+        Group = 0,
         Oracle = 1,
-        Group = 2,
-    };
-
-    /** One schedulable unit of work. */
-    struct Unit
-    {
-        int priority = 0;
-        Rank rank = Rank::Control;
-        uint64_t seq = 0;
-        std::function<void()> fn;
-
-        /** Higher priority first, then lower rank; FIFO within both. */
-        bool
-        operator<(const Unit &other) const
-        {
-            if (priority != other.priority)
-                return priority > other.priority;
-            if (rank != other.rank)
-                return rank < other.rank;
-            return seq < other.seq;
-        }
+        /** start, prepare and finalize units. */
+        Control = 2,
     };
 
     /** Mutable per-job execution state. */
@@ -219,39 +196,26 @@ class JobPipeline
 
         // ---- Hang-watchdog state (docs/ROBUSTNESS.md) ----
         /**
-         * Per-slot last-heartbeat timestamps (monotonic ns): one slot
-         * per group plus a final slot for the oracle run. 0 means "no
-         * simulation active in this slot". Allocated at fan-out;
-         * progressSlots (released after the allocation) publishes the
-         * arrays to the watchdog thread.
+         * One progress slot per group plus a final slot for the oracle
+         * run. A slot holds 0 while no simulation runs in it, else its
+         * simulation's last heartbeat (monotonic ns), or kStalledSlot
+         * once the watchdog found that heartbeat stale: the simulation
+         * must stop, and the slot stays marked until it leaves.
+         * Allocated at fan-out; progressSlots (released after the
+         * allocation) publishes the array to the watchdog thread.
          */
-        std::unique_ptr<std::atomic<uint64_t>[]> groupProgressNs;
-        /** Per-slot verdicts: set by the watchdog for every slot it
-         *  found stale when it cancelled the job's simulations, taken by
-         *  the cancelled unit to tell its own stall from a sibling's. */
-        std::unique_ptr<std::atomic<bool>[]> stallVerdicts;
+        std::unique_ptr<std::atomic<uint64_t>[]> progressNs;
         std::atomic<size_t> progressSlots{0};
-        /** Simulations of this job currently inside the GPU loop. */
-        std::atomic<size_t> activeSimUnits{0};
-        /** Set by the watchdog; cleared by the last sim unit out (or
-         *  by an arriving unit when none is active). */
-        std::atomic<bool> stallCancelled{false};
         /** Stall retries consumed per group. Element g is only touched
          *  by group g's unit (requeues serialize it). */
         std::vector<uint32_t> groupAttempts;
         /** Start-stage retries consumed (start units serialize). */
         uint32_t startAttempts = 0;
-
-        /** Terminal: done fired, heavy state freed; sweepable. */
-        std::atomic<bool> finished{false};
     };
 
+    /** Submit one stage unit to the pool, keyed by @p priority then
+     *  @p rank. */
     void enqueueUnit(int priority, Rank rank, std::function<void()> fn);
-    void pumpLocked(std::unique_lock<std::mutex> &lock);
-    /** Pump-thread body: dispatch ready units, sweep finished jobs. */
-    void pumpLoop();
-    /** Drop jobs whose done callback has fired. */
-    void sweepFinished();
 
     /** True when the pipeline-level cancel hook fired. */
     bool pipelineCancelled() const;
@@ -274,58 +238,49 @@ class JobPipeline
     void runOracleUnit(JobState &state, uint32_t backoff_attempt = 0);
     /**
      * Settle one oracle attempt: land @p stats, or classify @p error
-     * and retry, requeue or give up. @p stalled says the run was this
-     * job's own and its heartbeat went stale, so a watchdog
-     * cancellation spends an attempt instead of requeueing for free.
+     * and retry, requeue or give up. @p parked says the attempt was
+     * another job's build this job parked on: when that build was
+     * stopped, this job's oracle did not fail and requeues for free.
      */
     void settleOracle(JobState &state,
                       std::shared_ptr<const gpusim::GpuStats> stats,
-                      std::exception_ptr error, bool stalled);
+                      std::exception_ptr error, bool parked);
     void runGroupUnit(JobState &state, size_t group_index);
     void runFinalizeUnit(JobState &state);
     /** Count a group or oracle unit as landed; the last schedules
      *  finalize. @p state may be gone once this returns. */
     void unitLanded(JobState &state);
 
-    /** Mark @p slot's simulation active (heartbeat baseline = now). */
-    void simEnter(JobState &state, size_t slot);
-    /** Clear @p slot; the last unit out clears a pending stall flag. */
-    void simExit(JobState &state, size_t slot);
-    /** True (once) when the watchdog found @p slot itself stalled. */
-    static bool takeStallVerdict(JobState &state, size_t slot);
-    /** True when a stall cancellation is still draining @p state's
-     *  simulations: the caller requeues without spending a retry. */
-    bool stallDraining(JobState &state);
+    /** Start @p slot's simulation: heartbeat baseline = now. */
+    static void simEnter(JobState &state, size_t slot);
+    /** Empty @p slot: no simulation runs in it. */
+    static void simExit(JobState &state, size_t slot);
+    /** True when the watchdog marked @p slot's simulation stalled. */
+    static bool slotStalled(const JobState &state, size_t slot);
     /** True when @p state's deadline exists and has passed. */
     static bool deadlineExceeded(const JobState &state);
-    /** Watchdog thread body: flags jobs with stale progress slots. */
+    /** Watchdog thread body: marks progress slots gone stale. */
     void watchdogLoop();
 
     /** Record the first failure of a job (later calls are ignored). */
     void markBroken(JobState &state, JobStatus status,
                     const std::string &message);
-    /** Fire the done callback, release the job, mark it sweepable. */
+    /** Fire the done callback and destroy the job's state. Every other
+     *  unit of the job has landed by then; @p state is gone after. */
     void finishJob(JobState &state, ResultRow row);
 
     ArtifactCache &cache_;
     PipelineParams params_;
     ThreadPool pool_;
 
-    /** Live job states; guarded by jobsMutex_ (watchdog + sweeper). */
+    /** Live job states (submit to finishJob); guarded by jobsMutex_. */
     mutable std::mutex jobsMutex_;
     std::vector<std::unique_ptr<JobState>> jobs_;
-
-    mutable std::mutex pumpMutex_;
-    mutable std::condition_variable pumpCv_;
-    std::set<Unit> ready_;
-    uint64_t nextSeq_ = 0;
-    size_t unitsInFlight_ = 0;
-    std::atomic<size_t> pendingJobs_{0};
+    /** Notified when jobs_ becomes empty. */
+    std::condition_variable jobsIdle_;
     std::atomic<bool> accepting_{true};
-    bool stopPump_ = false; ///< Guarded by pumpMutex_.
 
     std::atomic<bool> watchdogStop_{false};
-    std::thread pumpThread_;
     std::thread watchdogThread_;
 };
 

@@ -35,24 +35,12 @@ CampaignSummary::toString() const
     return oss.str();
 }
 
-PipelineParams
-CampaignScheduler::pipelineParams(const SchedulerParams &params)
-{
-    PipelineParams pp;
-    pp.workers = params.workers;
-    pp.stallTimeoutSeconds = params.stallTimeoutSeconds;
-    pp.stageRetries = params.stageRetries;
-    pp.probeIntervalCycles = params.probeIntervalCycles;
-    pp.cancelled = params.cancelled;
-    return pp;
-}
-
 CampaignScheduler::CampaignScheduler(std::vector<CampaignJob> jobs,
                                      ArtifactCache &cache,
                                      ResultStore &store,
                                      SchedulerParams params)
     : cache_(cache), store_(store), params_(std::move(params)),
-      pipeline_(cache, pipelineParams(params_))
+      pipeline_(cache, params_)
 {
     for (CampaignJob &job : jobs) {
         if (params_.alreadyCompleted.count(job.id) != 0) {

@@ -6,8 +6,8 @@
  * predictor owned its pool — the scheduler multiplexes them instead).
  *
  * Since the zatel-serve work the execution machinery itself — priority
- * stage units, load-aware pump, stall watchdog, retries, cooperative
- * cancellation — lives in JobPipeline (job_pipeline.hh), which accepts
+ * stage units, stall watchdog, retries, cooperative cancellation —
+ * lives in JobPipeline (job_pipeline.hh), which accepts
  * jobs incrementally from any thread. CampaignScheduler is the batch
  * front end: it submits every campaign job up front with the shared
  * per-job timeout, appends each terminal row to the ResultStore, and
@@ -38,29 +38,13 @@
 namespace zatel::service
 {
 
-/** Scheduler tuning. */
-struct SchedulerParams
+/** Scheduler tuning: the pipeline's knobs plus the batch's own. */
+struct SchedulerParams : PipelineParams
 {
-    /** Shared-pool worker count; 0 = hardware concurrency. */
-    size_t workers = 0;
     /** Per-job wall-clock budget in seconds; <= 0 disables it. */
     double jobTimeoutSeconds = 0.0;
-    /**
-     * Hang watchdog (docs/ROBUSTNESS.md): a group/oracle simulation
-     * that reports no simulated-cycle progress for this many seconds
-     * is cooperatively cancelled and retried (or recorded as a failed
-     * group once retries are exhausted). <= 0 disables the watchdog
-     * (and the mid-run progress probe entirely).
-     */
-    double stallTimeoutSeconds = 0.0;
-    /** Retries for transient start-stage and oracle failures. */
-    uint32_t stageRetries = 1;
-    /** Simulated cycles between watchdog heartbeats. */
-    uint64_t probeIntervalCycles = 250000;
     /** Job ids to skip (already "ok" in a resumed result file). */
     std::set<std::string> alreadyCompleted;
-    /** Campaign-level cooperative cancellation (polled frequently). */
-    std::function<bool()> cancelled;
     /**
      * Called after each job's row is appended (from a pool worker; must
      * be thread-safe). Tests use it to observe completion order.
@@ -118,9 +102,6 @@ class CampaignScheduler
     size_t workerCount() const { return pipeline_.workerCount(); }
 
   private:
-    /** Pipeline tuning derived from @p params (ctor helper). */
-    static PipelineParams pipelineParams(const SchedulerParams &params);
-
     ArtifactCache &cache_;
     ResultStore &store_;
     SchedulerParams params_;

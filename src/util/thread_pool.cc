@@ -87,7 +87,7 @@ ThreadPool::~ThreadPool()
 }
 
 std::future<void>
-ThreadPool::submit(std::function<void()> task)
+ThreadPool::submit(std::function<void()> task, int64_t priority)
 {
     QueuedTask queued;
     queued.work = std::packaged_task<void()>(std::move(task));
@@ -104,7 +104,7 @@ ThreadPool::submit(std::function<void()> task)
             throw std::runtime_error(
                 "ThreadPool::submit called during shutdown");
         }
-        tasks_.push(std::move(queued));
+        tasks_.emplace(priority, std::move(queued));
         ++inFlight_;
         poolMetrics().queueDepth->set(
             static_cast<double>(tasks_.size()));
@@ -235,8 +235,7 @@ ThreadPool::runOneTask()
         std::lock_guard<std::mutex> lock(mutex_);
         if (tasks_.empty())
             return false;
-        task = std::move(tasks_.front());
-        tasks_.pop();
+        task = std::move(tasks_.extract(tasks_.begin()).mapped());
         ++active_;
         poolMetrics().queueDepth->set(
             static_cast<double>(tasks_.size()));

@@ -2,6 +2,10 @@
  * @file
  * Fixed-size thread pool used by Zatel's group runner to execute the K
  * downscaled simulator instances concurrently (Section III-A step 6).
+ * Queued tasks start highest priority first, FIFO among equals; the
+ * default priority keeps a pool FIFO. The campaign JobPipeline keys
+ * its stage units by job priority and stage rank, so this queue is the
+ * only one a unit waits in.
  *
  * Correctness contract (exercised by tests/test_thread_pool_stress.cc and
  * verified under TSan, see docs/CORRECTNESS.md):
@@ -32,8 +36,8 @@
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <map>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -60,23 +64,20 @@ class ThreadPool
     ThreadPool &operator=(const ThreadPool &) = delete;
 
     /**
-     * Enqueue a task; the future resolves when it completes.
+     * Enqueue a task; the future resolves when it completes. Queued
+     * tasks start in descending @p priority, FIFO among equals.
      * @throws std::runtime_error if shutdown has already begun (a task
      *         enqueued then would never run and its future would hang).
      */
-    std::future<void> submit(std::function<void()> task);
+    std::future<void> submit(std::function<void()> task,
+                             int64_t priority = 0);
 
     /** Block until every submitted task has completed. */
     void waitAll();
 
     size_t workerCount() const { return workers_.size(); }
 
-    /**
-     * Number of tasks queued but not yet started. The campaign scheduler
-     * uses this for load-aware dispatch: it keeps the pool queue shallow
-     * so a late-arriving high-priority job is not buried behind a deep
-     * FIFO backlog (see src/service/scheduler.cc).
-     */
+    /** Number of tasks queued but not yet started. */
     size_t queueDepth() const;
 
     /** Number of tasks currently executing on a worker (or a helping
@@ -129,7 +130,9 @@ class ThreadPool
     bool runOneTask();
 
     std::vector<std::thread> workers_;
-    std::queue<QueuedTask> tasks_;
+    /** Queued tasks by descending priority; a multimap inserts at the
+     *  end of an equal range, so equal priorities stay FIFO. */
+    std::multimap<int64_t, QueuedTask, std::greater<int64_t>> tasks_;
     mutable std::mutex mutex_;
     std::condition_variable taskReady_;
     std::condition_variable allDone_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 #include <thread>
 
 #include "obs/metrics_registry.hh"
@@ -420,6 +419,13 @@ ZatelPredictor::assemble(std::vector<GroupTask> tasks,
     return result;
 }
 
+bool
+ZatelPredictor::simulationMustStop(size_t group_index) const
+{
+    return (cancelCheck_ && cancelCheck_()) ||
+           (simStopped_ && simStopped_(group_index));
+}
+
 void
 ZatelPredictor::installWatchdogProbe(gpusim::Gpu &gpu,
                                      size_t group_index) const
@@ -429,14 +435,15 @@ ZatelPredictor::installWatchdogProbe(gpusim::Gpu &gpu,
         [this, group_index](uint64_t cycle, const gpusim::GpuStats &) {
             // Fault site: the instance stops making progress. The
             // emulated hang reports no further heartbeats and waits to
-            // be cancelled — to the watchdog it looks exactly like a
-            // real livelock. Without a cancel hook there is nobody to
-            // break the hang, so it degrades to a thrown fault.
+            // be stopped — to the watchdog it looks exactly like a
+            // real livelock. Without a cancel hook or a stop query
+            // there is nobody to break the hang, so it degrades to a
+            // thrown fault.
             if (ZATEL_FAULT_SITE("group.sim.stall")
                     ->shouldFire(static_cast<uint64_t>(group_index))) {
-                if (!cancelCheck_)
+                if (!cancelCheck_ && !simStopped_)
                     throw FaultInjectedError("group.sim.stall");
-                while (!cancelCheck_()) {
+                while (!simulationMustStop(group_index)) {
                     // zatel-lint: allow(blocking-in-task): emulated hang
                     std::this_thread::sleep_for(
                         std::chrono::milliseconds(1));
@@ -445,7 +452,7 @@ ZatelPredictor::installWatchdogProbe(gpusim::Gpu &gpu,
             }
             if (simHeartbeat_)
                 simHeartbeat_(group_index, cycle);
-            return cancelCheck_ ? cancelCheck_() : false;
+            return simulationMustStop(group_index);
         });
 }
 
@@ -501,18 +508,12 @@ ZatelPredictor::predict()
     ZATEL_TRACE_SCOPE("predict");
 
     // One pool runs the render's row bands in step (1) and the K group
-    // simulations in step (6): the injected shared pool when one was
-    // provided (campaign service; the helping-caller design of
-    // parallelForChunked means this thread drains other jobs' tasks
-    // while it waits), else an owned pool of numThreads workers, by
-    // default one per hardware thread.
-    std::optional<ThreadPool> owned;
-    ThreadPool *pool = executor_;
-    if (pool == nullptr)
-        pool = &owned.emplace(params_.numThreads);
+    // simulations in step (6): numThreads workers, by default one per
+    // hardware thread.
+    ThreadPool pool(params_.numThreads);
 
     // Steps (1)-(5).
-    prepare(pool);
+    prepare(&pool);
 
     // Step (6): concurrent simulation of the K groups.
     std::vector<GroupTask> tasks(groups_.size());
@@ -524,7 +525,7 @@ ZatelPredictor::predict()
         // (each instance is heavy and run in isolation), degrading to
         // range-chunked submission when a sweep forces K far above the
         // worker count, which cuts queue-lock contention.
-        pool->parallelForChunked(groups_.size(), 0, [&](size_t g) {
+        pool.parallelForChunked(groups_.size(), 0, [&](size_t g) {
             tasks[g] = runGroupTaskResilient(g);
         });
     }

@@ -116,8 +116,7 @@ struct ZatelParams
     /** Seed for all randomized stages. */
     uint64_t seed = 0x2A7E1;
     /** Workers of the pool predict() owns, which runs the render's row
-     *  bands and the K group simulations; 0 = hardware concurrency.
-     *  Ignored when an executor is injected (setExecutor). */
+     *  bands and the K group simulations; 0 = hardware concurrency. */
     uint32_t numThreads = 0;
 
     // ---- Resilience (docs/ROBUSTNESS.md) ----
@@ -267,16 +266,6 @@ class ZatelPredictor
     // ---- Injection points (campaign service, src/service/) ----
 
     /**
-     * Run predict()'s parallel stages (render bands, group simulations)
-     * on an injected shared pool instead of a predictor-owned one, so a
-     * batch of predictions shares one set of workers (non-owning; @p pool
-     * must outlive the predictor). Null restores the default owned-pool
-     * behaviour. Results are byte-identical either way (see
-     * tests/test_determinism.cc).
-     */
-    void setExecutor(ThreadPool *pool) { executor_ = pool; }
-
-    /**
      * Inject a pre-built quantized heatmap (e.g. from the artifact
      * cache), skipping the render, profile and quantize stages; the
      * group workloads then trace their selected pixels themselves. Must
@@ -299,20 +288,22 @@ class ZatelPredictor
     /**
      * Mid-run progress probe for hang watchdogs (docs/ROBUSTNESS.md):
      * every @p interval_cycles simulated cycles of a group (or oracle)
-     * run, @p heartbeat(group_index, cycle) is invoked and the cancel
-     * check is polled — a cancellation then aborts the simulation
-     * mid-run with PredictionCancelled instead of waiting for the
-     * stage boundary. The oracle run reports group_index SIZE_MAX.
-     * Interval 0 (the default) disables the probe; the activity-driven
-     * cycle loop's probe alignment keeps simulated stats byte-identical
-     * either way (docs/SIMULATOR.md).
+     * run, @p heartbeat(group_index, cycle) is invoked, then the cancel
+     * check and @p stopped(group_index) are polled — either one firing
+     * aborts that simulation mid-run with PredictionCancelled instead
+     * of waiting for the stage boundary. The oracle run reports
+     * group_index SIZE_MAX. Interval 0 (the default) disables the
+     * probe; the activity-driven cycle loop's probe alignment keeps
+     * simulated stats byte-identical either way (docs/SIMULATOR.md).
      */
     void
     setSimulationProbe(uint64_t interval_cycles,
-                       std::function<void(size_t, uint64_t)> heartbeat)
+                       std::function<void(size_t, uint64_t)> heartbeat,
+                       std::function<bool(size_t)> stopped)
     {
         simProbeInterval_ = interval_cycles;
         simHeartbeat_ = std::move(heartbeat);
+        simStopped_ = std::move(stopped);
     }
 
     // ---- Stage-level API ----
@@ -386,7 +377,10 @@ class ZatelPredictor
   private:
     /** Throw PredictionCancelled when the cancellation hook fires. */
     void throwIfCancelled() const;
-    /** Wire the watchdog heartbeat + mid-run cancel poll (and the
+    /** True when the cancel check or @p group_index's stop query
+     *  fires (the simulation probe's mid-run poll). */
+    bool simulationMustStop(size_t group_index) const;
+    /** Wire the watchdog heartbeat + mid-run stop poll (and the
      *  group.sim.stall fault site) into @p gpu's progress callback. */
     void installWatchdogProbe(gpusim::Gpu &gpu, size_t group_index) const;
     /** Simulate one group at one selection; returns raw stats + time. */
@@ -402,11 +396,11 @@ class ZatelPredictor
     heatmap::QuantizedHeatmap quantized_;
 
     // Injection state.
-    ThreadPool *executor_ = nullptr;
     std::function<bool()> cancelCheck_;
     bool hasPrebuiltHeatmap_ = false;
     uint64_t simProbeInterval_ = 0;
     std::function<void(size_t, uint64_t)> simHeartbeat_;
+    std::function<bool(size_t)> simStopped_;
 
     // Prepared-pipeline state (steps 1-5), immutable once prepared_.
     bool prepared_ = false;

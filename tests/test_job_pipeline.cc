@@ -11,6 +11,8 @@
  *    touching its siblings
  *  - drain() is terminal: late submissions are refused by throwing,
  *    never silently dropped
+ *  - job priority: a late high-priority job overtakes an earlier
+ *    job's unit backlog
  *  - identical recipes produce bit-identical predictions through the
  *    pipeline (the serve coalescing/caching layers assume it)
  */
@@ -152,6 +154,37 @@ TEST(JobPipeline, SubmitAfterDrainThrows)
     submission.done = [](const ResultRow &) {};
     EXPECT_THROW(pipeline.submit(std::move(submission)),
                  std::runtime_error);
+}
+
+TEST(JobPipeline, HigherPriorityJobOvertakesABacklog)
+{
+    ArtifactCache cache(kCacheBudget, "");
+    PipelineParams params;
+    params.workers = 1;
+    JobPipeline pipeline(cache, params);
+
+    std::mutex mutex;
+    std::vector<std::string> finished;
+    const auto submit = [&](const std::string &id, double fraction,
+                            int priority) {
+        JobPipeline::Submission submission;
+        submission.job = makeJob(fraction);
+        submission.job.id = id;
+        submission.job.priority = priority;
+        submission.done = [&mutex, &finished](const ResultRow &row) {
+            std::lock_guard<std::mutex> guard(mutex);
+            finished.push_back(row.jobId);
+        };
+        pipeline.submit(std::move(submission));
+    };
+    // On one worker the first job's group units queue up before the
+    // second job's start unit has fanned out; the later job's units
+    // still start first.
+    submit("backlog", 0.2, 0);
+    submit("urgent", 0.25, 5);
+    pipeline.waitIdle();
+
+    EXPECT_EQ(finished, (std::vector<std::string>{"urgent", "backlog"}));
 }
 
 TEST(JobPipeline, IdenticalRecipesYieldBitIdenticalPredictions)

@@ -342,12 +342,12 @@ seedStallingOnlyGroupZero(double p, size_t groups)
     }
 }
 
-TEST_F(Resilience, SiblingStallRequeuesTheOracleForFree)
+TEST_F(Resilience, StallStopsOnlyTheStalledSimulation)
 {
-    // The oracle runs beside the groups, so a sibling group's stall
-    // cancels it too. Only the simulation whose heartbeat went stale
-    // spends a retry: with zero oracle retries, a charged oracle would
-    // turn the row degraded.
+    // The oracle runs beside the groups. When group 0 stalls, the
+    // watchdog stops group 0 alone: the oracle and the other groups run
+    // on untouched. With zero oracle retries, an oracle taken down with
+    // group 0 would turn the row degraded.
     CampaignJob job = makeJob(0.05);
     job.sceneDetail = 1.0f;
     job.params.width = 128;
@@ -384,7 +384,7 @@ TEST_F(Resilience, SiblingStallRequeuesTheOracleForFree)
         FaultPolicy::withProbability(
             0.02, seedStallingOnlyGroupZero(0.02, kMaxGroups)));
     // Group 0 stalls once: the site is disarmed as soon as it fires,
-    // long before the watchdog cancels the hang and the group retries.
+    // long before the watchdog stops the hang and the group retries.
     std::atomic<bool> stop_watcher{false};
     std::thread watcher([&]() {
         const FaultSite *site =
@@ -405,8 +405,11 @@ TEST_F(Resilience, SiblingStallRequeuesTheOracleForFree)
         return registry.counter(name, "test probe", labels)->value();
     };
     const obs::Labels oracle_stage = {{"stage", "oracle"}};
+    const obs::Labels group_stage = {{"stage", "group"}};
     const uint64_t oracle_units_before =
         counter("zatel_campaign_units_total", oracle_stage);
+    const uint64_t group_units_before =
+        counter("zatel_campaign_units_total", group_stage);
     const uint64_t stalls_before =
         counter("zatel_campaign_stall_cancellations_total", {});
     registry.setEnabled(true);
@@ -420,17 +423,19 @@ TEST_F(Resilience, SiblingStallRequeuesTheOracleForFree)
     EXPECT_EQ(counter("zatel_campaign_stall_cancellations_total", {}) -
                   stalls_before,
               1u);
-    // The oracle unit ran again after the cancellation: the stall
-    // really did take the oracle down with group 0.
-    EXPECT_GE(counter("zatel_campaign_units_total", oracle_stage) -
-                  oracle_units_before,
-              2u);
     EXPECT_EQ(summary.ok, 1u) << summary.toString();
     ASSERT_EQ(store.rows().size(), 1u);
     const ResultRow row = store.rows()[0];
     EXPECT_EQ(row.status, JobStatus::Ok) << row.error;
     EXPECT_LE(row.k, kMaxGroups);
     EXPECT_EQ(row.oracle.size(), gpusim::allMetrics().size());
+    // Only group 0 ran twice; the oracle and every sibling ran once.
+    EXPECT_EQ(counter("zatel_campaign_units_total", oracle_stage) -
+                  oracle_units_before,
+              1u);
+    EXPECT_EQ(counter("zatel_campaign_units_total", group_stage) -
+                  group_units_before,
+              row.k + 1u);
 }
 
 // ---------------------------------------------------------------------

@@ -9,7 +9,9 @@
 #include <condition_variable>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "util/thread_pool.hh"
 
@@ -117,6 +119,41 @@ TEST(ThreadPool, QueueDepthAndActiveWorkersTrackLoad)
     pool.waitAll();
     EXPECT_EQ(pool.queueDepth(), 0u);
     EXPECT_EQ(pool.activeWorkers(), 0u);
+}
+
+TEST(ThreadPool, HigherPriorityStartsFirstFifoAmongEquals)
+{
+    ThreadPool pool(1);
+    // Hold the only worker on a gate so every later task queues.
+    std::mutex gate_mutex;
+    std::condition_variable gate_cv;
+    bool gate_open = false;
+    std::atomic<bool> started{false};
+    std::vector<std::future<void>> futures;
+    futures.push_back(pool.submit([&] {
+        started = true;
+        std::unique_lock<std::mutex> lock(gate_mutex);
+        gate_cv.wait(lock, [&] { return gate_open; });
+    }));
+    while (!started.load())
+        std::this_thread::yield();
+
+    std::vector<std::string> order;
+    const auto record = [&order](std::string label) {
+        return [&order, label] { order.push_back(label); };
+    };
+    futures.push_back(pool.submit(record("0"), 0));
+    futures.push_back(pool.submit(record("5a"), 5));
+    futures.push_back(pool.submit(record("5b"), 5));
+    futures.push_back(pool.submit(record("1"), 1));
+    {
+        std::lock_guard<std::mutex> lock(gate_mutex);
+        gate_open = true;
+    }
+    gate_cv.notify_all();
+    for (auto &f : futures)
+        f.get();
+    EXPECT_EQ(order, (std::vector<std::string>{"5a", "5b", "1", "0"}));
 }
 
 TEST(ThreadPool, SingleWorkerSerializes)

@@ -368,7 +368,9 @@ main(int argc, char **argv)
     const uint64_t budget =
         static_cast<uint64_t>(args.getPositiveInt("cache-mb")) * 1024 *
         1024;
-    service::ArtifactCache cache(budget, args.get("cache-dir"));
+    service::ArtifactCache::DiskTierOptions disk;
+    disk.byteBudget = static_cast<uint64_t>(cache_disk_mb) << 20;
+    service::ArtifactCache cache(budget, args.get("cache-dir"), disk);
     std::atomic<size_t> jobs_done{0};
     sched.resultHook = [quiet, &jobs_done](const service::ResultRow &row) {
         jobs_done.fetch_add(1, std::memory_order_relaxed);
