@@ -99,7 +99,7 @@ RtUnit::issueFetch(LaneRef ref, uint64_t now, GpuStats &stats)
                  "fetch for a lane not needing one");
 
     uint64_t node_addr =
-        AddressMap::bvhNodeAddress(lane.stepper.pendingNode());
+        AddressMap::bvhNodeAddress(lane.cursor.pendingNode());
     uint64_t line = AddressMap::lineOf(node_addr, config_->l1dLineBytes);
     uint64_t token = WaiterToken::pack(WaiterToken::RtRay, laneRefSlot(ref),
                                        laneRefLane(ref));
@@ -122,7 +122,7 @@ RtUnit::executeVisit(LaneRef ref, uint64_t now, GpuStats &stats)
     ZATEL_ASSERT(lane.state == WarpLane::State::ReadyStep,
                  "visit for a lane that is not ready");
 
-    rt::StepInfo info = lane.stepper.step();
+    rt::StepInfo info = lane.cursor.step(warp->bvh());
     ++stats.rtNodeVisits;
     ++stats.threadInstructions; // one traversal op on this lane
     stats.rtTriangleTests += info.triangleTests;
@@ -146,7 +146,7 @@ RtUnit::executeVisit(LaneRef ref, uint64_t now, GpuStats &stats)
         }
     }
 
-    if (lane.stepper.finished()) {
+    if (lane.cursor.finished()) {
         lane.state = WarpLane::State::Done;
         ZATEL_ASSERT(residentLanes_[resident] > 0, "lane accounting broke");
         if (--residentLanes_[resident] == 0) {

@@ -2,13 +2,15 @@
  * @file
  * Ray-tracing accelerator unit (one per SM, paper Fig. 2 / Table II).
  *
- * Up to rtMaxWarps warps are resident at once; each lane traverses the
- * BVH with a TraversalStepper. Every node visit requires the node's data:
- * the unit issues a line fetch through the SM's L1D (merging through the
- * MSHR) and performs the visit when the data arrives, consuming one of
- * rtVisitsPerCycle visit slots. Leaf visits additionally stream the leaf's
- * triangle data as prefetch-style fetches that generate cache/DRAM traffic
- * without stalling traversal.
+ * Up to rtMaxWarps warps are resident at once. Each lane replays its
+ * ray's BVH traversal, recorded once by the functional tracer, with an
+ * rt::VisitCursor: the unit times the traversal but does not run it
+ * again, so it does no box or triangle test. Every node visit requires
+ * the node's data: the unit issues a line fetch through the SM's L1D
+ * (merging through the MSHR) and performs the visit when the data
+ * arrives, consuming one of rtVisitsPerCycle visit slots. Leaf visits
+ * additionally stream the leaf's triangle data as prefetch-style fetches
+ * that generate cache/DRAM traffic without stalling traversal.
  *
  * Per-cycle state is SoA (docs/SIMULATOR.md, "Data layout of the hot
  * path"): the ready/fetch queues are flat rings of packed lane

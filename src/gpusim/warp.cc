@@ -241,10 +241,10 @@ Warp::enterRtUnit(WarpLane *lanes)
             state.state = WarpLane::State::Inactive;
             continue;
         }
-        const rt::RayTask &task = thread.rays[currentRaySlot_];
-        state.stepper.init(workload_->bvh, task.ray, task.mode);
-        state.state = state.stepper.finished() ? WarpLane::State::Done
-                                               : WarpLane::State::NeedFetch;
+        state.cursor.init(thread.rays[currentRaySlot_].visits,
+                          thread.visitBits);
+        state.state = state.cursor.finished() ? WarpLane::State::Done
+                                              : WarpLane::State::NeedFetch;
     }
 }
 

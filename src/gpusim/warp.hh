@@ -31,7 +31,10 @@
 namespace zatel::gpusim
 {
 
-/** Per-lane traversal state while the warp is inside the RT unit. */
+/**
+ * Per-lane state while the warp is inside the RT unit: a cursor over
+ * the lane's recorded visit stream (rt::VisitCursor), not a traversal.
+ */
 struct WarpLane
 {
     enum class State : uint8_t
@@ -43,9 +46,13 @@ struct WarpLane
         Done,      ///< traversal finished for this slot
     };
 
-    rt::TraversalStepper stepper;
+    rt::VisitCursor cursor;
     State state = State::Inactive;
 };
+
+// The RT unit keeps rtMaxWarps x warpSize lanes per unit; keep them
+// small.
+static_assert(sizeof(WarpLane) <= 32, "WarpLane grew past 32 bytes");
 
 /**
  * One warp. The SM and RT unit drive its state machine; the warp itself
@@ -106,10 +113,11 @@ class Warp
     bool wantsRtSlot() const { return phase_ == Phase::RtWait; }
     /**
      * Enter the RT unit: borrow @p lanes (warpSize entries, owned by the
-     * RT unit's lane pool) and initialize lane steppers for the current
-     * slot. The span stays borrowed until exitRtUnit; pool reuse is safe
-     * because every lane's state (and, for live lanes, its stepper) is
-     * re-initialized here before anything reads it.
+     * RT unit's lane pool) and start each live lane's cursor on its ray
+     * of the current slot. The span stays borrowed until exitRtUnit;
+     * pool reuse is safe because every lane's state (and, for live
+     * lanes, its cursor) is re-initialized here before anything reads
+     * it. A ray with no recorded visits (empty BVH) is Done on entry.
      */
     void enterRtUnit(WarpLane *lanes);
     /** Called by the RT unit when every lane finished the current slot. */
@@ -117,6 +125,8 @@ class Warp
     /** Borrowed lane span (warpSize entries); null outside InRt. */
     WarpLane *lanes() { return lanes_; }
     uint32_t laneCount() const { return config_->warpSize; }
+    /** The BVH the lanes' visit streams were recorded on. */
+    const rt::Bvh &bvh() const { return *workload_->bvh; }
     /** Lanes still traversing (for the RT efficiency metric). */
     uint32_t activeLaneCount() const;
 
@@ -192,8 +202,8 @@ class Warp
     uint64_t pendingThreadInsts_ = 0;
 
     // Borrowed from the RT unit's lane pool while InRt; null otherwise.
-    // Owning the lanes here would memset warpSize steppers per warp at
-    // construction — the pool bounds that to rtMaxWarps spans per SM.
+    // The pool bounds lane storage to rtMaxWarps spans per unit instead
+    // of warpSize lanes per warp.
     WarpLane *lanes_ = nullptr;
 };
 

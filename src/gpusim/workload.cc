@@ -32,8 +32,8 @@ SimWorkload::build(const rt::Tracer &tracer, uint32_t width, uint32_t height,
     workload.threads.resize(pixels.size());
 
     // Without a frame record each selected pixel is traced here, into
-    // one buffer that keeps its capacity from pixel to pixel.
-    std::vector<rt::RayTask> traced;
+    // one record that keeps its capacity from pixel to pixel.
+    rt::PixelRayRecord traced;
     for (size_t i = 0; i < pixels.size(); ++i) {
         const PixelCoord &pixel = pixels[i];
         ZATEL_ASSERT(pixel.x < width && pixel.y < height,
@@ -46,23 +46,40 @@ SimWorkload::build(const rt::Tracer &tracer, uint32_t width, uint32_t height,
         ++workload.selectedCount;
         const rt::RayTask *rays = nullptr;
         size_t count = 0;
+        const std::vector<uint64_t> *bits = &traced.visitBits;
         if (frame) {
             // The render already traced this pixel: copy its slice.
             const size_t begin = frame->offsets[thread.pixelLinear];
             rays = frame->rays.data() + begin;
             count = frame->offsets[thread.pixelLinear + 1] - begin;
+            bits = &frame->visitBits;
         } else {
-            traced.clear();
+            traced.rays.clear();
+            traced.visitBits.clear();
             rt::PixelProfile profile;
             tracer.tracePixel(pixel.x, pixel.y, width, height, profile,
                               &traced);
-            rays = traced.data();
-            count = traced.size();
+            rays = traced.rays.data();
+            count = traced.rays.size();
         }
         // Flattened into the workload's arena, so the timed hot path
-        // walks one contiguous RayTask stream per thread.
+        // walks one contiguous RayTask stream per thread. A pixel's rays
+        // own one run of words; rebased, their firstWords index the
+        // thread's copy of it.
+        rt::RayTask *copy = workload.rayArena.copySpan(rays, count);
+        size_t first_word = 0;
+        size_t end_word = 0;
+        if (count > 0) {
+            const rt::VisitStream &last = rays[count - 1].visits;
+            first_word = rays[0].visits.firstWord;
+            end_word = last.firstWord + last.wordCount();
+        }
+        for (size_t r = 0; r < count; ++r)
+            copy[r].visits.firstWord -= static_cast<uint32_t>(first_word);
         thread.rayCount = static_cast<uint32_t>(count);
-        thread.rays = workload.rayArena.copySpan(rays, count);
+        thread.rays = copy;
+        thread.visitBits = workload.rayArena.copySpan(
+            bits->data() + first_word, end_word - first_word);
     }
     return workload;
 }

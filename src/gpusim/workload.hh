@@ -48,6 +48,9 @@ struct ThreadWork
      */
     const rt::RayTask *rays = nullptr;
     uint32_t rayCount = 0;
+    /** The rays' bounds-hit bits, in the same arena; each ray's
+     *  visits.firstWord indexes this span. */
+    const uint64_t *visitBits = nullptr;
 };
 
 /** A complete launch for one simulator instance. Move-only: the arena
@@ -61,7 +64,8 @@ struct SimWorkload
     /** Threads in launch order; warps are consecutive runs of warpSize. */
     std::vector<ThreadWork> threads;
     uint64_t selectedCount = 0;
-    /** Owns the RayTask storage the threads' spans point into. */
+    /** Owns the RayTask and visit-bit storage the threads' spans point
+     *  into. */
     FrameArena rayArena;
 
     /** Total recorded rays over all selected threads. */
@@ -75,8 +79,8 @@ struct SimWorkload
      * @param selected Optional mask aligned with @p pixels; null = all.
      * @param frame Optional frame ray record of this image plane, made
      *        by @p tracer's render(). When given, each selected pixel's
-     *        rays are copied from its slice instead of traced again;
-     *        the workload is the same either way.
+     *        rays and visit bits are copied from its slice instead of
+     *        traced again; the workload is the same either way.
      */
     static SimWorkload build(const rt::Tracer &tracer, uint32_t width,
                              uint32_t height,

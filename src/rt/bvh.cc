@@ -24,6 +24,7 @@ Bvh::build(const std::vector<Triangle> &triangles, const BuildParams &params)
         node.rightOrFirstPrim = 0;
         node.primCount = 0;
         nodes_.push_back(node);
+        escapes_.assign(1, kNoNode);
         stats_.nodeCount = 1;
         stats_.leafCount = 1;
         return;
@@ -43,6 +44,17 @@ Bvh::build(const std::vector<Triangle> &triangles, const BuildParams &params)
     buildRecursive(prims, 0, n, 1, prim_bounds, centroids, params);
     primIndices_ = std::move(prims);
     stats_.nodeCount = static_cast<uint32_t>(nodes_.size());
+
+    // Parents precede their children in the depth-first layout, so one
+    // pass in index order sees every parent's escape before its
+    // children need it.
+    escapes_.assign(nodes_.size(), kNoNode);
+    for (uint32_t i = 0; i < nodes_.size(); ++i) {
+        if (nodes_[i].isLeaf())
+            continue;
+        escapes_[BvhNode::leftChildOf(i)] = nodes_[i].rightChild();
+        escapes_[nodes_[i].rightChild()] = escapes_[i];
+    }
 }
 
 Aabb

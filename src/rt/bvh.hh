@@ -108,10 +108,21 @@ class Bvh
 
     const BvhBuildStats &buildStats() const { return stats_; }
 
+    /**
+     * Node a traversal visits after @p node_index when it does not
+     * descend into it (a bounds miss or a leaf): the right sibling of
+     * the nearest ancestor-or-self that is a left child, or kNoNode.
+     * This is the node TraversalStepper pops next, so a recorded
+     * traversal replays from the bounds-hit bits alone (VisitCursor).
+     */
+    uint32_t escape(uint32_t node_index) const { return escapes_[node_index]; }
+
     /** Root node bounds (empty box for an empty BVH). */
     Aabb rootBounds() const;
 
     static constexpr uint32_t kRootIndex = 0;
+    /** escape() of the nodes whose subtree ends the traversal. */
+    static constexpr uint32_t kNoNode = UINT32_MAX;
 
   private:
     struct BuildEntry;
@@ -124,6 +135,7 @@ class Bvh
 
     const std::vector<Triangle> *triangles_ = nullptr;
     std::vector<BvhNode> nodes_;
+    std::vector<uint32_t> escapes_;
     std::vector<uint32_t> primIndices_;
     BvhBuildStats stats_;
 };

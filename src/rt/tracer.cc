@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 
 #include "rt/ray_record.hh"
 #include "util/logging.hh"
@@ -60,24 +61,23 @@ Tracer::render(uint32_t width, uint32_t height, ThreadPool *pool,
     // Each band records its pixels' rays into its own buffer and each
     // pixel's ray count into offsets[p + 1]; the prefix sum below turns
     // the counts into offsets.
-    std::vector<std::vector<RayTask>> band_rays(rays != nullptr ? bands
-                                                                : 0);
+    std::vector<PixelRayRecord> band_rays(rays != nullptr ? bands : 0);
     if (rays != nullptr)
         rays->offsets.assign(static_cast<size_t>(width) * height + 1, 0);
 
     const auto render_band = [&](size_t b) {
         const uint32_t y0 = static_cast<uint32_t>(b) * band_rows;
         const uint32_t y1 = std::min(height, y0 + band_rows);
-        std::vector<RayTask> *out = rays != nullptr ? &band_rays[b] : nullptr;
+        PixelRayRecord *out = rays != nullptr ? &band_rays[b] : nullptr;
         for (uint32_t y = y0; y < y1; ++y) {
             for (uint32_t x = 0; x < width; ++x) {
                 const size_t p = static_cast<size_t>(y) * width + x;
-                const size_t before = out != nullptr ? out->size() : 0;
+                const size_t before = out != nullptr ? out->rays.size() : 0;
                 result.image.set(x, y,
                                  tracePixel(x, y, width, height,
                                             result.profiles[p], out));
                 if (out != nullptr)
-                    rays->offsets[p + 1] = out->size() - before;
+                    rays->offsets[p + 1] = out->rays.size() - before;
             }
         }
     };
@@ -92,19 +92,36 @@ Tracer::render(uint32_t width, uint32_t height, ThreadPool *pool,
         // Bands cover consecutive rows, so band order is pixel order.
         std::partial_sum(rays->offsets.begin(), rays->offsets.end(),
                          rays->offsets.begin());
+        size_t words = 0;
+        for (const PixelRayRecord &band : band_rays)
+            words += band.visitBits.size();
+        if (words > UINT32_MAX)
+            throw std::length_error("frame visit bits exceed 2^32 words");
         rays->width = width;
         rays->height = height;
         rays->rays.clear();
         rays->rays.reserve(rays->offsets.back());
-        for (const std::vector<RayTask> &band : band_rays)
-            rays->rays.insert(rays->rays.end(), band.begin(), band.end());
+        rays->visitBits.clear();
+        rays->visitBits.reserve(words);
+        for (const PixelRayRecord &band : band_rays) {
+            // A band's firstWords index its own buffer; shift them to
+            // where that buffer lands in the frame's.
+            const auto base = static_cast<uint32_t>(rays->visitBits.size());
+            for (RayTask task : band.rays) {
+                task.visits.firstWord += base;
+                rays->rays.push_back(task);
+            }
+            rays->visitBits.insert(rays->visitBits.end(),
+                                   band.visitBits.begin(),
+                                   band.visitBits.end());
+        }
     }
     return result;
 }
 
 Vec3
 Tracer::tracePixel(uint32_t x, uint32_t y, uint32_t width, uint32_t height,
-                   PixelProfile &profile, std::vector<RayTask> *rays) const
+                   PixelProfile &profile, PixelRayRecord *rays) const
 {
     Vec3 acc(0.0f);
     for (uint32_t s = 0; s < params_.samplesPerPixel; ++s) {
@@ -120,16 +137,25 @@ Tracer::tracePixel(uint32_t x, uint32_t y, uint32_t width, uint32_t height,
 
 Vec3
 Tracer::shade(const Ray &ray, int bounce, PixelProfile &profile,
-              std::vector<RayTask> *rays) const
+              PixelRayRecord *rays) const
 {
+    // With a record, each traversal below records its visit stream.
+    VisitSink sink;
+    VisitSink *record = nullptr;
+    if (rays != nullptr) {
+        sink.bits = &rays->visitBits;
+        record = &sink;
+    }
+
     TraversalCounters counters;
     ++profile.raysCast;
-    HitRecord hit = closestHit(bvh_, ray, &counters);
+    HitRecord hit = closestHit(bvh_, ray, &counters, record);
     profile.nodesVisited += counters.nodesVisited;
     profile.triangleTests += counters.triangleTests;
     if (rays != nullptr) {
-        rays->push_back({ray, TraversalMode::ClosestHit, hit.valid(),
-                         hit.materialId, static_cast<uint8_t>(bounce)});
+        rays->rays.push_back({ray, TraversalMode::ClosestHit, hit.valid(),
+                              hit.materialId, static_cast<uint8_t>(bounce),
+                              sink.stream});
     }
 
     if (!hit.valid())
@@ -154,12 +180,13 @@ Tracer::shade(const Ray &ray, int bounce, PixelProfile &profile,
 
     TraversalCounters shadow_counters;
     ++profile.raysCast;
-    bool occluded = anyHit(bvh_, shadow_ray, &shadow_counters);
+    bool occluded = anyHit(bvh_, shadow_ray, &shadow_counters, record);
     profile.nodesVisited += shadow_counters.nodesVisited;
     profile.triangleTests += shadow_counters.triangleTests;
     if (rays != nullptr) {
-        rays->push_back({shadow_ray, TraversalMode::AnyHit, occluded,
-                         uint16_t{0}, static_cast<uint8_t>(bounce)});
+        rays->rays.push_back({shadow_ray, TraversalMode::AnyHit, occluded,
+                              uint16_t{0}, static_cast<uint8_t>(bounce),
+                              sink.stream});
     }
 
     Vec3 color = mat.albedo * params_.ambient;
@@ -186,7 +213,7 @@ recordPixelRays(const Tracer &tracer, uint32_t x, uint32_t y, uint32_t width,
 {
     PixelRayRecord record;
     PixelProfile profile;
-    tracer.tracePixel(x, y, width, height, profile, &record.rays);
+    tracer.tracePixel(x, y, width, height, profile, &record);
     return record;
 }
 

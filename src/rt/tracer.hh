@@ -27,7 +27,7 @@ namespace zatel::rt
 {
 
 struct FrameRayRecord;
-struct RayTask;
+struct PixelRayRecord;
 
 /** Per-pixel work record produced by the functional tracer. */
 struct PixelProfile
@@ -99,8 +99,9 @@ class Tracer
      *        one after another. Pixels are independent, so the image and
      *        the profiles are bit-identical to a serial render.
      * @param rays When non-null, the same pass also records every
-     *        pixel's rays into this frame record. Each band fills its
-     *        own buffer; the buffers are joined in band order.
+     *        pixel's rays and their visit streams into this frame
+     *        record. Each band fills its own buffer; the buffers are
+     *        joined in band order.
      */
     RenderResult render(uint32_t width, uint32_t height,
                         ThreadPool *pool = nullptr,
@@ -110,13 +111,13 @@ class Tracer
      * Trace one pixel (all its samples).
      * @param profile Out: accumulated work for this pixel.
      * @param rays When non-null, every ray the pixel casts is appended
-     *        to it in program order: the record the timed simulator
-     *        replays (rt/ray_record.hh).
+     *        to it in program order, with its visit stream: the record
+     *        the timed simulator replays (rt/ray_record.hh).
      * @return average sample radiance.
      */
     Vec3 tracePixel(uint32_t x, uint32_t y, uint32_t width, uint32_t height,
                     PixelProfile &profile,
-                    std::vector<RayTask> *rays = nullptr) const;
+                    PixelRayRecord *rays = nullptr) const;
 
     const Scene &scene() const { return scene_; }
     const Bvh &bvh() const { return bvh_; }
@@ -128,10 +129,10 @@ class Tracer
      * the only place the shading control flow is written: one shadow ray
      * per lit hit, one reflection ray per mirror hit. It adds the work
      * of every ray it casts to @p profile and, when @p rays is non-null,
-     * appends those rays to it in program order.
+     * appends those rays and their visit streams to it in program order.
      */
     Vec3 shade(const Ray &ray, int bounce, PixelProfile &profile,
-               std::vector<RayTask> *rays) const;
+               PixelRayRecord *rays) const;
 
     const Scene &scene_;
     const Bvh &bvh_;

@@ -1,5 +1,7 @@
 #include "rt/traversal.hh"
 
+#include <stdexcept>
+
 #include "util/logging.hh"
 
 namespace zatel::rt
@@ -102,32 +104,86 @@ TraversalStepper::step()
     return info;
 }
 
-HitRecord
-closestHit(const Bvh &bvh, const Ray &ray, TraversalCounters *counters)
+namespace
 {
-    TraversalStepper stepper;
-    stepper.init(&bvh, ray, TraversalMode::ClosestHit);
-    while (!stepper.finished())
-        stepper.step();
+
+/** Run @p stepper to completion, adding its work to @p counters and,
+ *  with @p sink, recording its visit stream. */
+void
+runToCompletion(TraversalStepper &stepper, TraversalCounters *counters,
+                VisitSink *sink)
+{
+    if (sink == nullptr) {
+        while (!stepper.finished())
+            stepper.step();
+    } else {
+        std::vector<uint64_t> &bits = *sink->bits;
+        if (bits.size() > UINT32_MAX)
+            throw std::length_error("visit bit buffer exceeds 2^32 words");
+        VisitStream stream;
+        stream.firstWord = static_cast<uint32_t>(bits.size());
+        while (!stepper.finished()) {
+            const StepInfo info = stepper.step();
+            const uint32_t bit = stream.visits % 64;
+            if (bit == 0)
+                bits.push_back(0);
+            bits.back() |= uint64_t{info.boundsHit} << bit;
+            ++stream.visits;
+            stream.lastVisitTests = info.triangleTests;
+        }
+        sink->stream = stream;
+    }
     if (counters) {
         counters->nodesVisited += stepper.nodesVisited();
         counters->triangleTests += stepper.triangleTests();
     }
+}
+
+} // namespace
+
+HitRecord
+closestHit(const Bvh &bvh, const Ray &ray, TraversalCounters *counters,
+           VisitSink *sink)
+{
+    TraversalStepper stepper;
+    stepper.init(&bvh, ray, TraversalMode::ClosestHit);
+    runToCompletion(stepper, counters, sink);
     return stepper.hit();
 }
 
 bool
-anyHit(const Bvh &bvh, const Ray &ray, TraversalCounters *counters)
+anyHit(const Bvh &bvh, const Ray &ray, TraversalCounters *counters,
+       VisitSink *sink)
 {
     TraversalStepper stepper;
     stepper.init(&bvh, ray, TraversalMode::AnyHit);
-    while (!stepper.finished())
-        stepper.step();
-    if (counters) {
-        counters->nodesVisited += stepper.nodesVisited();
-        counters->triangleTests += stepper.triangleTests();
-    }
+    runToCompletion(stepper, counters, sink);
     return stepper.hasHit();
+}
+
+StepInfo
+VisitCursor::step(const Bvh &bvh)
+{
+    ZATEL_ASSERT(visitsLeft_ > 0, "step() after the replay finished");
+
+    StepInfo info;
+    info.nodeIndex = node_;
+    info.boundsHit = (bits_[bit_ / 64] >> (bit_ % 64)) & 1u;
+    ++bit_;
+    --visitsLeft_;
+
+    const BvhNode &node = bvh.node(node_);
+    if (info.boundsHit && !node.isLeaf()) {
+        node_ = BvhNode::leftChildOf(node_);
+        return info;
+    }
+    if (info.boundsHit) {
+        info.wasLeaf = true;
+        info.firstPrimSlot = node.firstPrim();
+        info.triangleTests = finished() ? lastVisitTests_ : node.primCount;
+    }
+    node_ = bvh.escape(node_);
+    return info;
 }
 
 } // namespace zatel::rt

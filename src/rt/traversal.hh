@@ -1,19 +1,25 @@
 /**
  * @file
- * Stack-based BVH traversal.
+ * Stack-based BVH traversal, and the replay of a recorded one.
  *
- * TraversalStepper exposes traversal one node-visit at a time so the timed
- * RT unit (src/gpusim/rt_unit.*) can charge a memory fetch per visited node
- * exactly where the functional tracer visits it. The convenience functions
- * closestHit()/anyHit() run the stepper to completion for functional use;
- * because both paths share the stepper, the timed and functional simulators
- * agree on the work per ray by construction.
+ * TraversalStepper exposes traversal one node-visit at a time. The
+ * convenience functions closestHit()/anyHit() run it to completion for
+ * functional use and, given a VisitSink, record the ray's visit stream:
+ * one bounds-hit bit per visited node. The visit order is fixed by the
+ * BVH (pop a node, test its bounds, push right then left), so those
+ * bits plus the triangle tests of the last visit, where an any-hit ray
+ * may stop mid-leaf, fix every visit. The timed RT unit
+ * (src/gpusim/rt_unit.*) replays the stream with a VisitCursor, which
+ * yields the stepper's StepInfo visit for visit without a stack, a ray
+ * or a box test, so the unit charges a memory fetch per visited node
+ * exactly where the functional tracer visited it.
  */
 
 #ifndef ZATEL_RT_TRAVERSAL_HH
 #define ZATEL_RT_TRAVERSAL_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "rt/bvh.hh"
 #include "rt/ray.hh"
@@ -46,8 +52,8 @@ struct StepInfo
 /**
  * Incremental BVH traversal for a single ray.
  *
- * Usage: init(), then while (!finished()) { addr = pendingNode();
- * <charge a fetch of addr>; step(); }. hit() is valid once finished().
+ * Usage: init(), then while (!finished()) step(); hit() is valid once
+ * finished().
  */
 class TraversalStepper
 {
@@ -118,19 +124,95 @@ struct TraversalCounters
     }
 };
 
+/** Where one ray's recorded traversal lives (RayTask carries it). */
+struct VisitStream
+{
+    /** The ray's first word in its owner's bounds-hit bit buffer; visit
+     *  i is bit i % 64 of word firstWord + i / 64. */
+    uint32_t firstWord = 0;
+    /** Nodes the ray visited. */
+    uint32_t visits = 0;
+    /** Triangles its last visit tested: the leaf's whole primitive
+     *  count, or fewer when an any-hit ray stopped mid-leaf. */
+    uint32_t lastVisitTests = 0;
+
+    /** Words the ray's bits occupy, from firstWord on. */
+    uint32_t wordCount() const { return (visits + 63) / 64; }
+};
+
+/**
+ * Recording sink for closestHit()/anyHit(): the ray's bounds-hit bits
+ * are appended to @c bits, starting on a fresh word, and @c stream says
+ * where they went.
+ */
+struct VisitSink
+{
+    std::vector<uint64_t> *bits = nullptr;
+    VisitStream stream;
+};
+
 /**
  * Run a closest-hit query to completion.
  * @param counters Optional out-param accumulating traversal work.
+ * @param sink When non-null, records the ray's visit stream.
  */
 HitRecord closestHit(const Bvh &bvh, const Ray &ray,
-                     TraversalCounters *counters = nullptr);
+                     TraversalCounters *counters = nullptr,
+                     VisitSink *sink = nullptr);
 
 /**
  * Run an any-hit (occlusion) query to completion.
  * @return true when any intersection exists in [tMin, tMax].
  */
 bool anyHit(const Bvh &bvh, const Ray &ray,
-            TraversalCounters *counters = nullptr);
+            TraversalCounters *counters = nullptr, VisitSink *sink = nullptr);
+
+/**
+ * Replays a recorded visit stream over the BVH it was recorded on: the
+ * same nodes, in the same order, with the same StepInfo as the
+ * TraversalStepper that recorded it. After a bounds hit on an internal
+ * node the next node is its left child; after any other visit it is the
+ * node's escape link (Bvh::escape).
+ *
+ * Usage mirrors the stepper: init(), then while (!finished()) { addr =
+ * pendingNode(); <charge a fetch of addr>; step(bvh); }.
+ */
+class VisitCursor
+{
+  public:
+    /** Start at the root of @p stream, whose bits live in @p bits. */
+    void
+    init(const VisitStream &stream, const uint64_t *bits)
+    {
+        bits_ = bits + stream.firstWord;
+        node_ = Bvh::kRootIndex;
+        bit_ = 0;
+        visitsLeft_ = stream.visits;
+        lastVisitTests_ = stream.lastVisitTests;
+    }
+
+    /** True when every recorded visit has been replayed. */
+    bool finished() const { return visitsLeft_ == 0; }
+
+    /**
+     * Node the next step() visits.
+     * @pre !finished()
+     */
+    uint32_t pendingNode() const { return node_; }
+
+    /**
+     * Replay the pending visit and move to the next node.
+     * @pre !finished()
+     */
+    StepInfo step(const Bvh &bvh);
+
+  private:
+    const uint64_t *bits_ = nullptr;
+    uint32_t node_ = 0;
+    uint32_t bit_ = 0;
+    uint32_t visitsLeft_ = 0;
+    uint32_t lastVisitTests_ = 0;
+};
 
 } // namespace zatel::rt
 

@@ -340,7 +340,8 @@ ScenePack::approxBytes() const
     uint64_t total = sizeof(ScenePack);
     total += scene.triangleCount() * sizeof(rt::Triangle);
     total += scene.materialCount() * sizeof(rt::Material);
-    total += bvh.nodes().size() * sizeof(rt::BvhNode);
+    // Each node also has a uint32_t escape link.
+    total += bvh.nodes().size() * (sizeof(rt::BvhNode) + sizeof(uint32_t));
     total += bvh.primIndices().size() * sizeof(uint32_t);
     return total;
 }

@@ -521,13 +521,9 @@ checkRecipe(const CampaignJob &job)
         where + "a " + std::to_string(p.width) + "x" +
         std::to_string(p.height) + " image plane leaves one of its " +
         std::to_string(k) + " groups without pixels";
-    if (k > static_cast<uint64_t>(p.width) * p.height)
+    if (k > static_cast<uint64_t>(p.width) * p.height ||
+        core::divisionLeavesEmptyGroup(p.width, p.height, k, p.partition))
         throw CampaignError(empty_group);
-    for (const core::PixelGroup &group :
-         core::divideImagePlane(p.width, p.height, k, p.partition)) {
-        if (group.empty())
-            throw CampaignError(empty_group);
-    }
 }
 
 void

@@ -152,7 +152,9 @@ std::vector<CampaignJob> loadCampaignFile(const std::string &path);
  * height, spp and quantize_colors must be at least 1; a forced k must
  * divide the GPU's SM and memory-partition counts when the GPU is
  * downscaled; and every image-plane group (core::effectiveK groups
- * from core::divideImagePlane) must get at least one pixel. An unknown
+ * from core::divideImagePlane) must get at least one pixel, which
+ * core::divisionLeavesEmptyGroup decides without building the plane,
+ * so a huge image is not allocated here. An unknown
  * GPU name is left to fail its own job when it runs, like an unknown
  * scene. finalizeCampaign() and the /predict parser both call this.
  * @throws CampaignError naming the job and the broken rule.

@@ -100,6 +100,36 @@ divideFine(uint32_t width, uint32_t height, uint32_t k,
 
 } // namespace
 
+bool
+divisionLeavesEmptyGroup(uint32_t width, uint32_t height, uint32_t k,
+                         const PartitionParams &params)
+{
+    ZATEL_ASSERT(width > 0 && height > 0, "empty image plane");
+    ZATEL_ASSERT(k >= 1, "need at least one group");
+
+    switch (params.method) {
+      case DivisionMethod::CoarseGrained: {
+        // Band i of n over t spans [floor(i t / n), floor((i + 1) t / n)),
+        // which is empty for some i exactly when n > t.
+        uint32_t rows = 1, cols = 1;
+        coarseGridShape(k, rows, cols);
+        return rows > height || cols > width;
+      }
+      case DivisionMethod::FineGrained: {
+        // Chunks go round-robin by linear index, so the first k chunks
+        // reach every group. The per-row offset applies only when a
+        // chunk row is a multiple of k long, and then the first chunk
+        // row alone reaches every group.
+        const uint64_t cw = std::max(1u, params.chunkWidth);
+        const uint64_t ch = std::max(1u, params.chunkHeight);
+        const uint64_t chunks_x = (width + cw - 1) / cw;
+        const uint64_t chunks_y = (height + ch - 1) / ch;
+        return chunks_x * chunks_y < k;
+      }
+    }
+    panic("unknown DivisionMethod");
+}
+
 std::vector<PixelGroup>
 divideImagePlane(uint32_t width, uint32_t height, uint32_t k,
                  const PartitionParams &params)

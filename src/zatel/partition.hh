@@ -54,6 +54,15 @@ std::vector<PixelGroup> divideImagePlane(uint32_t width, uint32_t height,
                                          const PartitionParams &params);
 
 /**
+ * True when divideImagePlane(width, height, k, params) would leave a
+ * group without pixels (always so for k > width * height). Decided in
+ * closed form from the division rule, without listing the plane, so a
+ * recipe check costs O(k) however large the image is.
+ */
+bool divisionLeavesEmptyGroup(uint32_t width, uint32_t height, uint32_t k,
+                              const PartitionParams &params);
+
+/**
  * Choose the coarse grid shape for K groups: rows x cols with
  * rows >= cols and rows * cols == K (Fig. 5 uses 3x2 for K=6).
  */

@@ -24,6 +24,12 @@
  * FramePin does the same for the functional tracer alone, at more than
  * one sample per pixel: a pooled render's image, profiles and frame ray
  * record, and the full-frame workload the oracle simulates.
+ *
+ * OraclePin pins what the oracle makes of that workload: every raw
+ * GpuStats counter and Table I metric of runOracle() for the AnswerPin
+ * recipes, and each predicted metric's error against it. A timing-model
+ * change that moves the fast cycle loop and its slow-tick reference
+ * together passes every in-build differential test, but not this one.
  */
 
 #include <gtest/gtest.h>
@@ -38,6 +44,7 @@
 #include "rt/scene_library.hh"
 #include "util/rng.hh"
 #include "util/thread_pool.hh"
+#include "zatel/evaluation.hh"
 #include "zatel/predictor.hh"
 
 namespace zatel::core
@@ -259,6 +266,175 @@ TEST_P(AnswerPin, MatchesCommittedConstants)
 }
 
 INSTANTIATE_TEST_SUITE_P(Recipes, AnswerPin, testing::Values(0, 1),
+                         [](const testing::TestParamInfo<size_t> &info) {
+                             return info.param == 0 ? "ParkSoc"
+                                                    : "SprngRtx2060";
+                         });
+
+/** The oracle's committed answer for one AnswerPin recipe. */
+struct OracleCase
+{
+    /** Every raw GpuStats counter, in gpuStatsFields() order. */
+    std::vector<std::pair<const char *, uint64_t>> counters;
+    /** metricName -> %.17g of the oracle, in allMetrics() order. */
+    std::vector<std::pair<const char *, const char *>> metrics;
+    /** metricName -> %.17g of the prediction's error in percent. */
+    std::vector<std::pair<const char *, const char *>> errorPct;
+};
+
+/** The table entry a regeneration would write. */
+std::string
+formatOracleCase(const gpusim::GpuStats &stats,
+                 const std::vector<ComparisonRow> &rows)
+{
+    std::string out = "{{";
+    const char *sep = "";
+    for (const gpusim::GpuStatsField &field : gpusim::gpuStatsFields()) {
+        char buf[96];
+        std::snprintf(buf, sizeof(buf), "%s{\"%s\", %" PRIu64 "ull}", sep,
+                      field.name, stats.*field.member);
+        out += buf;
+        sep = ",\n  ";
+    }
+    const auto metric_list = [&](double ComparisonRow::*value) {
+        std::string list = "},\n {";
+        const char *comma = "";
+        for (const ComparisonRow &row : rows) {
+            list += std::string(comma) + "{\"" +
+                    gpusim::metricName(row.metric) + "\", \"" +
+                    formatMetric(row.*value) + "\"}";
+            comma = ",\n  ";
+        }
+        return list;
+    };
+    out += metric_list(&ComparisonRow::oracle);
+    out += metric_list(&ComparisonRow::errorPct);
+    return out + "}},";
+}
+
+/** Indexed like pins(). Generated before the RT unit replayed the
+ *  tracer's recorded traversal, and must not change with it. */
+const std::vector<OracleCase> &
+oracleCases()
+{
+    static const std::vector<OracleCase> table = {
+        {{{"cycles", 49276ull},
+          {"threadInstructions", 612798ull},
+          {"warpInstructions", 7965ull},
+          {"l1dAccesses", 467842ull},
+          {"l1dMisses", 19791ull},
+          {"l2Accesses", 19791ull},
+          {"l2Misses", 4685ull},
+          {"rtActiveRaySum", 18243778ull},
+          {"rtResidentWarpCycles", 1202364ull},
+          {"rtNodeVisits", 450400ull},
+          {"rtTriangleTests", 58744ull},
+          {"dramBusyCycles", 58058ull},
+          {"dramActiveCycles", 154262ull},
+          {"dramChannelCycles", 197104ull},
+          {"dramBytesRead", 534144ull},
+          {"dramBytesWritten", 37504ull},
+          {"warpsLaunched", 128ull},
+          {"raysTraced", 8763ull},
+          {"pixelsTraced", 4096ull},
+          {"pixelsFiltered", 0ull}},
+         {{"GPU IPC", "12.436033768974754"},
+          {"GPU Sim Cycles", "49276"},
+          {"L1D Miss Rate", "0.042302743233826802"},
+          {"L2 Miss Rate", "0.2367237633267647"},
+          {"RT Avg Efficiency", "15.173257017009824"},
+          {"DRAM Efficiency", "0.37635969973162542"},
+          {"BW Utilization", "0.29455515869794624"}},
+         {{"GPU IPC", "9.1814707076065254"},
+          {"GPU Sim Cycles", "13.486484292556211"},
+          {"L1D Miss Rate", "32.878100893432787"},
+          {"L2 Miss Rate", "175.67695889721628"},
+          {"RT Avg Efficiency", "10.372889399702762"},
+          {"DRAM Efficiency", "43.775193349158542"},
+          {"BW Utilization", "60.683102579067864"}}},
+        {{{"cycles", 7525ull},
+          {"threadInstructions", 113461ull},
+          {"warpInstructions", 3727ull},
+          {"l1dAccesses", 31391ull},
+          {"l1dMisses", 4690ull},
+          {"l2Accesses", 4690ull},
+          {"l2Misses", 2211ull},
+          {"rtActiveRaySum", 1834482ull},
+          {"rtResidentWarpCycles", 143846ull},
+          {"rtNodeVisits", 27837ull},
+          {"rtTriangleTests", 6238ull},
+          {"dramBusyCycles", 11893ull},
+          {"dramActiveCycles", 52585ull},
+          {"dramChannelCycles", 90300ull},
+          {"dramBytesRead", 217472ull},
+          {"dramBytesWritten", 0ull},
+          {"warpsLaunched", 128ull},
+          {"raysTraced", 4396ull},
+          {"pixelsTraced", 4096ull},
+          {"pixelsFiltered", 0ull}},
+         {{"GPU IPC", "15.077873754152824"},
+          {"GPU Sim Cycles", "7525"},
+          {"L1D Miss Rate", "0.14940588066643307"},
+          {"L2 Miss Rate", "0.47142857142857142"},
+          {"RT Avg Efficiency", "12.753097062135895"},
+          {"DRAM Efficiency", "0.22616715793477227"},
+          {"BW Utilization", "0.13170542635658913"}},
+         {{"GPU IPC", "0.43716535863128375"},
+          {"GPU Sim Cycles", "24.50445604598427"},
+          {"L1D Miss Rate", "9.0205057853113058"},
+          {"L2 Miss Rate", "62.564293640598244"},
+          {"RT Avg Efficiency", "14.375667264399549"},
+          {"DRAM Efficiency", "4.7416207116662354"},
+          {"BW Utilization", "44.441075574425234"}}},
+    };
+    return table;
+}
+
+class OraclePin : public testing::TestWithParam<size_t>
+{
+};
+
+TEST_P(OraclePin, MatchesCommittedConstants)
+{
+    const Pin &pin = pins()[GetParam()];
+    const OracleCase &expected = oracleCases()[GetParam()];
+    rt::Scene scene = rt::buildScene(pin.scene);
+    rt::Bvh bvh;
+    bvh.build(scene.triangles());
+    const gpusim::GpuConfig config = pin.rtx2060
+                                         ? gpusim::GpuConfig::rtx2060()
+                                         : gpusim::GpuConfig::mobileSoc();
+    ZatelPredictor predictor(scene, bvh, config, pinParams());
+    const ZatelResult result = predictor.predict();
+    const gpusim::GpuStats oracle = predictor.runOracle().stats;
+    const std::vector<ComparisonRow> rows =
+        compareToOracle(result.predicted, oracle);
+
+    SCOPED_TRACE(std::string("actual ") + pin.name + ": " +
+                 formatOracleCase(oracle, rows));
+    ASSERT_EQ(expected.counters.size(), gpusim::gpuStatsFields().size());
+    size_t c = 0;
+    for (const gpusim::GpuStatsField &field : gpusim::gpuStatsFields()) {
+        EXPECT_STREQ(field.name, expected.counters[c].first);
+        EXPECT_EQ(oracle.*field.member, expected.counters[c].second)
+            << field.name;
+        ++c;
+    }
+    ASSERT_EQ(expected.metrics.size(), rows.size());
+    ASSERT_EQ(expected.errorPct.size(), rows.size());
+    for (size_t m = 0; m < rows.size(); ++m) {
+        const char *name = gpusim::metricName(rows[m].metric);
+        EXPECT_STREQ(name, expected.metrics[m].first);
+        EXPECT_EQ(formatMetric(rows[m].oracle), expected.metrics[m].second)
+            << name << " (oracle)";
+        EXPECT_STREQ(name, expected.errorPct[m].first);
+        EXPECT_EQ(formatMetric(rows[m].errorPct),
+                  expected.errorPct[m].second)
+            << name << " (error %)";
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Recipes, OraclePin, testing::Values(0, 1),
                          [](const testing::TestParamInfo<size_t> &info) {
                              return info.param == 0 ? "ParkSoc"
                                                     : "SprngRtx2060";

@@ -205,5 +205,63 @@ TEST(Division, KEqualsOneKeepsRowMajorOrder)
     }
 }
 
+TEST(Division, EmptyGroupClosedFormMatchesDivision)
+{
+    // The recipe check's closed form against the rule that lists every
+    // pixel, over every small plane and K; the chunk shapes include the
+    // default, 1x1, shapes that divide neither side, and a zero width
+    // the division clamps to 1.
+    const std::pair<uint32_t, uint32_t> chunk_shapes[] = {
+        {32, 2}, {1, 1}, {3, 2}, {7, 5}, {0, 4}};
+    std::vector<PartitionParams> all_params;
+    PartitionParams coarse;
+    coarse.method = DivisionMethod::CoarseGrained;
+    all_params.push_back(coarse);
+    for (const auto &[cw, ch] : chunk_shapes) {
+        PartitionParams fine;
+        fine.method = DivisionMethod::FineGrained;
+        fine.chunkWidth = cw;
+        fine.chunkHeight = ch;
+        all_params.push_back(fine);
+    }
+    uint64_t empty = 0, checked = 0;
+    for (const PartitionParams &params : all_params) {
+        for (uint32_t w = 1; w <= 40; ++w) {
+            for (uint32_t h = 1; h <= 40; ++h) {
+                for (uint32_t k = 1; k <= 12; ++k) {
+                    const bool closed =
+                        divisionLeavesEmptyGroup(w, h, k, params);
+                    bool listed = true;
+                    if (k <= w * h) {
+                        listed = false;
+                        for (const PixelGroup &group :
+                             divideImagePlane(w, h, k, params))
+                            listed |= group.empty();
+                    }
+                    ASSERT_EQ(closed, listed)
+                        << divisionMethodName(params.method) << " " << w
+                        << "x" << h << " k=" << k << " chunk "
+                        << params.chunkWidth << "x" << params.chunkHeight;
+                    empty += listed;
+                    ++checked;
+                }
+            }
+        }
+    }
+    // Both answers occur.
+    EXPECT_GT(empty, 0u);
+    EXPECT_LT(empty, checked);
+}
+
+TEST(Division, EmptyGroupClosedFormNeedsNoPlane)
+{
+    // A 60000x60000 plane would take tens of GB to list.
+    PartitionParams params;
+    EXPECT_FALSE(divisionLeavesEmptyGroup(60000, 60000, 4, params));
+    params.method = DivisionMethod::CoarseGrained;
+    EXPECT_FALSE(divisionLeavesEmptyGroup(60000, 60000, 4, params));
+    EXPECT_TRUE(divisionLeavesEmptyGroup(60000, 1, 4, params));
+}
+
 } // namespace
 } // namespace zatel::core

@@ -244,6 +244,28 @@ expectSameRayTask(const RayTask &want, const RayTask &got, size_t pixel,
     EXPECT_EQ(want.bounce, got.bounce) << "pixel " << pixel << " ray " << ray;
 }
 
+/** The same recorded traversal: visit count, last-visit tests and
+ *  bounds-hit bits, each task's firstWord indexing its own buffer. */
+void
+expectSameVisits(const RayTask &want, const std::vector<uint64_t> &want_bits,
+                 const RayTask &got, const std::vector<uint64_t> &got_bits,
+                 size_t pixel, size_t ray)
+{
+    ASSERT_EQ(want.visits.visits, got.visits.visits)
+        << "pixel " << pixel << " ray " << ray;
+    EXPECT_EQ(want.visits.lastVisitTests, got.visits.lastVisitTests)
+        << "pixel " << pixel << " ray " << ray;
+    const size_t words = want.visits.wordCount();
+    ASSERT_LE(want.visits.firstWord + words, want_bits.size());
+    ASSERT_LE(got.visits.firstWord + words, got_bits.size());
+    for (size_t w = 0; w < words; ++w) {
+        EXPECT_EQ(want_bits[want.visits.firstWord + w],
+                  got_bits[got.visits.firstWord + w])
+            << "visit bits diverged: pixel " << pixel << " ray " << ray
+            << " word " << w;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Pooled render differential: render() on a pool splits the frame into
 // row bands and records the frame's rays in the same pass. For every
@@ -310,9 +332,13 @@ expectPooledRenderMatchesSerial(const Scene &scene, uint32_t spp,
                 ASSERT_EQ(record.offsets[p + 1] - begin,
                           expected.rays.size())
                     << "ray count diverged at pixel " << p;
-                for (size_t r = 0; r < expected.rays.size(); ++r)
+                for (size_t r = 0; r < expected.rays.size(); ++r) {
                     expectSameRayTask(expected.rays[r],
                                       record.rays[begin + r], p, r);
+                    expectSameVisits(expected.rays[r], expected.visitBits,
+                                     record.rays[begin + r],
+                                     record.visitBits, p, r);
+                }
             }
         }
     }

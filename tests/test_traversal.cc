@@ -1,7 +1,7 @@
 /**
  * @file
- * Focused tests for the incremental TraversalStepper (the RT unit's
- * execution engine).
+ * Focused tests for the incremental TraversalStepper (the functional
+ * traversal, whose recorded visit stream the RT unit replays).
  */
 
 #include <gtest/gtest.h>

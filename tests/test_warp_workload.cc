@@ -148,8 +148,8 @@ TEST_F(WorkloadFixture, RtRoundTripAndPostRayStage)
         WarpLane &lane = warp.lanes()[i];
         if (lane.state == WarpLane::State::Inactive)
             continue;
-        while (!lane.stepper.finished())
-            lane.stepper.step();
+        while (!lane.cursor.finished())
+            lane.cursor.step(warp.bvh());
         lane.state = WarpLane::State::Done;
     }
     EXPECT_EQ(warp.activeLaneCount(), 0u);
@@ -182,8 +182,8 @@ TEST_F(WorkloadFixture, FbWriteStoresCoalesce)
                 WarpLane &lane = warp.lanes()[i];
                 if (lane.state == WarpLane::State::Inactive)
                     continue;
-                while (!lane.stepper.finished())
-                    lane.stepper.step();
+                while (!lane.cursor.finished())
+                    lane.cursor.step(warp.bvh());
                 lane.state = WarpLane::State::Done;
             }
             warp.exitRtUnit(cycle);
@@ -215,8 +215,9 @@ TEST_F(WorkloadFixture, PartialWarpFewerThreads)
     EXPECT_EQ(warp.takePendingThreadInsts(), 3ull * config.raygenInsts);
 }
 
-/** Every ThreadWork field and every RayTask field equal, floats bit
- *  for bit; the span pointers differ (each workload owns its arena). */
+/** Every ThreadWork field, every RayTask field and each ray's visit
+ *  bits equal, floats bit for bit; the span pointers differ (each
+ *  workload owns its arena). */
 void
 expectSameWorkload(const SimWorkload &want, const SimWorkload &got)
 {
@@ -242,6 +243,19 @@ expectSameWorkload(const SimWorkload &want, const SimWorkload &got)
             EXPECT_EQ(x.materialId, y.materialId)
                 << "thread " << t << " ray " << r;
             EXPECT_EQ(x.bounce, y.bounce) << "thread " << t << " ray " << r;
+            // The recorded traversal: the same words of bounds-hit bits
+            // at the same place in each thread's copy.
+            EXPECT_EQ(x.visits.firstWord, y.visits.firstWord)
+                << "thread " << t << " ray " << r;
+            ASSERT_EQ(x.visits.visits, y.visits.visits)
+                << "thread " << t << " ray " << r;
+            EXPECT_EQ(x.visits.lastVisitTests, y.visits.lastVisitTests)
+                << "thread " << t << " ray " << r;
+            EXPECT_EQ(std::memcmp(a.visitBits + x.visits.firstWord,
+                                  b.visitBits + y.visits.firstWord,
+                                  x.visits.wordCount() * sizeof(uint64_t)),
+                      0)
+                << "thread " << t << " ray " << r;
         }
     }
 }
