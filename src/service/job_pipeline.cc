@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <new>
 #include <stdexcept>
 #include <utility>
 
@@ -537,6 +538,10 @@ JobPipeline::failStartStage(JobState &state, std::exception_ptr error)
     } catch (const CampaignError &err) {
         // Configuration problems (unknown scene/GPU) are permanent:
         // retrying cannot fix a typo.
+        row.status = JobStatus::Failed;
+        row.error = err.what();
+    } catch (const std::bad_alloc &err) {
+        // The recipe's size caused it: a retry repeats the allocation.
         row.status = JobStatus::Failed;
         row.error = err.what();
     } catch (const std::exception &err) {

@@ -19,14 +19,15 @@ runPkpBaseline(const gpusim::GpuConfig &config, const rt::Tracer &tracer,
     PkpResult result;
     WallTimer timer;
 
-    // Total traversal work is known exactly from the functional render.
-    rt::RenderResult render = tracer.render(params.width, params.height);
-    uint64_t total_visits = 0;
-    for (const rt::PixelProfile &profile : render.profiles)
-        total_visits += profile.nodesVisited;
-
+    // Total traversal work is known exactly from the functional trace
+    // that built the workload: each ray recorded every node it visited.
     gpusim::SimWorkload workload = gpusim::SimWorkload::buildFullFrame(
         tracer, params.width, params.height);
+    uint64_t total_visits = 0;
+    for (const gpusim::ThreadWork &thread : workload.threads)
+        for (uint32_t r = 0; r < thread.rayCount; ++r)
+            total_visits += thread.rays[r].visits.visits;
+
     gpusim::Gpu gpu(config, workload);
 
     std::deque<double> ipc_window;

@@ -381,6 +381,8 @@ TEST_F(Serve, IdenticalConcurrentRequestsRunOneSimulation)
     EXPECT_EQ(statusOf(repeat), 200);
     EXPECT_EQ(bodyOf(repeat), *bodies.begin());
     EXPECT_EQ(server_->snapshot().predict.simulated, 1u);
+    EXPECT_EQ(server_->snapshot().predict.cacheHits,
+              snap.predict.cacheHits + 1);
 }
 
 TEST_F(Serve, OverloadedQueueShedsWith503WithoutHurtingAccepted)
