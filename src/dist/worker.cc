@@ -366,8 +366,9 @@ namespace
 {
 
 /** Deterministic synthetic heatmap: content is a pure function of the
- *  recipe index, so any process can verify what any process built. */
-std::shared_ptr<const heatmap::QuantizedHeatmap>
+ *  recipe index, so any process can verify what any process built. It
+ *  has no frame ray record, like every heatmap loaded from disk. */
+std::shared_ptr<const service::HeatmapArtifact>
 buildStressHeatmap(uint32_t recipe)
 {
     constexpr uint32_t kWidth = 16;
@@ -387,10 +388,11 @@ buildStressHeatmap(uint32_t recipe)
                                    0.9f});
         coolness.push_back(0.25 * (c + 1) + recipe);
     }
-    return std::make_shared<const heatmap::QuantizedHeatmap>(
-        heatmap::QuantizedHeatmap::fromParts(
-            kWidth, kHeight, std::move(cluster), std::move(palette),
-            std::move(coolness), std::move(population)));
+    auto artifact = std::make_shared<service::HeatmapArtifact>();
+    artifact->map = heatmap::QuantizedHeatmap::fromParts(
+        kWidth, kHeight, std::move(cluster), std::move(palette),
+        std::move(coolness), std::move(population));
+    return artifact;
 }
 
 } // namespace
@@ -415,16 +417,19 @@ runCacheStress(const std::string &cache_dir, uint32_t iterations,
         service::ArtifactCache cache(4ull << 20, cache_dir, disk);
         for (uint32_t recipe = 0; recipe < kRecipes; ++recipe) {
             const uint64_t key = 0xD157BEEFull + 0x9E3779B9ull * recipe;
-            const auto expected = buildStressHeatmap(recipe);
-            auto map = cache.getOrBuild<heatmap::QuantizedHeatmap>(
+            const heatmap::QuantizedHeatmap expected =
+                buildStressHeatmap(recipe)->map;
+            auto artifact = cache.getOrBuild<service::HeatmapArtifact>(
                 service::ArtifactKind::QuantizedHeatmap, key,
                 [recipe]() {
                     return std::make_pair(buildStressHeatmap(recipe),
                                           static_cast<uint64_t>(4096));
                 });
+            const heatmap::QuantizedHeatmap *map =
+                artifact ? &artifact->map : nullptr;
             if (!map || map->width() != 16 || map->height() != 16 ||
-                map->clusterIds() != expected->clusterIds() ||
-                map->coolnessValues() != expected->coolnessValues()) {
+                map->clusterIds() != expected.clusterIds() ||
+                map->coolnessValues() != expected.coolnessValues()) {
                 warn("cache-stress: heatmap recipe ", recipe,
                      " corrupt in iteration ", iter);
                 return 1;

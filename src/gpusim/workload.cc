@@ -1,9 +1,33 @@
 #include "gpusim/workload.hh"
 
+#include "obs/metrics_registry.hh"
 #include "util/logging.hh"
 
 namespace zatel::gpusim
 {
+
+namespace
+{
+
+/** zatel_workload_pixels_total{source}: selected pixels whose rays a
+ *  workload build copied from a frame ray record, or traced itself. A
+ *  no-op while the global MetricsRegistry is disabled. */
+obs::Counter *
+workloadPixelsCounter(bool from_record)
+{
+    const auto series = [](const char *source) {
+        return obs::MetricsRegistry::global().counter(
+            "zatel_workload_pixels_total",
+            "Selected pixels of simulator workloads, by where their rays "
+            "came from",
+            {{"source", source}});
+    };
+    static obs::Counter *const traced = series("traced");
+    static obs::Counter *const record = series("record");
+    return from_record ? record : traced;
+}
+
+} // namespace
 
 uint64_t
 SimWorkload::totalRays() const
@@ -81,19 +105,20 @@ SimWorkload::build(const rt::Tracer &tracer, uint32_t width, uint32_t height,
         thread.visitBits = workload.rayArena.copySpan(
             bits->data() + first_word, end_word - first_word);
     }
+    workloadPixelsCounter(frame != nullptr)->inc(workload.selectedCount);
     return workload;
 }
 
 SimWorkload
 SimWorkload::buildFullFrame(const rt::Tracer &tracer, uint32_t width,
-                            uint32_t height)
+                            uint32_t height, const rt::FrameRayRecord *frame)
 {
     std::vector<PixelCoord> pixels;
     pixels.reserve(static_cast<size_t>(width) * height);
     for (uint32_t y = 0; y < height; ++y)
         for (uint32_t x = 0; x < width; ++x)
             pixels.push_back({x, y});
-    return build(tracer, width, height, pixels);
+    return build(tracer, width, height, pixels, nullptr, frame);
 }
 
 } // namespace zatel::gpusim

@@ -88,9 +88,11 @@ struct SimWorkload
                              const std::vector<bool> *selected = nullptr,
                              const rt::FrameRayRecord *frame = nullptr);
 
-    /** Convenience: full-frame workload in row-major order. */
-    static SimWorkload buildFullFrame(const rt::Tracer &tracer,
-                                      uint32_t width, uint32_t height);
+    /** Convenience: full-frame workload in row-major order, sliced
+     *  from @p frame when given (see build()). */
+    static SimWorkload
+    buildFullFrame(const rt::Tracer &tracer, uint32_t width, uint32_t height,
+                   const rt::FrameRayRecord *frame = nullptr);
 };
 
 } // namespace zatel::gpusim

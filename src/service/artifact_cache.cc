@@ -125,17 +125,6 @@ writePod(std::ofstream &out, const T &value)
     writeExact(out, &value, sizeof(T));
 }
 
-/** Approximate resident bytes of a quantized heatmap. */
-uint64_t
-heatmapBytes(const heatmap::QuantizedHeatmap &map)
-{
-    return sizeof(heatmap::QuantizedHeatmap) +
-           map.clusterIds().size() * sizeof(uint32_t) +
-           map.palette().size() * sizeof(rt::Vec3) +
-           map.coolnessValues().size() * sizeof(double) +
-           map.populations().size() * sizeof(uint64_t);
-}
-
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -211,6 +200,15 @@ void
 hashVec3(HashStream &h, const rt::Vec3 &v)
 {
     h.f32(v.x).f32(v.y).f32(v.z);
+}
+
+void
+hashBvhParams(HashStream &h, const rt::BvhBuildParams &bvh)
+{
+    h.u32(bvh.maxLeafSize)
+        .u32(bvh.sahBins)
+        .f32(bvh.traversalCost)
+        .f32(bvh.intersectionCost);
 }
 
 } // namespace
@@ -296,19 +294,18 @@ scenePackKey(const std::string &scene_name, float detail,
     h.str(scene_name);
     h.f32(detail);
     h.u64(scene_seed);
-    h.u32(bvh.maxLeafSize)
-        .u32(bvh.sahBins)
-        .f32(bvh.traversalCost)
-        .f32(bvh.intersectionCost);
+    hashBvhParams(h, bvh);
     return h.digest();
 }
 
 uint64_t
-heatmapKey(uint64_t scene_content_hash, const core::ZatelParams &params)
+heatmapKey(uint64_t scene_content_hash, const rt::BvhBuildParams &bvh,
+           const core::ZatelParams &params)
 {
     HashStream h;
-    h.str("zatel.heatmap.v1");
+    h.str("zatel.heatmap.v2"); // v2: BVH build params hashed
     h.u64(scene_content_hash);
+    hashBvhParams(h, bvh);
     h.u32(params.width).u32(params.height).u32(params.samplesPerPixel);
     h.u8(static_cast<uint8_t>(params.profiler.source))
         .f64(params.profiler.timerNoise)
@@ -319,20 +316,38 @@ heatmapKey(uint64_t scene_content_hash, const core::ZatelParams &params)
 }
 
 uint64_t
-oracleKey(uint64_t scene_content_hash, const gpusim::GpuConfig &config,
-          const core::ZatelParams &params)
+oracleKey(uint64_t scene_content_hash, const rt::BvhBuildParams &bvh,
+          const gpusim::GpuConfig &config, const core::ZatelParams &params)
 {
     HashStream h;
-    h.str("zatel.oracle.v1");
+    h.str("zatel.oracle.v2"); // v2: BVH build params hashed
     h.u64(scene_content_hash);
+    hashBvhParams(h, bvh);
     h.u64(hashGpuConfig(config));
     h.u32(params.width).u32(params.height).u32(params.samplesPerPixel);
     return h.digest();
 }
 
 // ---------------------------------------------------------------------------
-// ScenePack
+// ScenePack, HeatmapArtifact
 // ---------------------------------------------------------------------------
+
+uint64_t
+HeatmapArtifact::approxBytes() const
+{
+    uint64_t total = sizeof(HeatmapArtifact) +
+                     map.clusterIds().size() * sizeof(uint32_t) +
+                     map.palette().size() * sizeof(rt::Vec3) +
+                     map.coolnessValues().size() * sizeof(double) +
+                     map.populations().size() * sizeof(size_t);
+    if (rays) {
+        total += sizeof(rt::FrameRayRecord) +
+                 rays->rays.size() * sizeof(rt::RayTask) +
+                 rays->visitBits.size() * sizeof(uint64_t) +
+                 rays->offsets.size() * sizeof(size_t);
+    }
+    return total;
+}
 
 uint64_t
 ScenePack::approxBytes() const
@@ -801,13 +816,14 @@ ArtifactCache::tryLoadFromDisk(ArtifactKind kind, uint64_t key) const
         }
         std::vector<size_t> population(population_words.begin(),
                                        population_words.end());
-        auto map = std::make_shared<heatmap::QuantizedHeatmap>(
-            heatmap::QuantizedHeatmap::fromParts(
-                width, height, std::move(cluster_of), std::move(palette),
-                std::move(coolness), std::move(population)));
-        const uint64_t bytes = heatmapBytes(*map);
+        // No frame ray record: it is never persisted.
+        auto artifact = std::make_shared<HeatmapArtifact>();
+        artifact->map = heatmap::QuantizedHeatmap::fromParts(
+            width, height, std::move(cluster_of), std::move(palette),
+            std::move(coolness), std::move(population));
+        const uint64_t bytes = artifact->approxBytes();
         return {std::static_pointer_cast<const void>(
-                    std::shared_ptr<const heatmap::QuantizedHeatmap>(map)),
+                    std::shared_ptr<const HeatmapArtifact>(artifact)),
                 bytes};
     }
 
@@ -855,8 +871,9 @@ ArtifactCache::trySaveToDisk(ArtifactKind kind, uint64_t key,
         writePod(out, key);
 
         if (kind == ArtifactKind::QuantizedHeatmap) {
-            const auto &map =
-                *static_cast<const heatmap::QuantizedHeatmap *>(value.get());
+            // The heatmap only; its frame ray record stays in memory.
+            const heatmap::QuantizedHeatmap &map =
+                static_cast<const HeatmapArtifact *>(value.get())->map;
             const uint32_t width = map.width();
             const uint32_t height = map.height();
             const uint64_t palette_count = map.palette().size();

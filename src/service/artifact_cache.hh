@@ -8,8 +8,10 @@
  *   ScenePack        a built scene + BVH (recipe-addressed: scene name,
  *                    detail, seed and BVH build params)
  *   QuantizedHeatmap the profiled + K-Means-quantized execution-time
- *                    heatmap (content-addressed: stable hash of the scene
- *                    content + the preprocessing params)
+ *                    heatmap, plus in memory the frame ray record of its
+ *                    render (content-addressed: stable hash of the scene
+ *                    content, the BVH build params and the preprocessing
+ *                    params)
  *   OracleStats      full-simulation reference counters for compare jobs
  *
  * Keys are stable 64-bit FNV-1a hashes computed by the helpers below, so
@@ -54,6 +56,7 @@
 #include "gpusim/stats.hh"
 #include "heatmap/heatmap.hh"
 #include "rt/bvh.hh"
+#include "rt/ray_record.hh"
 #include "rt/scene.hh"
 
 namespace zatel::core
@@ -86,8 +89,10 @@ class HashStream
 
 /**
  * Stable hash of a scene's content: triangle geometry, material bindings,
- * materials, light, background, camera position and path budget —
- * everything the functional tracer's output depends on.
+ * materials, light, background, camera position and path budget. The
+ * functional tracer's output also depends on the BVH the scene is built
+ * into (its node indices are in every recorded visit stream), so the
+ * heatmap and oracle keys hash the BvhBuildParams beside this.
  */
 uint64_t hashSceneContent(const rt::Scene &scene);
 
@@ -99,15 +104,19 @@ uint64_t scenePackKey(const std::string &scene_name, float detail,
                       uint64_t scene_seed, const rt::BvhBuildParams &bvh);
 
 /**
- * Content key for a profiled + quantized heatmap: the scene content hash
- * plus every preprocessing-relevant ZatelParams field (image size, spp,
- * profiler source/noise/seed, palette size, pipeline seed).
+ * Content key for a profiled + quantized heatmap and its frame ray
+ * record: the scene content hash, the BVH build params, and every
+ * preprocessing-relevant ZatelParams field (image size, spp, profiler
+ * source/noise/seed, palette size, pipeline seed).
  */
 uint64_t heatmapKey(uint64_t scene_content_hash,
+                    const rt::BvhBuildParams &bvh,
                     const core::ZatelParams &params);
 
-/** Content key for a full-simulation (oracle) run. */
+/** Content key for a full-simulation (oracle) run: the scene content
+ *  hash, the BVH build params, the GPU, image size and spp. */
 uint64_t oracleKey(uint64_t scene_content_hash,
+                   const rt::BvhBuildParams &bvh,
                    const gpusim::GpuConfig &config,
                    const core::ZatelParams &params);
 
@@ -120,6 +129,23 @@ struct ScenePack
     uint64_t contentHash = 0;
 
     /** Approximate resident bytes (for the cache budget). */
+    uint64_t approxBytes() const;
+};
+
+/**
+ * The value of a QuantizedHeatmap entry: the heatmap, and the frame ray
+ * record of the render that built it. The record lives in memory only:
+ * the disk tier stores the heatmap alone, so an entry loaded from disk
+ * has no record and its jobs trace their workloads' pixels.
+ */
+struct HeatmapArtifact
+{
+    heatmap::QuantizedHeatmap map;
+    /** Null when the heatmap was loaded from disk. */
+    std::shared_ptr<const rt::FrameRayRecord> rays;
+
+    /** Approximate resident bytes, the record included (for the cache
+     *  budget). */
     uint64_t approxBytes() const;
 };
 
@@ -137,7 +163,7 @@ const char *artifactKindName(ArtifactKind kind);
  * The cache. All public methods are thread-safe.
  *
  * Values are held as shared_ptr<const void> keyed by (kind, hash); the
- * kind <-> concrete type mapping is fixed (ScenePack, QuantizedHeatmap,
+ * kind <-> concrete type mapping is fixed (ScenePack, HeatmapArtifact,
  * GpuStats), so the typed getOrBuild<T> wrapper is safe.
  */
 class ArtifactCache
@@ -207,8 +233,9 @@ class ArtifactCache
      *        residency exceeds it (the newest entry is always kept, so a
      *        single oversized artifact still works).
      * @param disk_dir Optional persistence directory; "" disables it.
-     *        Heatmaps and oracle stats are persisted (scene packs are
-     *        cheap to rebuild and hold scene-relative pointers).
+     *        Heatmaps (without their frame ray records) and oracle
+     *        stats are persisted (scene packs are cheap to rebuild and
+     *        hold scene-relative pointers).
      * @param disk Disk-tier budget/locking tuning (ignored without a
      *        disk_dir).
      */

@@ -401,33 +401,31 @@ JobPipeline::runStartUnit(JobState &state, uint32_t backoff_attempt)
         // another job is building it, park on that build: this worker
         // goes back to the pool and a prepare unit resumes the job.
         const uint64_t map_key =
-            heatmapKey(state.pack->contentHash, job.params);
-        std::shared_ptr<const heatmap::QuantizedHeatmap> quantized =
-            cache_.getOrPark<heatmap::QuantizedHeatmap>(
+            heatmapKey(state.pack->contentHash, job.bvh, job.params);
+        std::shared_ptr<const HeatmapArtifact> artifact =
+            cache_.getOrPark<HeatmapArtifact>(
                 ArtifactKind::QuantizedHeatmap, map_key,
-                [&]() -> std::pair<
-                          std::shared_ptr<const heatmap::QuantizedHeatmap>,
-                          uint64_t> {
+                [&]() -> std::pair<std::shared_ptr<const HeatmapArtifact>,
+                                   uint64_t> {
                     ZATEL_INJECT_FAULT("heatmap.build");
                     // Rendered without a pool: this stage is itself a
                     // unit on the shared scheduler pool, whose workers
                     // run other jobs' units. A nested parallel loop
-                    // would help-run their group simulations here.
-                    auto result =
-                        std::make_shared<heatmap::QuantizedHeatmap>(
-                            core::buildQuantizedHeatmap(state.pack->scene,
-                                                        state.pack->bvh,
-                                                        job.params));
-                    const uint64_t bytes =
-                        result->clusterIds().size() * sizeof(uint32_t) +
-                        result->palette().size() * sizeof(rt::Vec3) +
-                        result->coolnessValues().size() * sizeof(double) +
-                        result->populations().size() * sizeof(size_t) +
-                        sizeof(heatmap::QuantizedHeatmap);
+                    // would help-run their group simulations here. The
+                    // render records the frame's rays, which every job
+                    // served this entry from memory slices for its group
+                    // and oracle workloads instead of tracing again.
+                    auto result = std::make_shared<HeatmapArtifact>();
+                    auto rays = std::make_shared<rt::FrameRayRecord>();
+                    result->map = core::buildQuantizedHeatmap(
+                        state.pack->scene, state.pack->bvh, job.params,
+                        nullptr, rays.get());
+                    result->rays = std::move(rays);
+                    const uint64_t bytes = result->approxBytes();
                     return {result, bytes};
                 },
                 [this, s = &state](
-                    std::shared_ptr<const heatmap::QuantizedHeatmap> value,
+                    std::shared_ptr<const HeatmapArtifact> value,
                     std::exception_ptr failure) {
                     // The builder's failure costs this job a start
                     // attempt, as it costs the builder's job one. It is
@@ -442,12 +440,12 @@ JobPipeline::runStartUnit(JobState &state, uint32_t backoff_attempt)
                                     runPrepareUnit(*s, *value);
                                 });
                 });
-        if (!quantized) {
+        if (!artifact) {
             // Parked: the prepare unit owns the job from here on.
             pipelineMetrics().parkedHeatmap->inc();
             return;
         }
-        fanOut(state, *quantized);
+        fanOut(state, *artifact);
     } catch (...) {
         failStartStage(state, std::current_exception());
     }
@@ -455,22 +453,23 @@ JobPipeline::runStartUnit(JobState &state, uint32_t backoff_attempt)
 
 void
 JobPipeline::runPrepareUnit(JobState &state,
-                            const heatmap::QuantizedHeatmap &quantized)
+                            const HeatmapArtifact &artifact)
 {
     ZATEL_TRACE_SCOPE("job.prepare");
     pipelineMetrics().unitsPrepare->inc();
     try {
-        fanOut(state, quantized);
+        fanOut(state, artifact);
     } catch (...) {
         failStartStage(state, std::current_exception());
     }
 }
 
 void
-JobPipeline::fanOut(JobState &state,
-                    const heatmap::QuantizedHeatmap &quantized)
+JobPipeline::fanOut(JobState &state, const HeatmapArtifact &artifact)
 {
-    state.predictor->setPrebuiltHeatmap(quantized);
+    // A heatmap loaded from disk has no frame ray record; the job's
+    // workloads then trace their pixels.
+    state.predictor->setPrebuiltHeatmap(artifact.map, artifact.rays);
     state.predictor->prepare();
 
     // Fan the oracle and the K group simulations out as priority units.
@@ -589,7 +588,7 @@ JobPipeline::runOracleUnit(JobState &state, uint32_t backoff_attempt)
     try {
         stats = cache_.getOrPark<gpusim::GpuStats>(
             ArtifactKind::OracleStats,
-            oracleKey(state.pack->contentHash, state.config,
+            oracleKey(state.pack->contentHash, state.job.bvh, state.config,
                       state.job.params),
             [&]() -> std::pair<std::shared_ptr<const gpusim::GpuStats>,
                                uint64_t> {

@@ -226,11 +226,10 @@ class JobPipeline
     void runStartUnit(JobState &state, uint32_t backoff_attempt = 0);
     /** Resume a start stage that parked on another job's heatmap
      *  build, with the heatmap that build produced. */
-    void runPrepareUnit(JobState &state,
-                        const heatmap::QuantizedHeatmap &quantized);
-    /** prepare() the predictor, then enqueue the oracle and groups. */
-    void fanOut(JobState &state,
-                const heatmap::QuantizedHeatmap &quantized);
+    void runPrepareUnit(JobState &state, const HeatmapArtifact &artifact);
+    /** Inject the heatmap and its frame ray record (when it has one),
+     *  prepare() the predictor, then enqueue the oracle and groups. */
+    void fanOut(JobState &state, const HeatmapArtifact &artifact);
     /** Retry the start stage or finish the job with a terminal row.
      *  Call it on the thread that threw @p error. */
     void failStartStage(JobState &state, std::exception_ptr error);

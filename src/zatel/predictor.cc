@@ -138,14 +138,20 @@ ZatelPredictor::effectiveK() const
 }
 
 void
-ZatelPredictor::setPrebuiltHeatmap(heatmap::QuantizedHeatmap quantized)
+ZatelPredictor::setPrebuiltHeatmap(
+    heatmap::QuantizedHeatmap quantized,
+    std::shared_ptr<const rt::FrameRayRecord> rays)
 {
     ZATEL_ASSERT(!prepared_,
                  "cannot inject a heatmap after prepare() has run");
     ZATEL_ASSERT(quantized.width() == params_.width &&
                      quantized.height() == params_.height,
                  "injected heatmap size does not match the image plane");
+    ZATEL_ASSERT(!rays || (rays->width == params_.width &&
+                           rays->height == params_.height),
+                 "injected frame ray record is for another image plane");
     quantized_ = std::move(quantized);
+    frameRays_ = std::move(rays);
     hasPrebuiltHeatmap_ = true;
 }
 
@@ -168,10 +174,12 @@ ZatelPredictor::prepare(ThreadPool *pool)
 
     // Steps (1) + (2): heatmap + color quantization (skipped when a
     // cached artifact was injected). The render also records the frame's
-    // rays, which the group workloads slice in step (6).
+    // rays, which the group and oracle workloads slice.
     if (!hasPrebuiltHeatmap_) {
+        auto rays = std::make_shared<rt::FrameRayRecord>();
         quantized_ =
-            buildQuantizedHeatmap(scene_, bvh_, params_, pool, &frameRays_);
+            buildQuantizedHeatmap(scene_, bvh_, params_, pool, rays.get());
+        frameRays_ = std::move(rays);
     }
     throwIfCancelled();
 
@@ -474,12 +482,12 @@ ZatelPredictor::simulateGroup(uint32_t group_index, const PixelGroup &group,
     ZATEL_INJECT_FAULT_KEYED("group.sim.midrun", group_index);
     gpusim::SimWorkload workload = [&] {
         ZATEL_TRACE_SCOPE("sim.workload", static_cast<int64_t>(group_index));
-        // Slice the frame ray record when this predictor rendered the
-        // frame; after an injected heatmap there is none, so the group's
-        // selected pixels are traced here.
-        return gpusim::SimWorkload::build(
-            tracer_, params_.width, params_.height, group, &selection.mask,
-            frameRays_.empty() ? nullptr : &frameRays_);
+        // Slice the frame ray record when there is one (this predictor
+        // rendered the frame, or the record came with the injected
+        // heatmap); otherwise the group's selected pixels are traced here.
+        return gpusim::SimWorkload::build(tracer_, params_.width,
+                                          params_.height, group,
+                                          &selection.mask, frameRays_.get());
     }();
     gpusim::Gpu gpu(config, workload);
     if (simProbeInterval_ > 0) {
@@ -543,8 +551,13 @@ ZatelPredictor::runOracle() const
     OracleResult oracle;
     ZATEL_TRACE_SCOPE("oracle.run");
     WallTimer timer;
-    gpusim::SimWorkload workload = gpusim::SimWorkload::buildFullFrame(
-        tracer_, params_.width, params_.height);
+    gpusim::SimWorkload workload = [&] {
+        ZATEL_TRACE_SCOPE("oracle.workload");
+        // A slice of the whole record when there is one; otherwise every
+        // pixel is traced here, on this thread.
+        return gpusim::SimWorkload::buildFullFrame(
+            tracer_, params_.width, params_.height, frameRays_.get());
+    }();
     gpusim::Gpu gpu(targetConfig_, workload);
     if (simProbeInterval_ > 0) {
         // The oracle is watchdogged like any group; it reports the

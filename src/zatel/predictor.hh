@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -258,7 +259,12 @@ class ZatelPredictor
         return quantized_;
     }
 
-    /** Full simulation of the target GPU for error evaluation. */
+    /**
+     * Full simulation of the target GPU for error evaluation. Its
+     * workload slices the frame ray record when this predictor holds
+     * one (after predict(), or an injected record); otherwise it traces
+     * the whole frame on the calling thread.
+     */
     OracleResult runOracle() const;
 
     const ZatelParams &params() const { return params_; }
@@ -267,13 +273,20 @@ class ZatelPredictor
 
     /**
      * Inject a pre-built quantized heatmap (e.g. from the artifact
-     * cache), skipping the render, profile and quantize stages; the
-     * group workloads then trace their selected pixels themselves. Must
+     * cache), skipping the render, profile and quantize stages. Must
      * match the configured image size and must equal what
      * buildQuantizedHeatmap() produces for these params if
      * byte-identical results with and without the cache are required.
+     *
+     * @param rays The frame ray record of the render that built
+     *        @p quantized, from this scene, BVH and spp; the group and
+     *        oracle workloads then slice it. Null (a heatmap loaded
+     *        from disk) makes them trace their pixels themselves; the
+     *        workloads are the same either way.
      */
-    void setPrebuiltHeatmap(heatmap::QuantizedHeatmap quantized);
+    void setPrebuiltHeatmap(heatmap::QuantizedHeatmap quantized,
+                            std::shared_ptr<const rt::FrameRayRecord> rays =
+                                nullptr);
 
     /**
      * Cooperative cancellation: @p cancelled is polled between pipeline
@@ -408,9 +421,11 @@ class ZatelPredictor
     gpusim::GpuConfig groupConfig_;
     std::vector<PixelGroup> groups_;
     std::vector<Selection> selections_;
-    /** Every pixel's rays, recorded by prepare()'s render; empty when a
-     *  heatmap was injected and nothing was rendered. */
-    rt::FrameRayRecord frameRays_;
+    /** Every pixel's rays, recorded by prepare()'s render or injected
+     *  with the heatmap; null before prepare() renders and when an
+     *  injected heatmap came without one. Read-only, and shared with
+     *  every job that got the same cached heatmap. */
+    std::shared_ptr<const rt::FrameRayRecord> frameRays_;
     std::vector<double> fractionsToRun_;
     double preprocessSeconds_ = 0.0;
 };

@@ -13,8 +13,9 @@
  *  - a hash of every group workload's threads and RayTask fields.
  *
  * Both ways a prediction gets its group workloads are pinned to the
- * same constants: a predictor that renders the frame slices the frame
- * ray record, and one given a cached heatmap traces its groups' pixels.
+ * same constants: a predictor that renders the frame, or is given a
+ * cached heatmap with its frame ray record, slices the record, and one
+ * given a heatmap alone traces its groups' pixels.
  *
  * The constants were generated before the parallel front end existed
  * and must not change with it. Regenerating them is a deliberate act:
@@ -27,7 +28,9 @@
  *
  * OraclePin pins what the oracle makes of that workload: every raw
  * GpuStats counter and Table I metric of runOracle() for the AnswerPin
- * recipes, and each predicted metric's error against it. A timing-model
+ * recipes, and each predicted metric's error against it. Both oracle
+ * paths meet the same constants: after predict() the oracle slices the
+ * frame ray record, and a fresh predictor's traces the frame. A timing-model
  * change that moves the fast cycle loop and its slow-tick reference
  * together passes every in-build differential test, but not this one.
  */
@@ -37,6 +40,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -227,7 +231,8 @@ TEST_P(AnswerPin, MatchesCommittedConstants)
     const heatmap::QuantizedHeatmap &quantized =
         predictor.quantizedHeatmap();
 
-    // Given the same heatmap, as from the cache; the groups trace.
+    // Given the same heatmap, as from the cache's disk tier; the groups
+    // trace.
     ZatelPredictor injected(scene, bvh, config, params);
     injected.setPrebuiltHeatmap(quantized);
     const ZatelResult traced_result = injected.predict();
@@ -240,12 +245,18 @@ TEST_P(AnswerPin, MatchesCommittedConstants)
     tp.samplesPerPixel = params.samplesPerPixel;
     const rt::Tracer tracer(scene, bvh, tp);
     ThreadPool pool(3);
-    rt::FrameRayRecord frame;
-    tracer.render(params.width, params.height, &pool, &frame);
+    auto frame = std::make_shared<rt::FrameRayRecord>();
+    tracer.render(params.width, params.height, &pool, frame.get());
     const uint64_t workload_hash =
         groupWorkloadHash(tracer, params, result.k, quantized, nullptr);
     const uint64_t sliced_hash =
-        groupWorkloadHash(tracer, params, result.k, quantized, &frame);
+        groupWorkloadHash(tracer, params, result.k, quantized, frame.get());
+
+    // Given the heatmap with its frame ray record, as from the cache's
+    // memory tier; the groups slice it.
+    ZatelPredictor injected_rays(scene, bvh, config, params);
+    injected_rays.setPrebuiltHeatmap(quantized, frame);
+    const ZatelResult sliced_result = injected_rays.predict();
 
     SCOPED_TRACE("actual: " +
                  formatPin(pin, cluster_hash, workload_hash, result));
@@ -261,6 +272,10 @@ TEST_P(AnswerPin, MatchesCommittedConstants)
         EXPECT_EQ(formatMetric(traced_result.metric(metric)),
                   pin.metrics[m].second)
             << gpusim::metricName(metric) << " (injected heatmap)";
+        EXPECT_EQ(formatMetric(sliced_result.metric(metric)),
+                  pin.metrics[m].second)
+            << gpusim::metricName(metric)
+            << " (injected heatmap and frame ray record)";
         ++m;
     }
 }
@@ -406,7 +421,11 @@ TEST_P(OraclePin, MatchesCommittedConstants)
                                          : gpusim::GpuConfig::mobileSoc();
     ZatelPredictor predictor(scene, bvh, config, pinParams());
     const ZatelResult result = predictor.predict();
+    // After predict() the oracle slices the frame ray record.
     const gpusim::GpuStats oracle = predictor.runOracle().stats;
+    // A predictor that never rendered traces the frame for its oracle.
+    const gpusim::GpuStats traced_oracle =
+        ZatelPredictor(scene, bvh, config, pinParams()).runOracle().stats;
     const std::vector<ComparisonRow> rows =
         compareToOracle(result.predicted, oracle);
 
@@ -417,7 +436,9 @@ TEST_P(OraclePin, MatchesCommittedConstants)
     for (const gpusim::GpuStatsField &field : gpusim::gpuStatsFields()) {
         EXPECT_STREQ(field.name, expected.counters[c].first);
         EXPECT_EQ(oracle.*field.member, expected.counters[c].second)
-            << field.name;
+            << field.name << " (sliced oracle workload)";
+        EXPECT_EQ(traced_oracle.*field.member, expected.counters[c].second)
+            << field.name << " (traced oracle workload)";
         ++c;
     }
     ASSERT_EQ(expected.metrics.size(), rows.size());

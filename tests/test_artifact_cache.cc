@@ -30,6 +30,7 @@
 #include "gpusim/stats.hh"
 #include "heatmap/heatmap.hh"
 #include "rt/bvh.hh"
+#include "rt/ray_record.hh"
 #include "rt/scene_library.hh"
 #include "service/artifact_cache.hh"
 #include "zatel/predictor.hh"
@@ -157,27 +158,61 @@ TEST(ArtifactCacheHash, GpuConfigHashCoversFields)
 TEST(ArtifactCacheHash, HeatmapKeyTracksPreprocessingParams)
 {
     core::ZatelParams params;
+    const rt::BvhBuildParams bvh;
     const uint64_t scene_hash = 0xABCDEF0123456789ull;
-    const uint64_t base = heatmapKey(scene_hash, params);
-    EXPECT_EQ(base, heatmapKey(scene_hash, params));
+    const uint64_t base = heatmapKey(scene_hash, bvh, params);
+    EXPECT_EQ(base, heatmapKey(scene_hash, bvh, params));
 
     core::ZatelParams resized = params;
     resized.width = 99;
-    EXPECT_NE(base, heatmapKey(scene_hash, resized));
+    EXPECT_NE(base, heatmapKey(scene_hash, bvh, resized));
 
     core::ZatelParams reseeded = params;
     reseeded.seed ^= 1;
-    EXPECT_NE(base, heatmapKey(scene_hash, reseeded));
+    EXPECT_NE(base, heatmapKey(scene_hash, bvh, reseeded));
 
     core::ZatelParams noisy = params;
     noisy.profiler.source = heatmap::ProfilingSource::HardwareTimer;
-    EXPECT_NE(base, heatmapKey(scene_hash, noisy));
+    EXPECT_NE(base, heatmapKey(scene_hash, bvh, noisy));
 
     // Selection parameters do NOT change the heatmap: jobs that differ
     // only in trace fraction share the profiled artifact.
     core::ZatelParams refractioned = params;
     refractioned.selector.fixedFraction = 0.42;
-    EXPECT_EQ(base, heatmapKey(scene_hash, refractioned));
+    EXPECT_EQ(base, heatmapKey(scene_hash, bvh, refractioned));
+}
+
+TEST(ArtifactCacheHash, HeatmapAndOracleKeysTrackBvhParams)
+{
+    // The heatmap entry's frame ray record holds the BVH's node indices
+    // and the oracle's stats count that BVH's visits: two BVHs over one
+    // scene must never share either.
+    const core::ZatelParams params;
+    const gpusim::GpuConfig config = gpusim::GpuConfig::mobileSoc();
+    const rt::BvhBuildParams base;
+    const uint64_t scene_hash = 0xABCDEF0123456789ull;
+    const uint64_t map_base = heatmapKey(scene_hash, base, params);
+    const uint64_t oracle_base = oracleKey(scene_hash, base, config, params);
+    EXPECT_EQ(oracle_base, oracleKey(scene_hash, base, config, params));
+
+    const std::vector<std::pair<const char *, void (*)(rt::BvhBuildParams &)>>
+        changes = {
+            {"maxLeafSize", [](rt::BvhBuildParams &b) { b.maxLeafSize += 1; }},
+            {"sahBins", [](rt::BvhBuildParams &b) { b.sahBins += 1; }},
+            {"traversalCost",
+             [](rt::BvhBuildParams &b) { b.traversalCost += 1.0f; }},
+            {"intersectionCost",
+             [](rt::BvhBuildParams &b) { b.intersectionCost += 1.0f; }},
+        };
+    for (const auto &[field, change] : changes) {
+        rt::BvhBuildParams changed = base;
+        change(changed);
+        EXPECT_NE(map_base, heatmapKey(scene_hash, changed, params))
+            << "BvhBuildParams::" << field << " is not in the heatmap key";
+        EXPECT_NE(oracle_base,
+                  oracleKey(scene_hash, changed, config, params))
+            << "BvhBuildParams::" << field << " is not in the oracle key";
+    }
 }
 
 TEST(ArtifactCacheHash, ScenePackKeyTracksRecipe)
@@ -573,17 +608,28 @@ TEST(ArtifactCacheDisk, HeatmapRoundTripsByteIdentical)
     const std::vector<double> costs = {0.1, 0.9, 0.4, 0.7,
                                        0.2, 0.3, 1.0, 0.6};
     heatmap::Heatmap map = heatmap::Heatmap::fromCosts(4, 2, costs);
-    auto quantized = std::make_shared<heatmap::QuantizedHeatmap>(
-        heatmap::QuantizedHeatmap::quantize(map, 3, 0x5EED));
+    auto artifact = std::make_shared<HeatmapArtifact>();
+    artifact->map = heatmap::QuantizedHeatmap::quantize(map, 3, 0x5EED);
+    // A record in memory, which the disk tier must leave out.
+    auto rays = std::make_shared<rt::FrameRayRecord>();
+    rays->width = 4;
+    rays->height = 2;
+    rays->offsets.assign(9, 0);
+    artifact->rays = rays;
+    const heatmap::QuantizedHeatmap *quantized = &artifact->map;
 
     const uint64_t key = 0x1122334455667788ull;
     {
         ArtifactCache writer(1 << 20, dir);
-        writer.getOrBuildRaw(
+        auto kept = writer.getOrBuildRaw(
             ArtifactKind::QuantizedHeatmap, key,
             [&]() -> ArtifactCache::BuiltValue {
-                return {quantized, 256};
+                return {artifact, artifact->approxBytes()};
             });
+        EXPECT_EQ(std::static_pointer_cast<const HeatmapArtifact>(kept)
+                      ->rays,
+                  rays)
+            << "the memory tier keeps the built record";
         EXPECT_EQ(writer.counters(ArtifactKind::QuantizedHeatmap).misses,
                   1u);
     }
@@ -595,7 +641,7 @@ TEST(ArtifactCacheDisk, HeatmapRoundTripsByteIdentical)
         ArtifactKind::QuantizedHeatmap, key,
         [&]() -> ArtifactCache::BuiltValue {
             ++builds;
-            return {quantized, 256};
+            return {artifact, artifact->approxBytes()};
         });
     EXPECT_EQ(builds, 0) << "should have come from disk";
     ArtifactCache::Counters c =
@@ -604,8 +650,11 @@ TEST(ArtifactCacheDisk, HeatmapRoundTripsByteIdentical)
     EXPECT_EQ(c.diskHits, 1u);
     EXPECT_EQ(c.misses, 0u);
 
-    auto loaded = std::static_pointer_cast<const heatmap::QuantizedHeatmap>(
-        loaded_raw);
+    auto loaded_artifact =
+        std::static_pointer_cast<const HeatmapArtifact>(loaded_raw);
+    EXPECT_EQ(loaded_artifact->rays, nullptr)
+        << "a frame ray record never comes from disk";
+    const heatmap::QuantizedHeatmap *loaded = &loaded_artifact->map;
     ASSERT_EQ(loaded->width(), quantized->width());
     ASSERT_EQ(loaded->height(), quantized->height());
     EXPECT_EQ(loaded->clusterIds(), quantized->clusterIds());

@@ -20,8 +20,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
@@ -291,6 +293,13 @@ TEST_F(ObsIntegration, CampaignByteIdenticalAndCacheMetricsMatch)
         globalCounter(parked_total, {{"kind", "heatmap"}});
     const uint64_t ok_jobs_before =
         globalCounter("zatel_campaign_jobs_total", {{"status", "ok"}});
+    const std::string pixels_total = "zatel_workload_pixels_total";
+    const obs::Labels traced_pixels = {{"source", "traced"}};
+    const obs::Labels record_pixels = {{"source", "record"}};
+    const uint64_t traced_pixels_before =
+        globalCounter(pixels_total, traced_pixels);
+    const uint64_t record_pixels_before =
+        globalCounter(pixels_total, record_pixels);
 
     obs::TraceRecorder::global().enable();
     obs::MetricsRegistry::global().setEnabled(true);
@@ -382,6 +391,14 @@ TEST_F(ObsIntegration, CampaignByteIdenticalAndCacheMetricsMatch)
                             {{"status", "ok"}}) -
                   ok_jobs_before,
               kJobs);
+    // The one heatmap was built in memory with its frame ray record:
+    // every group and the oracle sliced it, and nothing traced again.
+    EXPECT_EQ(globalCounter(pixels_total, traced_pixels) -
+                  traced_pixels_before,
+              0u);
+    EXPECT_GT(globalCounter(pixels_total, record_pixels) -
+                  record_pixels_before,
+              0u);
 
     // Scheduler spans exist and pool workers got stable trace names.
     std::vector<obs::TraceEvent> events =
@@ -392,21 +409,31 @@ TEST_F(ObsIntegration, CampaignByteIdenticalAndCacheMetricsMatch)
     EXPECT_EQ(countSpans(events, "job.oracle"), kJobs);
     EXPECT_EQ(countSpans(events, "job.prepare"), prepare_units);
     // The one oracle build runs inside a job.oracle unit on its thread,
-    // never inside job.finalize.
+    // never inside job.finalize, and builds its workload in one
+    // oracle.workload span inside it.
     ASSERT_EQ(countSpans(events, "oracle.run"), 1u);
+    ASSERT_EQ(countSpans(events, "oracle.workload"), 1u);
+    const auto encloses = [](const obs::TraceEvent &outer,
+                             const obs::TraceEvent &inner) {
+        return outer.tid == inner.tid && outer.tsMicros <= inner.tsMicros &&
+               inner.tsMicros + inner.durMicros <=
+                   outer.tsMicros + outer.durMicros;
+    };
     for (const obs::TraceEvent &run : events) {
         if (run.name != "oracle.run")
             continue;
         bool in_oracle_unit = false;
+        bool has_workload = false;
         for (const obs::TraceEvent &unit : events) {
-            if (unit.tid == run.tid && unit.tsMicros <= run.tsMicros &&
-                run.tsMicros + run.durMicros <=
-                    unit.tsMicros + unit.durMicros) {
+            if (encloses(unit, run)) {
                 EXPECT_NE(unit.name, "job.finalize");
                 in_oracle_unit |= unit.name == "job.oracle";
             }
+            has_workload |=
+                unit.name == "oracle.workload" && encloses(run, unit);
         }
         EXPECT_TRUE(in_oracle_unit);
+        EXPECT_TRUE(has_workload);
     }
     size_t pool_threads = 0;
     for (const auto &entry : obs::TraceRecorder::global().threadNames()) {
@@ -414,6 +441,60 @@ TEST_F(ObsIntegration, CampaignByteIdenticalAndCacheMetricsMatch)
             ++pool_threads;
     }
     EXPECT_GE(pool_threads, 4u);
+}
+
+TEST_F(ObsIntegration, DiskLoadedHeatmapsCarryNoRecordSoJobsTrace)
+{
+    // The frame ray record is kept in memory only. A campaign against a
+    // warm cache dir loads its heatmap from disk without one, so its
+    // jobs trace their workloads' pixels; the rows must not change.
+    constexpr uint64_t kBudget = 256ull * 1024 * 1024;
+    constexpr size_t kJobs = 4;
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "zatel-obs-warm-disk";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+
+    const std::string pixels_total = "zatel_workload_pixels_total";
+    const obs::Labels traced_pixels = {{"source", "traced"}};
+    const obs::Labels record_pixels = {{"source", "record"}};
+    std::vector<std::string> lines[2];
+    uint64_t traced[2] = {0, 0};
+    uint64_t sliced[2] = {0, 0};
+    obs::MetricsRegistry::global().setEnabled(true);
+    for (size_t run = 0; run < 2; ++run) {
+        const uint64_t traced_before =
+            globalCounter(pixels_total, traced_pixels);
+        const uint64_t sliced_before =
+            globalCounter(pixels_total, record_pixels);
+        service::ArtifactCache cache(kBudget, dir.string());
+        service::ResultStoreOptions options;
+        options.includeTiming = false;
+        service::ResultStore store("", options);
+        service::SchedulerParams params;
+        params.workers = 2;
+        service::CampaignScheduler scheduler(makeCampaign(kJobs), cache,
+                                             store, params);
+        ASSERT_EQ(scheduler.run().ok, kJobs) << "run " << run;
+        EXPECT_EQ(cache.counters(service::ArtifactKind::QuantizedHeatmap)
+                      .diskHits,
+                  run == 0 ? 0u : 1u);
+        for (const service::ResultRow &row : store.rows())
+            lines[run].push_back(store.formatRow(row));
+        std::sort(lines[run].begin(), lines[run].end());
+        traced[run] = globalCounter(pixels_total, traced_pixels) -
+                      traced_before;
+        sliced[run] = globalCounter(pixels_total, record_pixels) -
+                      sliced_before;
+    }
+    obs::MetricsRegistry::global().setEnabled(false);
+    std::filesystem::remove_all(dir);
+
+    EXPECT_EQ(lines[0], lines[1]);
+    EXPECT_EQ(traced[0], 0u) << "cold run: the record was built in memory";
+    EXPECT_GT(sliced[0], 0u);
+    EXPECT_GT(traced[1], 0u) << "warm run: the heatmap came from disk";
+    EXPECT_EQ(sliced[1], 0u);
 }
 
 } // namespace

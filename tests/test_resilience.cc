@@ -355,10 +355,12 @@ TEST_F(Resilience, StallStopsOnlyTheStalledSimulation)
     job.params.groupRetries = 1;
     job.withOracle = true;
 
-    // Size the stall timeout to this build's oracle: longer than the
-    // oracle's workload build (about a fifth of its run), which sends
-    // no heartbeat, and short enough that group 0's stall is caught,
-    // a watchdog tick later, while the oracle is still simulating.
+    // Size the stall timeout to this build's oracle, timed here with
+    // the trace of its workload: longer than the campaign oracle's
+    // workload build, which sends no heartbeat (a slice of the cached
+    // heatmap's frame ray record, far shorter than that trace), and
+    // short enough that group 0's stall is caught, a watchdog tick
+    // later, while the oracle is still simulating.
     double oracle_seconds = 0.0;
     {
         rt::SceneDetail detail;

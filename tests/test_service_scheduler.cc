@@ -102,8 +102,10 @@ expectRowMatchesResult(const ResultRow &row,
 /**
  * Exactly what `zatel predict` does: the predictor renders the frame
  * itself and its groups slice the frame ray record. A campaign injects
- * the cached heatmap instead, so its groups trace their pixels; equal
- * rows therefore also check the slice path against the trace path.
+ * the cached heatmap and, when the entry was built in this process, its
+ * record, which the groups slice the same way; a heatmap loaded from
+ * disk has none, so those jobs' groups trace their pixels. Equal rows
+ * check that a job's workloads do not depend on which path built them.
  */
 core::ZatelResult
 directPredict(const CampaignJob &job)
@@ -403,6 +405,49 @@ TEST(SchedulerDeterminism, SharedOracleAndHeatmapRowsMatchAtAnyWorkerCount)
                 << context << " " << artifactKindName(kind);
         }
     }
+}
+
+TEST(SchedulerDeterminism, JobsOnTwoBvhsOfOneSceneShareNoArtifact)
+{
+    // Two jobs that differ only in the BVH the scene is built into. A
+    // heatmap entry's frame ray record holds one BVH's node indices and
+    // an oracle's stats count that BVH's visits, so each job must get
+    // its own of both.
+    std::vector<CampaignJob> jobs;
+    for (uint32_t leaf : {4u, 1u}) {
+        jobs.push_back(makeJob(0.25));
+        jobs.back().bvh.maxLeafSize = leaf;
+        jobs.back().withOracle = true;
+    }
+    finalizeCampaign(jobs);
+
+    ArtifactCache cache(kCacheBudget, "");
+    ResultStore store("");
+    SchedulerParams params;
+    params.workers = 2;
+    CampaignScheduler scheduler(jobs, cache, store, params);
+    EXPECT_EQ(scheduler.run().ok, jobs.size());
+    ASSERT_EQ(store.rowCount(), jobs.size());
+
+    for (const CampaignJob &job : jobs) {
+        const std::string context =
+            "maxLeafSize=" + std::to_string(job.bvh.maxLeafSize);
+        const gpusim::GpuStats oracle = directOracle(job);
+        for (const ResultRow &row : store.rows()) {
+            if (row.jobId != job.id)
+                continue;
+            expectRowMatchesResult(row, directPredict(job), context);
+            for (gpusim::Metric metric : gpusim::allMetrics()) {
+                ASSERT_TRUE(row.oracle.count(metric)) << context;
+                EXPECT_EQ(bitsOf(row.oracle.at(metric)),
+                          bitsOf(oracle.metricValue(metric)))
+                    << context << ": oracle " << gpusim::metricName(metric);
+            }
+        }
+    }
+    EXPECT_EQ(cache.counters(ArtifactKind::ScenePack).misses, 2u);
+    EXPECT_EQ(cache.counters(ArtifactKind::QuantizedHeatmap).misses, 2u);
+    EXPECT_EQ(cache.counters(ArtifactKind::OracleStats).misses, 2u);
 }
 
 // Deliberately NOT part of the tsan determinism filter: the test is
