@@ -46,6 +46,15 @@ GpuConfig::validate() const
         fatal("config '", name, "': RT unit throughput must be > 0");
     if (rtUnitsPerSm == 0)
         fatal("config '", name, "': need at least one RT unit per SM");
+    if (rtUnitsPerSm > kMaxRtUnitsPerSm)
+        fatal("config '", name, "': rtUnitsPerSm must be <= ",
+              kMaxRtUnitsPerSm);
+    if (static_cast<uint64_t>(rtMaxWarps) * warpSize > kMaxRtLanesPerUnit)
+        fatal("config '", name, "': rtMaxWarps x warpSize must be <= ",
+              kMaxRtLanesPerUnit);
+    if (maxResidentWarps() > 64)
+        fatal("config '", name, "': at most 64 resident warps per SM (",
+              maxResidentWarps(), " by maxWarpsPerSm and registers)");
     if (coreClockMhz <= 0.0 || memClockMhz <= 0.0)
         fatal("config '", name, "': clocks must be positive");
 }

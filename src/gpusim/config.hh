@@ -52,6 +52,10 @@ struct GpuConfig
     uint32_t aluLatency = 4;
 
     // ---- RT unit (per SM) ----
+    /** Most RT units per SM, and lanes (rtMaxWarps x warpSize) per
+     *  unit, that an RtRay completion token can address (sm.hh). */
+    static constexpr uint32_t kMaxRtUnitsPerSm = 1u << 8;
+    static constexpr uint32_t kMaxRtLanesPerUnit = 1u << 24;
     uint32_t rtUnitsPerSm = 1;
     /** Warps resident in an RT unit at once (Table II: 4). */
     uint32_t rtMaxWarps = 4;

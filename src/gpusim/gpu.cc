@@ -29,7 +29,9 @@ struct GpuMetrics
     obs::Counter *dramBytesRead;
     obs::Counter *dramBytesWritten;
     obs::Counter *fastForwardedCycles;
+    obs::Counter *smTicks;
     obs::Counter *smTicksSkipped;
+    obs::Counter *rtNodeVisits;
 };
 
 GpuMetrics &
@@ -62,9 +64,13 @@ gpuMetrics()
         m.fastForwardedCycles =
             reg.counter("zatel_gpu_fast_forwarded_cycles_total",
                         "Cycles skipped by quiescence fast-forward");
+        m.smTicks = reg.counter("zatel_gpu_sm_ticks_total",
+                                "Per-SM tick() calls executed");
         m.smTicksSkipped =
             reg.counter("zatel_gpu_sm_ticks_skipped_total",
                         "Per-SM tick() calls skipped as provably idle");
+        m.rtNodeVisits = reg.counter("zatel_gpu_rt_node_visits_total",
+                                     "BVH node visits of the RT units");
         return m;
     }();
     return metrics;
@@ -253,6 +259,7 @@ Gpu::runCycleLoop(uint64_t max_cycles, bool fast, uint64_t &out_cycle)
                     smSkipped[i] = 0;
                 }
                 sms_[i]->tickFast(cycle);
+                ++smTicks_;
                 uint64_t wake = sms_[i]->wakeCycleAfterTick(cycle);
                 smWakeAt[i] = wake;
                 min_wake = std::min(min_wake, wake);
@@ -261,6 +268,7 @@ Gpu::runCycleLoop(uint64_t max_cycles, bool fast, uint64_t &out_cycle)
             memory_.tick(cycle);
             for (auto &sm : sms_)
                 sm->tick(cycle);
+            smTicks_ += num_sms;
         }
 
         // 3. Termination check (cheap: counters only).
@@ -373,7 +381,9 @@ Gpu::run(uint64_t max_cycles)
         m.dramBytesRead->inc(stats.dramBytesRead);
         m.dramBytesWritten->inc(stats.dramBytesWritten);
         m.fastForwardedCycles->inc(fastForwardedCycles_);
+        m.smTicks->inc(smTicks_);
         m.smTicksSkipped->inc(skippedSmTicks_);
+        m.rtNodeVisits->inc(stats.rtNodeVisits);
     }
     return stats;
 }

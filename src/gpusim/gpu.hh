@@ -154,6 +154,7 @@ class Gpu
      *  it and never skip a probe). */
     uint64_t nextProbeCycle_ = 0;
     uint64_t fastForwardedCycles_ = 0;
+    uint64_t smTicks_ = 0;
     uint64_t skippedSmTicks_ = 0;
 };
 

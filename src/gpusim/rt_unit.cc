@@ -9,36 +9,19 @@
 namespace zatel::gpusim
 {
 
-RtUnit::RtUnit(const GpuConfig *config, Sm *sm) : config_(config), sm_(sm)
+RtUnit::RtUnit(const GpuConfig *config, Sm *sm, uint32_t index)
+    : config_(config), sm_(sm), index_(index)
 {
     uint32_t max_warps = std::max(1u, config->rtMaxWarps);
-    residentSlot_.resize(max_warps);
-    residentWarp_.resize(max_warps);
-    residentLanes_.resize(max_warps);
-    residentPoolIdx_.resize(max_warps);
     lanePool_.resize(static_cast<size_t>(max_warps) * config->warpSize);
+    spanSlot_.resize(max_warps);
+    spanWarp_.resize(max_warps);
+    spanLanes_.resize(max_warps);
     // Highest index on top so admission pops span 0 first (pure
     // cosmetics: any fixed order is deterministic).
     freeSpans_.reserve(max_warps);
     for (uint32_t i = max_warps; i-- > 0;)
         freeSpans_.push_back(i);
-}
-
-int
-RtUnit::findResident(uint32_t warp_slot) const
-{
-    for (uint32_t i = 0; i < residentCount_; ++i) {
-        if (residentSlot_[i] == warp_slot)
-            return static_cast<int>(i);
-    }
-    return -1;
-}
-
-Warp *
-RtUnit::warpAt(uint32_t warp_slot)
-{
-    int index = findResident(warp_slot);
-    return index >= 0 ? residentWarp_[index] : nullptr;
 }
 
 bool
@@ -47,18 +30,20 @@ RtUnit::tryAdmit(uint32_t warp_slot, Warp *warp)
     ZATEL_ASSERT(warp != nullptr, "cannot admit a null warp");
     if (residentCount_ >= config_->rtMaxWarps)
         return false;
+    ZATEL_ASSERT(!bvh_ || bvh_ == &warp->bvh(),
+                 "warps of one RT unit replay one BVH");
+    bvh_ = &warp->bvh();
 
     ZATEL_ASSERT(!freeSpans_.empty(), "lane pool exhausted below capacity");
     uint32_t span = freeSpans_.back();
     freeSpans_.pop_back();
-    warp->enterRtUnit(
-        lanePool_.data() + static_cast<size_t>(span) * config_->warpSize);
+    LaneRef base = span * config_->warpSize;
+    warp->enterRtUnit(lanePool_.data() + base);
     uint32_t lanes_remaining = 0;
     for (uint32_t lane = 0; lane < warp->laneCount(); ++lane) {
-        WarpLane &state = warp->lanes()[lane];
-        if (state.state == WarpLane::State::NeedFetch) {
+        if (lanePool_[base + lane].state == WarpLane::State::NeedFetch) {
             ++lanes_remaining;
-            fetchQueue_.pushBack(packLaneRef(warp_slot, lane));
+            fetchQueue_.pushBack(base + lane);
         }
     }
 
@@ -68,46 +53,38 @@ RtUnit::tryAdmit(uint32_t warp_slot, Warp *warp)
         freeSpans_.push_back(span);
         return true;
     }
-    residentSlot_[residentCount_] = warp_slot;
-    residentWarp_[residentCount_] = warp;
-    residentLanes_[residentCount_] = lanes_remaining;
-    residentPoolIdx_[residentCount_] = span;
+    spanSlot_[span] = warp_slot;
+    spanWarp_[span] = warp;
+    spanLanes_[span] = lanes_remaining;
     ++residentCount_;
+    activeLanes_ += lanes_remaining;
     return true;
 }
 
 void
-RtUnit::onFill(uint32_t warp_slot, uint32_t lane)
+RtUnit::onFill(LaneRef ref)
 {
-    Warp *warp = warpAt(warp_slot);
-    if (!warp)
-        return; // stale token (should not happen; be permissive)
-    WarpLane &state = warp->lanes()[lane];
+    WarpLane &state = lanePool_[ref];
     ZATEL_ASSERT(state.state == WarpLane::State::WaitMem,
                  "fill for a lane that is not waiting");
     state.state = WarpLane::State::ReadyStep;
-    readyQueue_.pushBack(packLaneRef(warp_slot, lane));
+    readyQueue_.pushBack(ref);
 }
 
 bool
-RtUnit::issueFetch(LaneRef ref, uint64_t now, GpuStats &stats)
+RtUnit::issueFetch(LaneRef ref, uint64_t now)
 {
-    Warp *warp = warpAt(laneRefSlot(ref));
-    ZATEL_ASSERT(warp, "fetch for a non-resident warp");
-    WarpLane &lane = warp->lanes()[laneRefLane(ref)];
+    WarpLane &lane = lanePool_[ref];
     ZATEL_ASSERT(lane.state == WarpLane::State::NeedFetch,
                  "fetch for a lane not needing one");
 
     uint64_t node_addr =
         AddressMap::bvhNodeAddress(lane.cursor.pendingNode());
     uint64_t line = AddressMap::lineOf(node_addr, config_->l1dLineBytes);
-    uint64_t token = WaiterToken::pack(WaiterToken::RtRay, laneRefSlot(ref),
-                                       laneRefLane(ref));
-
-    Sm::L1Outcome outcome = sm_->l1Load(line, token, now);
+    Sm::L1Outcome outcome =
+        sm_->l1Load(line, WaiterToken::rtRay(index_, ref), now);
     if (outcome == Sm::L1Outcome::Stall)
         return false;
-    (void)stats;
     lane.state = WarpLane::State::WaitMem;
     return true;
 }
@@ -115,14 +92,11 @@ RtUnit::issueFetch(LaneRef ref, uint64_t now, GpuStats &stats)
 void
 RtUnit::executeVisit(LaneRef ref, uint64_t now, GpuStats &stats)
 {
-    int resident = findResident(laneRefSlot(ref));
-    ZATEL_ASSERT(resident >= 0, "visit for a non-resident warp");
-    Warp *warp = residentWarp_[resident];
-    WarpLane &lane = warp->lanes()[laneRefLane(ref)];
+    WarpLane &lane = lanePool_[ref];
     ZATEL_ASSERT(lane.state == WarpLane::State::ReadyStep,
                  "visit for a lane that is not ready");
 
-    rt::StepInfo info = lane.cursor.step(warp->bvh());
+    rt::StepInfo info = lane.cursor.step(*bvh_);
     ++stats.rtNodeVisits;
     ++stats.threadInstructions; // one traversal op on this lane
     stats.rtTriangleTests += info.triangleTests;
@@ -141,29 +115,23 @@ RtUnit::executeVisit(LaneRef ref, uint64_t now, GpuStats &stats)
             prev_line = line;
             if (!sm_->portAvailable())
                 break;
-            sm_->l1Load(line, WaiterToken::pack(WaiterToken::Prefetch, 0, 0),
+            sm_->l1Load(line, WaiterToken::pack(WaiterToken::Prefetch, 0),
                         now);
         }
     }
 
     if (lane.cursor.finished()) {
         lane.state = WarpLane::State::Done;
-        ZATEL_ASSERT(residentLanes_[resident] > 0, "lane accounting broke");
-        if (--residentLanes_[resident] == 0) {
-            Warp *done_warp = residentWarp_[resident];
-            freeSpans_.push_back(residentPoolIdx_[resident]);
-            // Remove from residency (preserving admission order), then
-            // let the warp continue.
-            for (uint32_t i = resident; i + 1u < residentCount_; ++i) {
-                residentSlot_[i] = residentSlot_[i + 1];
-                residentWarp_[i] = residentWarp_[i + 1];
-                residentLanes_[i] = residentLanes_[i + 1];
-                residentPoolIdx_[i] = residentPoolIdx_[i + 1];
-            }
+        // Only a finishing lane needs its warp: the span it borrowed.
+        uint32_t span = ref / config_->warpSize;
+        ZATEL_ASSERT(spanLanes_[span] > 0, "lane accounting broke");
+        --activeLanes_;
+        if (--spanLanes_[span] == 0) {
+            freeSpans_.push_back(span);
             --residentCount_;
-            done_warp->exitRtUnit(now);
+            spanWarp_[span]->exitRtUnit(now);
             // Tell the SM's lean scan the warp is scannable again.
-            sm_->onWarpLeftRtUnit(laneRefSlot(ref));
+            sm_->onWarpLeftRtUnit(spanSlot_[span]);
         }
         return;
     }
@@ -176,10 +144,8 @@ void
 RtUnit::fastForward(uint64_t cycles, GpuStats &stats) const
 {
     ZATEL_ASSERT(quiet(), "fast-forward across a unit with pending work");
-    for (uint32_t i = 0; i < residentCount_; ++i) {
-        stats.rtResidentWarpCycles += cycles;
-        stats.rtActiveRaySum += cycles * residentLanes_[i];
-    }
+    stats.rtResidentWarpCycles += cycles * residentCount_;
+    stats.rtActiveRaySum += cycles * activeLanes_;
 }
 
 void
@@ -188,17 +154,15 @@ RtUnit::tick(uint64_t now, GpuStats &stats)
     ZATEL_ASSERT(residentCount_ <= config_->rtMaxWarps,
                  "more resident warps than the RT unit allows");
     // Residency/efficiency sampling (Table I: RT Unit Avg Efficiency).
-    // Lanes still traversing == lanesRemaining (NeedFetch/WaitMem/Ready).
-    for (uint32_t i = 0; i < residentCount_; ++i) {
-        ++stats.rtResidentWarpCycles;
-        stats.rtActiveRaySum += residentLanes_[i];
-    }
+    // Lanes still traversing are NeedFetch/WaitMem/ReadyStep ones.
+    stats.rtResidentWarpCycles += residentCount_;
+    stats.rtActiveRaySum += activeLanes_;
 
     // 1. Issue node fetches while ports and MSHRs allow.
     size_t fetch_budget = fetchQueue_.size();
     while (fetch_budget-- > 0 && !fetchQueue_.empty()) {
         LaneRef ref = fetchQueue_.popFront();
-        if (!issueFetch(ref, now, stats)) {
+        if (!issueFetch(ref, now)) {
             fetchQueue_.pushFront(ref);
             break; // stalled: stop issuing this cycle
         }

@@ -13,9 +13,10 @@
  * that generate cache/DRAM traffic without stalling traversal.
  *
  * Per-cycle state is SoA (docs/SIMULATOR.md, "Data layout of the hot
- * path"): the ready/fetch queues are flat rings of packed lane
- * references, and residency bookkeeping lives in parallel arrays
- * instead of a struct vector.
+ * path"): every lane is addressed by its index in the unit's lane pool,
+ * the ready/fetch queues are flat rings of those indices, and a warp's
+ * residency lives in per-span arrays indexed by the pool span it
+ * borrowed, so no fetch, fill or visit searches for its warp.
  */
 
 #ifndef ZATEL_GPUSIM_RT_UNIT_HH
@@ -36,22 +37,13 @@ namespace zatel::gpusim
 class Sm;
 
 /**
- * Packed (warp slot, lane) reference: slot in the high bits, lane in
- * the low byte — same shape as WaiterToken's payload.
+ * A lane's index in its RT unit's lane pool: span * warpSize + lane,
+ * where span is the pool span its warp borrowed on admission.
  */
 using LaneRef = uint32_t;
 
-inline LaneRef
-packLaneRef(uint32_t warp_slot, uint32_t lane)
-{
-    return (warp_slot << 8) | lane;
-}
-
-inline uint32_t laneRefSlot(LaneRef ref) { return ref >> 8; }
-inline uint32_t laneRefLane(LaneRef ref) { return ref & 0xFFu; }
-
 /**
- * Flat ring of packed lane references with power-of-two wraparound.
+ * Flat ring of lane references with power-of-two wraparound.
  * Supports pushFront for the stall-requeue path (a stalled fetch goes
  * back to the head so issue order matches the reference deque).
  */
@@ -119,19 +111,20 @@ class LaneRing
 class RtUnit
 {
   public:
-    RtUnit(const GpuConfig *config, Sm *sm);
+    /** @param index This unit's index in @p sm, carried by the RtRay
+     *  tokens of its fetches. */
+    RtUnit(const GpuConfig *config, Sm *sm, uint32_t index);
 
     /** Admit @p warp into a free slot. @return false when full. */
     bool tryAdmit(uint32_t warp_slot, Warp *warp);
 
-    /** Node data for (warp_slot, lane) arrived. */
-    void onFill(uint32_t warp_slot, uint32_t lane);
+    /** Node data for the lane at pool index @p ref arrived. */
+    void onFill(LaneRef ref);
 
     /** Advance one cycle: issue fetches, execute visits, retire warps. */
     void tick(uint64_t now, GpuStats &stats);
 
     bool idle() const { return residentCount_ == 0; }
-    size_t residentWarps() const { return residentCount_; }
 
     /** Another warp can be admitted (used by the SM's event predicate). */
     bool hasFreeSlot() const { return residentCount_ < config_->rtMaxWarps; }
@@ -147,35 +140,38 @@ class RtUnit
 
     /**
      * Apply @p cycles of skipped-tick residency sampling: each resident
-     * warp contributes one rtResidentWarpCycle and lanesRemaining active
-     * rays per skipped cycle, exactly as @p cycles quiet tick()s would.
+     * warp contributes one rtResidentWarpCycle and each traversing lane
+     * one active ray per skipped cycle, exactly as @p cycles quiet
+     * tick()s would.
      * @pre the unit is quiet() and stays untouched across the skip.
      */
     void fastForward(uint64_t cycles, GpuStats &stats) const;
 
   private:
-    /** Residency index of @p warp_slot, or -1 when not resident. */
-    int findResident(uint32_t warp_slot) const;
     /** Issue the pending node fetch of a lane. @return false on stall. */
-    bool issueFetch(LaneRef ref, uint64_t now, GpuStats &stats);
+    bool issueFetch(LaneRef ref, uint64_t now);
     /** Execute one node visit for a ready lane. */
     void executeVisit(LaneRef ref, uint64_t now, GpuStats &stats);
-    Warp *warpAt(uint32_t warp_slot);
 
     const GpuConfig *config_ = nullptr;
     Sm *sm_ = nullptr;
-    // Resident warp bookkeeping, SoA over residency index (admission
-    // order preserved; removal shifts the tail down).
-    std::vector<uint32_t> residentSlot_;
-    std::vector<Warp *> residentWarp_;
-    std::vector<uint32_t> residentLanes_;
-    std::vector<uint32_t> residentPoolIdx_;
-    uint32_t residentCount_ = 0;
+    uint32_t index_ = 0;
+    /** The BVH every lane's visit stream was recorded on: all warps of
+     *  one Gpu replay the same workload. Set on the first admission. */
+    const rt::Bvh *bvh_ = nullptr;
     // Lane pool: rtMaxWarps spans of warpSize WarpLanes. A warp borrows
     // a span for the duration of its residency (Warp::enterRtUnit
     // re-initializes everything observable, so reuse is deterministic).
     std::vector<WarpLane> lanePool_;
     std::vector<uint32_t> freeSpans_;
+    // Residency, SoA over the span a resident warp borrowed: its SM
+    // warp slot, the warp, and its lanes still traversing.
+    std::vector<uint32_t> spanSlot_;
+    std::vector<Warp *> spanWarp_;
+    std::vector<uint32_t> spanLanes_;
+    uint32_t residentCount_ = 0;
+    /** spanLanes_ summed over resident warps (rtActiveRaySum's rate). */
+    uint32_t activeLanes_ = 0;
     /** Lanes whose node data is available. */
     LaneRing readyQueue_;
     /** Lanes that must (re)issue a fetch. */

@@ -17,10 +17,9 @@ Sm::Sm(uint32_t index, const GpuConfig *config, MemorySystem *memory)
     warpSlots_.resize(config->maxResidentWarps());
     ZATEL_ASSERT(warpSlots_.size() <= 64,
                  "lean-scan slot masks hold at most 64 warp slots");
-    rtUnitOf_.assign(warpSlots_.size(), -1);
     rtUnits_.reserve(std::max(1u, config->rtUnitsPerSm));
     for (uint32_t u = 0; u < std::max(1u, config->rtUnitsPerSm); ++u)
-        rtUnits_.emplace_back(config, this);
+        rtUnits_.emplace_back(config, this, u);
 }
 
 void
@@ -101,15 +100,12 @@ void
 Sm::deliverToken(uint64_t token, uint64_t now)
 {
     switch (WaiterToken::kindOf(token)) {
-      case WaiterToken::RtRay: {
-        uint32_t slot = WaiterToken::warpSlotOf(token);
-        ZATEL_ASSERT(slot < rtUnitOf_.size() && rtUnitOf_[slot] >= 0,
-                     "RT fill for a warp not resident in any unit");
-        rtUnits_[rtUnitOf_[slot]].onFill(slot, WaiterToken::laneOf(token));
+      case WaiterToken::RtRay:
+        rtUnits_[WaiterToken::rtUnitOf(token)].onFill(
+            WaiterToken::rtLaneOf(token));
         break;
-      }
       case WaiterToken::WarpLoad: {
-        uint32_t slot = WaiterToken::warpSlotOf(token);
+        uint32_t slot = WaiterToken::payloadOf(token);
         ZATEL_ASSERT(slot < warpSlots_.size() && warpSlots_[slot],
                      "load completion for a retired warp");
         warpSlots_[slot]->onLoadComplete();
@@ -166,7 +162,6 @@ Sm::scanWarpSlot(uint32_t slot, uint64_t now, uint32_t &issued,
             stats_.threadInstructions += warp->takePendingThreadInsts();
         if (warp->done()) {
             warpSlots_[slot].reset();
-            rtUnitOf_[slot] = -1;
             --residentWarps_;
             scannableSlots_ &= ~bit;
             rtWaitSlots_ &= ~bit;
@@ -175,9 +170,8 @@ Sm::scanWarpSlot(uint32_t slot, uint64_t now, uint32_t &issued,
 
         if (warp->wantsRtSlot() && !rt_units_full) {
             bool admitted = false;
-            for (size_t u = 0; u < rtUnits_.size(); ++u) {
-                if (rtUnits_[u].tryAdmit(slot, warp)) {
-                    rtUnitOf_[slot] = static_cast<int8_t>(u);
+            for (RtUnit &unit : rtUnits_) {
+                if (unit.tryAdmit(slot, warp)) {
                     admitted = true;
                     break;
                 }
@@ -200,8 +194,7 @@ Sm::scanWarpSlot(uint32_t slot, uint64_t now, uint32_t &issued,
 
         if (warp->nextIsLoad()) {
             uint64_t line = warp->pendingMemLine();
-            uint64_t token =
-                WaiterToken::pack(WaiterToken::WarpLoad, slot, 0);
+            uint64_t token = WaiterToken::pack(WaiterToken::WarpLoad, slot);
             L1Outcome outcome = l1Load(line, token, now);
             if (outcome == L1Outcome::Stall)
                 break; // retry next cycle

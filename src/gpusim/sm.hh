@@ -25,7 +25,13 @@
 namespace zatel::gpusim
 {
 
-/** Opaque completion-token codec shared by the SM and its RT unit. */
+/**
+ * Opaque completion-token codec shared by the SM and its RT units: the
+ * kind above bit 32 and a 32-bit payload below it. A WarpLoad payload
+ * is the warp slot; an RtRay payload is the RT unit's index in its SM
+ * in the top 8 bits and the lane's pool index (LaneRef) in the low 24,
+ * so a fill reaches its lane without a lookup.
+ */
 struct WaiterToken
 {
     enum Kind : uint8_t
@@ -35,11 +41,23 @@ struct WaiterToken
         Prefetch = 2, ///< no waiter (triangle streaming)
     };
 
+    static_assert(uint64_t{GpuConfig::kMaxRtUnitsPerSm} *
+                          GpuConfig::kMaxRtLanesPerUnit ==
+                      uint64_t{1} << 32,
+                  "an RtRay payload is (unit, pool index)");
+
     static uint64_t
-    pack(Kind kind, uint32_t warp_slot, uint32_t lane)
+    pack(Kind kind, uint32_t payload)
     {
-        return (static_cast<uint64_t>(kind) << 32) |
-               (static_cast<uint64_t>(warp_slot) << 8) | lane;
+        return (static_cast<uint64_t>(kind) << 32) | payload;
+    }
+
+    /** Wake lane @p ref of RT unit @p unit (GpuConfig::validate()
+     *  bounds both). */
+    static uint64_t
+    rtRay(uint32_t unit, LaneRef ref)
+    {
+        return pack(RtRay, unit * GpuConfig::kMaxRtLanesPerUnit + ref);
     }
 
     static Kind kindOf(uint64_t token)
@@ -47,15 +65,19 @@ struct WaiterToken
         return static_cast<Kind>(token >> 32);
     }
 
-    static uint32_t
-    warpSlotOf(uint64_t token)
+    static uint32_t payloadOf(uint64_t token)
     {
-        return static_cast<uint32_t>((token >> 8) & 0xFFFFFFu);
+        return static_cast<uint32_t>(token);
     }
 
-    static uint32_t laneOf(uint64_t token)
+    static uint32_t rtUnitOf(uint64_t token)
     {
-        return static_cast<uint32_t>(token & 0xFFu);
+        return payloadOf(token) / GpuConfig::kMaxRtLanesPerUnit;
+    }
+
+    static LaneRef rtLaneOf(uint64_t token)
+    {
+        return payloadOf(token) % GpuConfig::kMaxRtLanesPerUnit;
     }
 };
 
@@ -300,9 +322,8 @@ class Sm
     TagCache l1_;
     MshrTable mshr_;
     /** rtUnitsPerSm accelerator units; warps are admitted to any unit
-     *  with a free slot and remembered in rtUnitOf_. */
+     *  with a free slot, and RtRay tokens name the unit. */
     std::vector<RtUnit> rtUnits_;
-    std::vector<int8_t> rtUnitOf_; // per warp slot; -1 = not resident
     /**
      * Fixed-latency delay line for L1 hits. The constant L1 latency
      * makes scheduled ready cycles monotone in push order, so a flat

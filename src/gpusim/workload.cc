@@ -42,7 +42,7 @@ SimWorkload
 SimWorkload::build(const rt::Tracer &tracer, uint32_t width, uint32_t height,
                    const std::vector<PixelCoord> &pixels,
                    const std::vector<bool> *selected,
-                   const rt::FrameRayRecord *frame)
+                   std::shared_ptr<const rt::FrameRayRecord> frame)
 {
     ZATEL_ASSERT(!selected || selected->size() == pixels.size(),
                  "selection mask must align with the pixel list");
@@ -68,57 +68,45 @@ SimWorkload::build(const rt::Tracer &tracer, uint32_t width, uint32_t height,
         if (!thread.selected)
             continue;
         ++workload.selectedCount;
-        const rt::RayTask *rays = nullptr;
-        size_t count = 0;
-        const std::vector<uint64_t> *bits = &traced.visitBits;
         if (frame) {
-            // The render already traced this pixel: copy its slice.
+            // The render already traced this pixel: point at its slice.
+            // Its rays' firstWords already index the record's bits.
             const size_t begin = frame->offsets[thread.pixelLinear];
-            rays = frame->rays.data() + begin;
-            count = frame->offsets[thread.pixelLinear + 1] - begin;
-            bits = &frame->visitBits;
-        } else {
-            traced.rays.clear();
-            traced.visitBits.clear();
-            rt::PixelProfile profile;
-            tracer.tracePixel(pixel.x, pixel.y, width, height, profile,
-                              &traced);
-            rays = traced.rays.data();
-            count = traced.rays.size();
+            thread.rays = frame->rays.data() + begin;
+            thread.rayCount = static_cast<uint32_t>(
+                frame->offsets[thread.pixelLinear + 1] - begin);
+            thread.visitBits = frame->visitBits.data();
+            continue;
         }
+        traced.rays.clear();
+        traced.visitBits.clear();
+        rt::PixelProfile profile;
+        tracer.tracePixel(pixel.x, pixel.y, width, height, profile, &traced);
         // Flattened into the workload's arena, so the timed hot path
-        // walks one contiguous RayTask stream per thread. A pixel's rays
-        // own one run of words; rebased, their firstWords index the
-        // thread's copy of it.
-        rt::RayTask *copy = workload.rayArena.copySpan(rays, count);
-        size_t first_word = 0;
-        size_t end_word = 0;
-        if (count > 0) {
-            const rt::VisitStream &last = rays[count - 1].visits;
-            first_word = rays[0].visits.firstWord;
-            end_word = last.firstWord + last.wordCount();
-        }
-        for (size_t r = 0; r < count; ++r)
-            copy[r].visits.firstWord -= static_cast<uint32_t>(first_word);
-        thread.rayCount = static_cast<uint32_t>(count);
-        thread.rays = copy;
+        // walks one contiguous RayTask stream per thread. The traced
+        // pixel's rays own all of its words, from word 0.
+        thread.rayCount = static_cast<uint32_t>(traced.rays.size());
+        thread.rays =
+            workload.rayArena.copySpan(traced.rays.data(), traced.rays.size());
         thread.visitBits = workload.rayArena.copySpan(
-            bits->data() + first_word, end_word - first_word);
+            traced.visitBits.data(), traced.visitBits.size());
     }
     workloadPixelsCounter(frame != nullptr)->inc(workload.selectedCount);
+    workload.frame = std::move(frame);
     return workload;
 }
 
 SimWorkload
 SimWorkload::buildFullFrame(const rt::Tracer &tracer, uint32_t width,
-                            uint32_t height, const rt::FrameRayRecord *frame)
+                            uint32_t height,
+                            std::shared_ptr<const rt::FrameRayRecord> frame)
 {
     std::vector<PixelCoord> pixels;
     pixels.reserve(static_cast<size_t>(width) * height);
     for (uint32_t y = 0; y < height; ++y)
         for (uint32_t x = 0; x < width; ++x)
             pixels.push_back({x, y});
-    return build(tracer, width, height, pixels, nullptr, frame);
+    return build(tracer, width, height, pixels, nullptr, std::move(frame));
 }
 
 } // namespace zatel::gpusim

@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "rt/bvh.hh"
@@ -41,20 +42,22 @@ struct ThreadWork
     bool selected = true;
     /**
      * Rays this pixel casts in program order, or null when !selected.
-     * The span lives in the owning SimWorkload's rayArena — a flat
-     * arena-backed layout instead of a per-thread vector, so the timed
-     * hot path walks contiguous RayTask storage (docs/SIMULATOR.md,
-     * "Data layout of the hot path").
+     * The span is the pixel's slice of the owning SimWorkload's frame
+     * ray record, or, for a traced pixel, lives in its rayArena: flat
+     * storage instead of a per-thread vector, so the timed hot path
+     * walks contiguous RayTask storage (docs/SIMULATOR.md, "Data layout
+     * of the hot path").
      */
     const rt::RayTask *rays = nullptr;
     uint32_t rayCount = 0;
-    /** The rays' bounds-hit bits, in the same arena; each ray's
-     *  visits.firstWord indexes this span. */
+    /** The bounds-hit bits each ray's visits.firstWord indexes: the
+     *  frame record's whole buffer, or the traced pixel's arena copy. */
     const uint64_t *visitBits = nullptr;
 };
 
 /** A complete launch for one simulator instance. Move-only: the arena
- *  backing every ThreadWork::rays span moves with it. */
+ *  and the frame ray record backing every ThreadWork span move with
+ *  it. */
 struct SimWorkload
 {
     uint32_t width = 0;
@@ -64,8 +67,10 @@ struct SimWorkload
     /** Threads in launch order; warps are consecutive runs of warpSize. */
     std::vector<ThreadWork> threads;
     uint64_t selectedCount = 0;
-    /** Owns the RayTask and visit-bit storage the threads' spans point
-     *  into. */
+    /** The frame ray record the threads' spans slice, when built from
+     *  one; held so that it outlives the workload. */
+    std::shared_ptr<const rt::FrameRayRecord> frame;
+    /** Owns the RayTask and visit-bit storage of traced pixels. */
     FrameArena rayArena;
 
     /** Total recorded rays over all selected threads. */
@@ -79,20 +84,21 @@ struct SimWorkload
      * @param selected Optional mask aligned with @p pixels; null = all.
      * @param frame Optional frame ray record of this image plane, made
      *        by @p tracer's render(). When given, each selected pixel's
-     *        rays and visit bits are copied from its slice instead of
-     *        traced again; the workload is the same either way.
+     *        rays and visit bits point into its slice instead of being
+     *        traced again, and the workload holds the record; it
+     *        simulates the same either way.
      */
-    static SimWorkload build(const rt::Tracer &tracer, uint32_t width,
-                             uint32_t height,
-                             const std::vector<PixelCoord> &pixels,
-                             const std::vector<bool> *selected = nullptr,
-                             const rt::FrameRayRecord *frame = nullptr);
+    static SimWorkload
+    build(const rt::Tracer &tracer, uint32_t width, uint32_t height,
+          const std::vector<PixelCoord> &pixels,
+          const std::vector<bool> *selected = nullptr,
+          std::shared_ptr<const rt::FrameRayRecord> frame = nullptr);
 
     /** Convenience: full-frame workload in row-major order, sliced
      *  from @p frame when given (see build()). */
     static SimWorkload
     buildFullFrame(const rt::Tracer &tracer, uint32_t width, uint32_t height,
-                   const rt::FrameRayRecord *frame = nullptr);
+                   std::shared_ptr<const rt::FrameRayRecord> frame = nullptr);
 };
 
 } // namespace zatel::gpusim

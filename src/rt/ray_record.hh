@@ -71,9 +71,9 @@ struct PixelRayRecord
  * Every pixel's recorded rays for one frame, in one flat row-major
  * buffer. Tracer::render() fills it in the same pass that shades the
  * frame, so a consumer that needs a pixel's rays (SimWorkload::build)
- * copies a slice instead of tracing the pixel a second time. Per pixel
- * the slice equals recordPixelRays(), except that each firstWord is
- * offset by where the pixel's words start in visitBits.
+ * points into its slice instead of tracing the pixel a second time.
+ * Per pixel the slice equals recordPixelRays(), except that each
+ * firstWord is offset by where the pixel's words start in visitBits.
  */
 struct FrameRayRecord
 {

@@ -487,7 +487,7 @@ ZatelPredictor::simulateGroup(uint32_t group_index, const PixelGroup &group,
         // heatmap); otherwise the group's selected pixels are traced here.
         return gpusim::SimWorkload::build(tracer_, params_.width,
                                           params_.height, group,
-                                          &selection.mask, frameRays_.get());
+                                          &selection.mask, frameRays_);
     }();
     gpusim::Gpu gpu(config, workload);
     if (simProbeInterval_ > 0) {
@@ -556,7 +556,7 @@ ZatelPredictor::runOracle() const
         // A slice of the whole record when there is one; otherwise every
         // pixel is traced here, on this thread.
         return gpusim::SimWorkload::buildFullFrame(
-            tracer_, params_.width, params_.height, frameRays_.get());
+            tracer_, params_.width, params_.height, frameRays_);
     }();
     gpusim::Gpu gpu(targetConfig_, workload);
     if (simProbeInterval_ > 0) {

@@ -33,6 +33,9 @@
  * frame ray record, and a fresh predictor's traces the frame. A timing-model
  * change that moves the fast cycle loop and its slow-tick reference
  * together passes every in-build differential test, but not this one.
+ *
+ * RtUnitPin does the same for Gpu::run alone on small filtered frames,
+ * under RT-unit settings the default configurations never use.
  */
 
 #include <gtest/gtest.h>
@@ -44,6 +47,7 @@
 #include <string>
 #include <vector>
 
+#include "gpusim/gpu.hh"
 #include "gpusim/workload.hh"
 #include "rt/scene_library.hh"
 #include "util/rng.hh"
@@ -135,7 +139,7 @@ pinParams()
 uint64_t
 groupWorkloadHash(const rt::Tracer &tracer, const ZatelParams &params,
                   uint32_t k, const heatmap::QuantizedHeatmap &quantized,
-                  const rt::FrameRayRecord *frame)
+                  const std::shared_ptr<const rt::FrameRayRecord> &frame)
 {
     std::vector<PixelGroup> groups =
         divideImagePlane(params.width, params.height, k, params.partition);
@@ -250,7 +254,7 @@ TEST_P(AnswerPin, MatchesCommittedConstants)
     const uint64_t workload_hash =
         groupWorkloadHash(tracer, params, result.k, quantized, nullptr);
     const uint64_t sliced_hash =
-        groupWorkloadHash(tracer, params, result.k, quantized, frame.get());
+        groupWorkloadHash(tracer, params, result.k, quantized, frame);
 
     // Given the heatmap with its frame ray record, as from the cache's
     // memory tier; the groups slice it.
@@ -297,12 +301,11 @@ struct OracleCase
     std::vector<std::pair<const char *, const char *>> errorPct;
 };
 
-/** The table entry a regeneration would write. */
+/** Every raw GpuStats counter, as a table's {name, value} list. */
 std::string
-formatOracleCase(const gpusim::GpuStats &stats,
-                 const std::vector<ComparisonRow> &rows)
+formatCounters(const gpusim::GpuStats &stats)
 {
-    std::string out = "{{";
+    std::string out = "{";
     const char *sep = "";
     for (const gpusim::GpuStatsField &field : gpusim::gpuStatsFields()) {
         char buf[96];
@@ -311,6 +314,31 @@ formatOracleCase(const gpusim::GpuStats &stats,
         out += buf;
         sep = ",\n  ";
     }
+    return out;
+}
+
+/** Expect every raw GpuStats counter of @p stats to equal @p expected
+ *  (gpuStatsFields() order); @p what names the run in a failure. */
+void
+expectCounters(const std::vector<std::pair<const char *, uint64_t>> &expected,
+               const gpusim::GpuStats &stats, const char *what)
+{
+    ASSERT_EQ(expected.size(), gpusim::gpuStatsFields().size());
+    size_t c = 0;
+    for (const gpusim::GpuStatsField &field : gpusim::gpuStatsFields()) {
+        EXPECT_STREQ(field.name, expected[c].first);
+        EXPECT_EQ(stats.*field.member, expected[c].second)
+            << field.name << " (" << what << ")";
+        ++c;
+    }
+}
+
+/** The table entry a regeneration would write. */
+std::string
+formatOracleCase(const gpusim::GpuStats &stats,
+                 const std::vector<ComparisonRow> &rows)
+{
+    std::string out = "{" + formatCounters(stats);
     const auto metric_list = [&](double ComparisonRow::*value) {
         std::string list = "},\n {";
         const char *comma = "";
@@ -431,16 +459,9 @@ TEST_P(OraclePin, MatchesCommittedConstants)
 
     SCOPED_TRACE(std::string("actual ") + pin.name + ": " +
                  formatOracleCase(oracle, rows));
-    ASSERT_EQ(expected.counters.size(), gpusim::gpuStatsFields().size());
-    size_t c = 0;
-    for (const gpusim::GpuStatsField &field : gpusim::gpuStatsFields()) {
-        EXPECT_STREQ(field.name, expected.counters[c].first);
-        EXPECT_EQ(oracle.*field.member, expected.counters[c].second)
-            << field.name << " (sliced oracle workload)";
-        EXPECT_EQ(traced_oracle.*field.member, expected.counters[c].second)
-            << field.name << " (traced oracle workload)";
-        ++c;
-    }
+    expectCounters(expected.counters, oracle, "sliced oracle workload");
+    expectCounters(expected.counters, traced_oracle,
+                   "traced oracle workload");
     ASSERT_EQ(expected.metrics.size(), rows.size());
     ASSERT_EQ(expected.errorPct.size(), rows.size());
     for (size_t m = 0; m < rows.size(); ++m) {
@@ -459,6 +480,203 @@ INSTANTIATE_TEST_SUITE_P(Recipes, OraclePin, testing::Values(0, 1),
                          [](const testing::TestParamInfo<size_t> &info) {
                              return info.param == 0 ? "ParkSoc"
                                                     : "SprngRtx2060";
+                         });
+
+/** One RT-unit configuration of the Mobile SoC and its committed run. */
+struct RtUnitCase
+{
+    const char *name;
+    rt::SceneId scene;
+    uint32_t rtUnitsPerSm;
+    uint32_t rtMaxWarps;
+    uint32_t rtVisitsPerCycle;
+    uint32_t rtMshrSize;
+    uint32_t l1dLatencyCycles;
+    uint32_t warpSize;
+    gpusim::WarpSchedulerPolicy scheduler;
+    /** Every raw GpuStats counter of Gpu::run, in gpuStatsFields()
+     *  order. */
+    std::vector<std::pair<const char *, uint64_t>> counters;
+};
+
+/**
+ * RT-unit pin: every GpuStats counter of one Gpu::run per case, under
+ * RT settings OraclePin (one unit of 4 warps, 4 visits per cycle, 64
+ * MSHRs, GTO) never reaches: several units per SM, one and eight
+ * resident warps, one visit per cycle, a two-entry MSHR, zero-latency
+ * L1 hits, half-width warps and the LRR scheduler. The fast cycle loop
+ * and its slow-tick reference share the RT unit, so a change to it
+ * moves both and passes the in-build differential suite; it cannot
+ * pass this table in either loop mode. Generated before the RT unit
+ * addressed its lanes by pool index, and must not change with it.
+ */
+class RtUnitPin : public testing::TestWithParam<size_t>
+{
+};
+
+const std::vector<RtUnitCase> &
+rtUnitCases()
+{
+    using gpusim::WarpSchedulerPolicy;
+    static const std::vector<RtUnitCase> table = {
+        {"TwoUnitsEightWarps", rt::SceneId::Park, 2, 8, 4, 64, 20, 32,
+         WarpSchedulerPolicy::GreedyThenOldest,
+         {{"cycles", 29954ull},
+          {"threadInstructions", 124734ull},
+          {"warpInstructions", 2070ull},
+          {"l1dAccesses", 94647ull},
+          {"l1dMisses", 6254ull},
+          {"l2Accesses", 6193ull},
+          {"l2Misses", 2517ull},
+          {"rtActiveRaySum", 5720985ull},
+          {"rtResidentWarpCycles", 433525ull},
+          {"rtNodeVisits", 91344ull},
+          {"rtTriangleTests", 11916ull},
+          {"dramBusyCycles", 31226ull},
+          {"dramActiveCycles", 76418ull},
+          {"dramChannelCycles", 119816ull},
+          {"dramBytesRead", 305792ull},
+          {"dramBytesWritten", 1664ull},
+          {"warpsLaunched", 32ull},
+          {"raysTraced", 1770ull},
+          {"pixelsTraced", 819ull},
+          {"pixelsFiltered", 205ull}}},
+        {"ThreeUnitsOneWarpOneVisit", rt::SceneId::Park, 3, 1, 1, 64, 20,
+         32, WarpSchedulerPolicy::GreedyThenOldest,
+         {{"cycles", 66512ull},
+          {"threadInstructions", 124734ull},
+          {"warpInstructions", 2070ull},
+          {"l1dAccesses", 99201ull},
+          {"l1dMisses", 7152ull},
+          {"l2Accesses", 7152ull},
+          {"l2Misses", 3054ull},
+          {"rtActiveRaySum", 3753983ull},
+          {"rtResidentWarpCycles", 348539ull},
+          {"rtNodeVisits", 91344ull},
+          {"rtTriangleTests", 11916ull},
+          {"dramBusyCycles", 38584ull},
+          {"dramActiveCycles", 164935ull},
+          {"dramChannelCycles", 266048ull},
+          {"dramBytesRead", 374528ull},
+          {"dramBytesWritten", 5376ull},
+          {"warpsLaunched", 32ull},
+          {"raysTraced", 1770ull},
+          {"pixelsTraced", 819ull},
+          {"pixelsFiltered", 205ull}}},
+        {"TinyMshrZeroLatency", rt::SceneId::Sprng, 1, 4, 4, 2, 0, 32,
+         WarpSchedulerPolicy::GreedyThenOldest,
+         {{"cycles", 41819ull},
+          {"threadInstructions", 23307ull},
+          {"warpInstructions", 952ull},
+          {"l1dAccesses", 6178ull},
+          {"l1dMisses", 1460ull},
+          {"l2Accesses", 969ull},
+          {"l2Misses", 730ull},
+          {"rtActiveRaySum", 2511395ull},
+          {"rtResidentWarpCycles", 317804ull},
+          {"rtNodeVisits", 5545ull},
+          {"rtTriangleTests", 1365ull},
+          {"dramBusyCycles", 7826ull},
+          {"dramActiveCycles", 80732ull},
+          {"dramChannelCycles", 167276ull},
+          {"dramBytesRead", 77056ull},
+          {"dramBytesWritten", 0ull},
+          {"warpsLaunched", 32ull},
+          {"raysTraced", 880ull},
+          {"pixelsTraced", 819ull},
+          {"pixelsFiltered", 205ull}}},
+        {"LrrThreeUnits", rt::SceneId::Sprng, 3, 2, 1, 8, 0, 32,
+         WarpSchedulerPolicy::LooseRoundRobin,
+         {{"cycles", 14967ull},
+          {"threadInstructions", 23307ull},
+          {"warpInstructions", 952ull},
+          {"l1dAccesses", 6489ull},
+          {"l1dMisses", 1730ull},
+          {"l2Accesses", 1090ull},
+          {"l2Misses", 849ull},
+          {"rtActiveRaySum", 737558ull},
+          {"rtResidentWarpCycles", 88772ull},
+          {"rtNodeVisits", 5545ull},
+          {"rtTriangleTests", 1365ull},
+          {"dramBusyCycles", 9373ull},
+          {"dramActiveCycles", 48996ull},
+          {"dramChannelCycles", 59868ull},
+          {"dramBytesRead", 92288ull},
+          {"dramBytesWritten", 0ull},
+          {"warpsLaunched", 32ull},
+          {"raysTraced", 880ull},
+          {"pixelsTraced", 819ull},
+          {"pixelsFiltered", 205ull}}},
+        {"HalfWarpsLrr", rt::SceneId::Park, 2, 8, 2, 2, 20, 16,
+         WarpSchedulerPolicy::LooseRoundRobin,
+         {{"cycles", 173269ull},
+          {"threadInstructions", 124734ull},
+          {"warpInstructions", 3794ull},
+          {"l1dAccesses", 98107ull},
+          {"l1dMisses", 10195ull},
+          {"l2Accesses", 3890ull},
+          {"l2Misses", 1398ull},
+          {"rtActiveRaySum", 33945153ull},
+          {"rtResidentWarpCycles", 3785567ull},
+          {"rtNodeVisits", 91344ull},
+          {"rtTriangleTests", 11916ull},
+          {"dramBusyCycles", 16510ull},
+          {"dramActiveCycles", 187311ull},
+          {"dramChannelCycles", 693076ull},
+          {"dramBytesRead", 162560ull},
+          {"dramBytesWritten", 0ull},
+          {"warpsLaunched", 64ull},
+          {"raysTraced", 1770ull},
+          {"pixelsTraced", 819ull},
+          {"pixelsFiltered", 205ull}}},
+    };
+    return table;
+}
+
+TEST_P(RtUnitPin, MatchesCommittedConstants)
+{
+    constexpr uint32_t kSize = 32;
+    const RtUnitCase &pin = rtUnitCases()[GetParam()];
+    const rt::Scene scene = rt::buildScene(pin.scene);
+    rt::Bvh bvh;
+    bvh.build(scene.triangles());
+    const rt::Tracer tracer(scene, bvh);
+    // A filtered frame, as a Zatel group is: every fifth pixel (on a
+    // diagonal pattern) runs only the filter check and leaves its lane
+    // inactive in the RT unit.
+    std::vector<gpusim::PixelCoord> pixels;
+    std::vector<bool> selected;
+    for (uint32_t y = 0; y < kSize; ++y) {
+        for (uint32_t x = 0; x < kSize; ++x) {
+            pixels.push_back({x, y});
+            selected.push_back((x + 2 * y) % 5 != 0);
+        }
+    }
+    const gpusim::SimWorkload workload = gpusim::SimWorkload::build(
+        tracer, kSize, kSize, pixels, &selected);
+
+    // Two SMs hold 16 warps each, so every unit stays contended.
+    gpusim::GpuConfig config = gpusim::GpuConfig::mobileSoc();
+    config.numSms = 2;
+    config.rtUnitsPerSm = pin.rtUnitsPerSm;
+    config.rtMaxWarps = pin.rtMaxWarps;
+    config.rtVisitsPerCycle = pin.rtVisitsPerCycle;
+    config.rtMshrSize = pin.rtMshrSize;
+    config.l1dLatencyCycles = pin.l1dLatencyCycles;
+    config.warpSize = pin.warpSize;
+    config.scheduler = pin.scheduler;
+    const gpusim::GpuStats stats = gpusim::Gpu(config, workload).run();
+
+    SCOPED_TRACE(std::string("actual ") + pin.name + ": " +
+                 formatCounters(stats) + "}");
+    expectCounters(pin.counters, stats, pin.name);
+}
+
+INSTANTIATE_TEST_SUITE_P(RtSettings, RtUnitPin,
+                         testing::Range<size_t>(0, rtUnitCases().size()),
+                         [](const testing::TestParamInfo<size_t> &info) {
+                             return std::string(
+                                 rtUnitCases()[info.param].name);
                          });
 
 /** One pinned functional frame: the tracer's whole output. */

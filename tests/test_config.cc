@@ -77,6 +77,39 @@ TEST(Config, ValidateRejectsBadConfigs)
                 "numMemPartitions");
 }
 
+TEST(Config, ValidateRejectsWhatTheSimulatorCannotAddress)
+{
+    // 65 warp slots: the SM's lean-scan slot masks hold 64.
+    GpuConfig config = GpuConfig::mobileSoc();
+    config.maxWarpsPerSm = 65;
+    config.registersPerSm = 1u << 20;
+    ASSERT_EQ(config.maxResidentWarps(), 65u);
+    EXPECT_EXIT(config.validate(), testing::ExitedWithCode(1),
+                "at most 64 resident warps");
+    config.maxWarpsPerSm = 64;
+    config.validate();
+
+    // An RtRay token holds the unit in 8 bits and the lane's pool index
+    // in 24.
+    config = GpuConfig::mobileSoc();
+    config.rtUnitsPerSm = GpuConfig::kMaxRtUnitsPerSm + 1;
+    EXPECT_EXIT(config.validate(), testing::ExitedWithCode(1),
+                "rtUnitsPerSm");
+    config.rtUnitsPerSm = GpuConfig::kMaxRtUnitsPerSm;
+    config.validate();
+
+    config = GpuConfig::mobileSoc();
+    config.rtMaxWarps = GpuConfig::kMaxRtLanesPerUnit / config.warpSize + 1;
+    EXPECT_EXIT(config.validate(), testing::ExitedWithCode(1),
+                "rtMaxWarps x warpSize");
+    // A lane count past 32 bits must not wrap back into range.
+    config.rtMaxWarps = (1u << 31) / config.warpSize * 2;
+    EXPECT_EXIT(config.validate(), testing::ExitedWithCode(1),
+                "rtMaxWarps x warpSize");
+    config.rtMaxWarps = GpuConfig::kMaxRtLanesPerUnit / config.warpSize;
+    config.validate();
+}
+
 TEST(Config, DramBandwidthScalesWithClock)
 {
     GpuConfig config = GpuConfig::rtx2060();

@@ -28,12 +28,15 @@
 #include <string>
 #include <vector>
 
+#include "gpusim/gpu.hh"
 #include "gpusim/stats.hh"
+#include "gpusim/workload.hh"
 #include "obs/metrics_registry.hh"
 #include "obs/trace_recorder.hh"
 #include "obs/validate.hh"
 #include "rt/bvh.hh"
 #include "rt/scene_library.hh"
+#include "rt/tracer.hh"
 #include "service/artifact_cache.hh"
 #include "service/campaign.hh"
 #include "service/result_store.hh"
@@ -495,6 +498,60 @@ TEST_F(ObsIntegration, DiskLoadedHeatmapsCarryNoRecordSoJobsTrace)
     EXPECT_GT(sliced[0], 0u);
     EXPECT_GT(traced[1], 0u) << "warm run: the heatmap came from disk";
     EXPECT_EQ(sliced[1], 0u);
+}
+
+/** gpu.run's work counters in both cycle loops: every cycle the loop
+ *  did not jump over either ticks or skips each SM, and the node-visit
+ *  counter mirrors GpuStats. Time per SM tick and per node visit is
+ *  read from these and a trace. */
+TEST_F(ObsIntegration, GpuWorkCountersAccountForEverySmCycle)
+{
+    const rt::Scene scene =
+        rt::buildScene(rt::SceneId::Park, rt::SceneDetail{0.3f});
+    rt::Bvh bvh;
+    bvh.build(scene.triangles());
+    const rt::Tracer tracer(scene, bvh);
+    const gpusim::SimWorkload workload =
+        gpusim::SimWorkload::buildFullFrame(tracer, 32, 32);
+    const gpusim::GpuConfig config = gpusim::GpuConfig::mobileSoc();
+
+    for (const gpusim::TickMode mode :
+         {gpusim::TickMode::Fast, gpusim::TickMode::Slow}) {
+        const bool fast = mode == gpusim::TickMode::Fast;
+        SCOPED_TRACE(fast ? "fast loop" : "slow loop");
+        const auto counters = [] {
+            return std::vector<uint64_t>{
+                globalCounter("zatel_gpu_sm_ticks_total"),
+                globalCounter("zatel_gpu_sm_ticks_skipped_total"),
+                globalCounter("zatel_gpu_fast_forwarded_cycles_total"),
+                globalCounter("zatel_gpu_rt_node_visits_total")};
+        };
+        const std::vector<uint64_t> before = counters();
+        obs::MetricsRegistry::global().setEnabled(true);
+        gpusim::Gpu gpu(config, workload);
+        gpu.setTickMode(mode);
+        const gpusim::GpuStats stats = gpu.run();
+        obs::MetricsRegistry::global().setEnabled(false);
+        const std::vector<uint64_t> after = counters();
+        const uint64_t ticks = after[0] - before[0];
+        const uint64_t skipped = after[1] - before[1];
+        const uint64_t forwarded = after[2] - before[2];
+        const uint64_t visits = after[3] - before[3];
+
+        EXPECT_GT(stats.rtNodeVisits, 0u);
+        EXPECT_EQ(visits, stats.rtNodeVisits);
+        EXPECT_GT(ticks, 0u);
+        if (fast) {
+            EXPECT_GT(skipped, 0u);
+            EXPECT_GT(forwarded, 0u);
+            EXPECT_EQ(ticks + skipped,
+                      (stats.cycles - forwarded) * config.numSms);
+        } else {
+            EXPECT_EQ(ticks, stats.cycles * config.numSms);
+            EXPECT_EQ(skipped, 0u);
+            EXPECT_EQ(forwarded, 0u);
+        }
+    }
 }
 
 } // namespace

@@ -469,6 +469,7 @@ TEST(SchedulerTimeout, CancelsPendingStages)
     // phase and leaves the scene pack + heatmap in the cache, so the
     // timed pass spends its whole budget inside group units.
     double sim_seconds = 0.0;
+    double max_group_seconds = 0.0;
     size_t group_count = 0;
     {
         std::vector<CampaignJob> jobs{heavy};
@@ -481,14 +482,21 @@ TEST(SchedulerTimeout, CancelsPendingStages)
         ASSERT_EQ(scheduler.run().ok, 1u);
         const ResultRow row = store.rows()[0];
         sim_seconds = row.simSeconds;
+        max_group_seconds = row.maxGroupSeconds;
         group_count = row.k;
     }
     ASSERT_GE(group_count, 3u) << "need several group units to skip";
     ASSERT_GT(sim_seconds, 0.0);
+    ASSERT_GT(max_group_seconds, 0.0);
 
-    // Timed pass: the budget covers warm preprocessing plus roughly one
-    // group simulation, so the deadline expires while group units are
-    // still pending. Those pending units must be dropped (not
+    // Timed pass: the budget covers warm preprocessing plus about half
+    // the longest group simulation, so the deadline expires inside
+    // group 0 and the next unit to start finds it passed, with at least
+    // one more still pending. Taken from the group phase instead, the
+    // budget spans more than one group, and a timed pass that runs
+    // faster than the calibration (a speed phase of the host, a busy
+    // neighbour during calibration) finishes groups 0 and 1 inside it,
+    // leaving no unit to skip. Pending units must be dropped (not
     // simulated) and the pool must still drain to a terminal row.
     const uint64_t skipped_before =
         obs::MetricsRegistry::global()
@@ -501,7 +509,7 @@ TEST(SchedulerTimeout, CancelsPendingStages)
     ResultStore store("");
     SchedulerParams params;
     params.workers = 1;
-    params.jobTimeoutSeconds = std::max(0.05, 0.35 * sim_seconds);
+    params.jobTimeoutSeconds = std::max(0.05, 0.5 * max_group_seconds);
     CampaignScheduler scheduler(std::move(jobs), cache, store, params);
     CampaignSummary summary = scheduler.run();
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 
 #include "gpusim/warp.hh"
 #include "gpusim/workload.hh"
@@ -216,8 +217,9 @@ TEST_F(WorkloadFixture, PartialWarpFewerThreads)
 }
 
 /** Every ThreadWork field, every RayTask field and each ray's visit
- *  bits equal, floats bit for bit; the span pointers differ (each
- *  workload owns its arena). */
+ *  bits equal, floats bit for bit; the span pointers and firstWords
+ *  may differ (a traced thread's bits live in its workload's arena, a
+ *  sliced thread's in the frame ray record). */
 void
 expectSameWorkload(const SimWorkload &want, const SimWorkload &got)
 {
@@ -243,10 +245,9 @@ expectSameWorkload(const SimWorkload &want, const SimWorkload &got)
             EXPECT_EQ(x.materialId, y.materialId)
                 << "thread " << t << " ray " << r;
             EXPECT_EQ(x.bounce, y.bounce) << "thread " << t << " ray " << r;
-            // The recorded traversal: the same words of bounds-hit bits
-            // at the same place in each thread's copy.
-            EXPECT_EQ(x.visits.firstWord, y.visits.firstWord)
-                << "thread " << t << " ray " << r;
+            // The recorded traversal: the same words of bounds-hit bits,
+            // wherever each workload keeps them (a traced thread's arena
+            // copy, or the frame record a sliced thread points into).
             ASSERT_EQ(x.visits.visits, y.visits.visits)
                 << "thread " << t << " ray " << r;
             EXPECT_EQ(x.visits.lastVisitTests, y.visits.lastVisitTests)
@@ -286,8 +287,8 @@ TEST(WorkloadFrameRecord, SliceBuildMatchesTracedBuild)
 
     constexpr uint32_t kWidth = 23, kHeight = 17;
     ThreadPool pool(3);
-    rt::FrameRayRecord frame;
-    tracer.render(kWidth, kHeight, &pool, &frame);
+    auto frame = std::make_shared<rt::FrameRayRecord>();
+    tracer.render(kWidth, kHeight, &pool, frame.get());
 
     // A masked group in a scattered launch order, as the image-plane
     // division produces: every third pixel row-major, reversed.
@@ -302,10 +303,20 @@ TEST(WorkloadFrameRecord, SliceBuildMatchesTracedBuild)
     const SimWorkload traced =
         SimWorkload::build(tracer, kWidth, kHeight, pixels, &mask);
     const SimWorkload sliced =
-        SimWorkload::build(tracer, kWidth, kHeight, pixels, &mask, &frame);
+        SimWorkload::build(tracer, kWidth, kHeight, pixels, &mask, frame);
     EXPECT_GT(traced.selectedCount, 0u);
     EXPECT_LT(traced.selectedCount, pixels.size());
     expectSameWorkload(traced, sliced);
+
+    // The sliced workload holds the record and points into it: no copy.
+    EXPECT_EQ(sliced.frame, frame);
+    for (const ThreadWork &thread : sliced.threads) {
+        if (!thread.selected)
+            continue;
+        EXPECT_EQ(thread.rays,
+                  frame->rays.data() + frame->offsets[thread.pixelLinear]);
+        EXPECT_EQ(thread.visitBits, frame->visitBits.data());
+    }
 
     bool has_bounce = false;
     for (const ThreadWork &thread : sliced.threads) {
@@ -321,7 +332,7 @@ TEST(WorkloadFrameRecord, SliceBuildMatchesTracedBuild)
             all.push_back({x, y});
     expectSameWorkload(
         SimWorkload::buildFullFrame(tracer, kWidth, kHeight),
-        SimWorkload::build(tracer, kWidth, kHeight, all, nullptr, &frame));
+        SimWorkload::build(tracer, kWidth, kHeight, all, nullptr, frame));
 }
 
 } // namespace
