@@ -23,8 +23,9 @@
  * The fast loop is the SoA hot-path layout (docs/SIMULATOR.md, "Data
  * layout of the hot path"), so the predictor ratio is also that
  * layout's gate. soa_workload_build_seconds times the full-frame
- * workload build alone: Tracer::shade() recording every pixel's rays,
- * copied into the workload's arena, a path no other number covers.
+ * workload build alone: Tracer::shade() recording every pixel's rays
+ * straight into the workload's own ray record, a path no other number
+ * covers.
  */
 
 #include <algorithm>
@@ -266,7 +267,7 @@ main()
     double fastSeconds = times.fastSeconds;
     double speedup = slowSeconds / fastSeconds;
 
-    // ---- Workload build alone: the ray recording + arena path.
+    // ---- Workload build alone: the record-less ray recording path.
     double soaWorkloadBuildSeconds = 1e300;
     for (int trial = 0; trial < kTrials; ++trial) {
         double start = nowSeconds();

@@ -50,14 +50,16 @@ main(int argc, char **argv)
     std::printf("target %s: downscale factor K = %u\n",
                 target.name.c_str(), predictor.effectiveK());
 
-    // 3. Reference: the full cycle-level simulation Zatel replaces.
+    // 3. The Zatel prediction.
+    std::printf("running Zatel...\n");
+    core::ZatelResult result = predictor.predict();
+
+    // 4. Reference: the full cycle-level simulation Zatel replaces. It
+    //    replays the rays the prediction's render recorded, so the frame
+    //    is traced once.
     std::printf("running oracle (full %ux%u simulation)...\n", resolution,
                 resolution);
     core::OracleResult oracle = predictor.runOracle();
-
-    // 4. The Zatel prediction.
-    std::printf("running Zatel...\n");
-    core::ZatelResult result = predictor.predict();
 
     // 5. Report.
     auto rows = core::compareToOracle(result.predicted, oracle.stats);

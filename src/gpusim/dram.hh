@@ -69,7 +69,6 @@ class DramChannel
      */
     void fastForward(uint64_t cycles);
 
-    size_t queueOccupancy() const { return queue_.size(); }
     bool queueFull() const { return queue_.size() >= queueSize_; }
     const Stats &stats() const { return stats_; }
 

@@ -242,7 +242,7 @@ Warp::enterRtUnit(WarpLane *lanes)
             continue;
         }
         state.cursor.init(thread.rays[currentRaySlot_].visits,
-                          thread.visitBits);
+                          workload_->visitBits);
         state.state = state.cursor.finished() ? WarpLane::State::Done
                                               : WarpLane::State::NeedFetch;
     }

@@ -1,5 +1,8 @@
 #include "gpusim/workload.hh"
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "obs/metrics_registry.hh"
 #include "util/logging.hh"
 
@@ -10,7 +13,7 @@ namespace
 {
 
 /** zatel_workload_pixels_total{source}: selected pixels whose rays a
- *  workload build copied from a frame ray record, or traced itself. A
+ *  workload build sliced from a frame ray record, or traced itself. A
  *  no-op while the global MetricsRegistry is disabled. */
 obs::Counter *
 workloadPixelsCounter(bool from_record)
@@ -56,8 +59,20 @@ SimWorkload::build(const rt::Tracer &tracer, uint32_t width, uint32_t height,
     workload.threads.resize(pixels.size());
 
     // Without a frame record each selected pixel is traced here, into
-    // one record that keeps its capacity from pixel to pixel.
-    rt::PixelRayRecord traced;
+    // the workload's own record. Each shade() level casts at most a
+    // closest-hit and a shadow ray, so this reserve bounds the rays and
+    // the record never regrows; capacity never written is never touched.
+    rt::PixelRayRecord &traced = workload.traced;
+    if (!frame) {
+        const size_t pixel_count =
+            selected ? static_cast<size_t>(std::count(selected->begin(),
+                                                      selected->end(), true))
+                     : pixels.size();
+        const size_t levels =
+            static_cast<size_t>(std::max(0, tracer.scene().maxBounces())) + 1;
+        traced.rays.reserve(pixel_count * tracer.params().samplesPerPixel *
+                            2 * levels);
+    }
     for (size_t i = 0; i < pixels.size(); ++i) {
         const PixelCoord &pixel = pixels[i];
         ZATEL_ASSERT(pixel.x < width && pixel.y < height,
@@ -75,24 +90,33 @@ SimWorkload::build(const rt::Tracer &tracer, uint32_t width, uint32_t height,
             thread.rays = frame->rays.data() + begin;
             thread.rayCount = static_cast<uint32_t>(
                 frame->offsets[thread.pixelLinear + 1] - begin);
-            thread.visitBits = frame->visitBits.data();
             continue;
         }
-        traced.rays.clear();
-        traced.visitBits.clear();
+        const size_t begin = traced.rays.size();
         rt::PixelProfile profile;
         tracer.tracePixel(pixel.x, pixel.y, width, height, profile, &traced);
-        // Flattened into the workload's arena, so the timed hot path
-        // walks one contiguous RayTask stream per thread. The traced
-        // pixel's rays own all of its words, from word 0.
-        thread.rayCount = static_cast<uint32_t>(traced.rays.size());
-        thread.rays =
-            workload.rayArena.copySpan(traced.rays.data(), traced.rays.size());
-        thread.visitBits = workload.rayArena.copySpan(
-            traced.visitBits.data(), traced.visitBits.size());
+        thread.rayCount = static_cast<uint32_t>(traced.rays.size() - begin);
     }
     workloadPixelsCounter(frame != nullptr)->inc(workload.selectedCount);
-    workload.frame = std::move(frame);
+    if (frame) {
+        workload.visitBits = frame->visitBits.data();
+        workload.frame = std::move(frame);
+        return workload;
+    }
+    // Each traced ray's firstWord indexes the whole record, as a
+    // render's do; past 2^32 words they would have wrapped.
+    if (traced.visitBits.size() > UINT32_MAX)
+        throw std::length_error("workload visit bits exceed 2^32 words");
+    // The record no longer grows: each selected thread's rays follow the
+    // previous selected thread's.
+    const rt::RayTask *next = traced.rays.data();
+    for (ThreadWork &thread : workload.threads) {
+        if (!thread.selected)
+            continue;
+        thread.rays = next;
+        next += thread.rayCount;
+    }
+    workload.visitBits = traced.visitBits.data();
     return workload;
 }
 

@@ -19,7 +19,6 @@
 #include "rt/bvh.hh"
 #include "rt/ray_record.hh"
 #include "rt/tracer.hh"
-#include "util/arena.hh"
 
 namespace zatel::gpusim
 {
@@ -41,25 +40,27 @@ struct ThreadWork
     /** False when the Zatel filter skips this pixel. */
     bool selected = true;
     /**
-     * Rays this pixel casts in program order, or null when !selected.
-     * The span is the pixel's slice of the owning SimWorkload's frame
-     * ray record, or, for a traced pixel, lives in its rayArena: flat
-     * storage instead of a per-thread vector, so the timed hot path
-     * walks contiguous RayTask storage (docs/SIMULATOR.md, "Data layout
-     * of the hot path").
+     * Rays this pixel casts in program order, or null when !selected:
+     * the pixel's slice of the owning SimWorkload's ray store (its frame
+     * ray record, or the record it traced itself), so the timed hot
+     * path walks contiguous RayTask storage instead of a per-thread
+     * vector (docs/SIMULATOR.md, "Data layout of the hot path").
      */
     const rt::RayTask *rays = nullptr;
     uint32_t rayCount = 0;
-    /** The bounds-hit bits each ray's visits.firstWord indexes: the
-     *  frame record's whole buffer, or the traced pixel's arena copy. */
-    const uint64_t *visitBits = nullptr;
 };
 
-/** A complete launch for one simulator instance. Move-only: the arena
- *  and the frame ray record backing every ThreadWork span move with
- *  it. */
+/** A complete launch for one simulator instance. Move-only: the ray
+ *  store backing every ThreadWork span moves with it, and a copy would
+ *  point into the original's. */
 struct SimWorkload
 {
+    SimWorkload() = default;
+    SimWorkload(SimWorkload &&) = default;
+    SimWorkload &operator=(SimWorkload &&) = default;
+    SimWorkload(const SimWorkload &) = delete;
+    SimWorkload &operator=(const SimWorkload &) = delete;
+
     uint32_t width = 0;
     uint32_t height = 0;
     /** Acceleration structure the RT units traverse. */
@@ -67,11 +68,15 @@ struct SimWorkload
     /** Threads in launch order; warps are consecutive runs of warpSize. */
     std::vector<ThreadWork> threads;
     uint64_t selectedCount = 0;
-    /** The frame ray record the threads' spans slice, when built from
-     *  one; held so that it outlives the workload. */
+    /** The ray store, one of two: the frame ray record the threads'
+     *  spans slice, when built from one (held so that it outlives the
+     *  workload), or else the record the build traced every selected
+     *  pixel into, pixel after pixel in launch order. */
     std::shared_ptr<const rt::FrameRayRecord> frame;
-    /** Owns the RayTask and visit-bit storage of traced pixels. */
-    FrameArena rayArena;
+    rt::PixelRayRecord traced;
+    /** The store's bounds-hit bits, which every ray's visits.firstWord
+     *  indexes. */
+    const uint64_t *visitBits = nullptr;
 
     /** Total recorded rays over all selected threads. */
     uint64_t totalRays() const;
@@ -84,9 +89,9 @@ struct SimWorkload
      * @param selected Optional mask aligned with @p pixels; null = all.
      * @param frame Optional frame ray record of this image plane, made
      *        by @p tracer's render(). When given, each selected pixel's
-     *        rays and visit bits point into its slice instead of being
-     *        traced again, and the workload holds the record; it
-     *        simulates the same either way.
+     *        rays point into its slice instead of being traced again, and
+     *        the workload holds the record; otherwise each selected pixel
+     *        is traced into @c traced. It simulates the same either way.
      */
     static SimWorkload
     build(const rt::Tracer &tracer, uint32_t width, uint32_t height,

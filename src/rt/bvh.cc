@@ -57,14 +57,6 @@ Bvh::build(const std::vector<Triangle> &triangles, const BuildParams &params)
     }
 }
 
-Aabb
-Bvh::rootBounds() const
-{
-    if (nodes_.empty())
-        return Aabb{};
-    return nodes_[kRootIndex].bounds;
-}
-
 uint32_t
 Bvh::buildRecursive(std::vector<uint32_t> &prims, uint32_t begin,
                     uint32_t end, uint32_t depth,

@@ -117,9 +117,6 @@ class Bvh
      */
     uint32_t escape(uint32_t node_index) const { return escapes_[node_index]; }
 
-    /** Root node bounds (empty box for an empty BVH). */
-    Aabb rootBounds() const;
-
     static constexpr uint32_t kRootIndex = 0;
     /** escape() of the nodes whose subtree ends the traversal. */
     static constexpr uint32_t kNoNode = UINT32_MAX;

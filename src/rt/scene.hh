@@ -39,7 +39,6 @@ class Scene
     explicit Scene(std::string name) : name_(std::move(name)) {}
 
     const std::string &name() const { return name_; }
-    void setName(std::string name) { name_ = std::move(name); }
 
     /** Register a material; returns its id. */
     uint16_t addMaterial(const Material &material);

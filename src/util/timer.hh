@@ -28,9 +28,6 @@ class WallTimer
         return std::chrono::duration<double>(now - start_).count();
     }
 
-    /** Milliseconds elapsed. */
-    double elapsedMillis() const { return elapsedSeconds() * 1e3; }
-
   private:
     std::chrono::steady_clock::time_point start_;
 };

@@ -17,9 +17,9 @@
  * are covered by construction rather than hand-picked. Every draw also
  * stresses the SoA hot-path layout (docs/SIMULATOR.md, "Data layout of
  * the hot path"): the workload build traces every pixel into the
- * workload's arena, and the L1-size / MSHR-size / L1-latency grid keeps
- * the flat tag maps, fill heaps and waiter pools churning under the
- * oracle.
+ * workload's own ray record, and the L1-size / MSHR-size / L1-latency
+ * grid keeps the flat tag maps, fill heaps and waiter pools churning
+ * under the oracle.
  *
  * Suites are named GpuFastpath* so the tsan-determinism preset's test
  * filter picks them up (CMakePresets.json).

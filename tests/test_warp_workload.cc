@@ -218,8 +218,8 @@ TEST_F(WorkloadFixture, PartialWarpFewerThreads)
 
 /** Every ThreadWork field, every RayTask field and each ray's visit
  *  bits equal, floats bit for bit; the span pointers and firstWords
- *  may differ (a traced thread's bits live in its workload's arena, a
- *  sliced thread's in the frame ray record). */
+ *  may differ (a traced workload's rays live in the record it traced
+ *  them into, a sliced workload's in the frame ray record). */
 void
 expectSameWorkload(const SimWorkload &want, const SimWorkload &got)
 {
@@ -246,18 +246,47 @@ expectSameWorkload(const SimWorkload &want, const SimWorkload &got)
                 << "thread " << t << " ray " << r;
             EXPECT_EQ(x.bounce, y.bounce) << "thread " << t << " ray " << r;
             // The recorded traversal: the same words of bounds-hit bits,
-            // wherever each workload keeps them (a traced thread's arena
-            // copy, or the frame record a sliced thread points into).
+            // wherever each workload's ray store keeps them.
             ASSERT_EQ(x.visits.visits, y.visits.visits)
                 << "thread " << t << " ray " << r;
             EXPECT_EQ(x.visits.lastVisitTests, y.visits.lastVisitTests)
                 << "thread " << t << " ray " << r;
-            EXPECT_EQ(std::memcmp(a.visitBits + x.visits.firstWord,
-                                  b.visitBits + y.visits.firstWord,
+            EXPECT_EQ(std::memcmp(want.visitBits + x.visits.firstWord,
+                                  got.visitBits + y.visits.firstWord,
                                   x.visits.wordCount() * sizeof(uint64_t)),
                       0)
                 << "thread " << t << " ray " << r;
         }
+    }
+}
+
+/** Every selected thread of @p workload points into its one ray store,
+ *  and so does its visitBits: the frame record @p frame it slices, or,
+ *  when @p frame is null, the record it traced itself. */
+void
+expectPointsIntoStore(const SimWorkload &workload,
+                      const std::shared_ptr<rt::FrameRayRecord> &frame)
+{
+    EXPECT_EQ(workload.frame, frame);
+    if (frame) {
+        EXPECT_TRUE(workload.traced.rays.empty());
+        EXPECT_EQ(workload.visitBits, frame->visitBits.data());
+    } else {
+        EXPECT_EQ(workload.visitBits, workload.traced.visitBits.data());
+    }
+    const rt::RayTask *const begin = workload.traced.rays.data();
+    const rt::RayTask *const end = begin + workload.traced.rays.size();
+    for (const ThreadWork &thread : workload.threads) {
+        if (!thread.selected)
+            continue;
+        if (frame) {
+            EXPECT_EQ(thread.rays,
+                      frame->rays.data() + frame->offsets[thread.pixelLinear]);
+            continue;
+        }
+        EXPECT_GE(thread.rays, begin) << "pixel " << thread.pixelLinear;
+        EXPECT_LE(thread.rays + thread.rayCount, end)
+            << "pixel " << thread.pixelLinear;
     }
 }
 
@@ -300,26 +329,30 @@ TEST(WorkloadFrameRecord, SliceBuildMatchesTracedBuild)
         pixels.push_back({p % kWidth, p / kWidth});
         mask.push_back(p % 2 == 0);
     }
-    const SimWorkload traced =
+    SimWorkload traced =
         SimWorkload::build(tracer, kWidth, kHeight, pixels, &mask);
-    const SimWorkload sliced =
+    SimWorkload sliced =
         SimWorkload::build(tracer, kWidth, kHeight, pixels, &mask, frame);
     EXPECT_GT(traced.selectedCount, 0u);
     EXPECT_LT(traced.selectedCount, pixels.size());
     expectSameWorkload(traced, sliced);
 
-    // The sliced workload holds the record and points into it: no copy.
-    EXPECT_EQ(sliced.frame, frame);
-    for (const ThreadWork &thread : sliced.threads) {
-        if (!thread.selected)
-            continue;
-        EXPECT_EQ(thread.rays,
-                  frame->rays.data() + frame->offsets[thread.pixelLinear]);
-        EXPECT_EQ(thread.visitBits, frame->visitBits.data());
-    }
+    // The traced workload points into the record it owns; the sliced one
+    // holds the frame record and points into it: no copy.
+    expectPointsIntoStore(traced, nullptr);
+    expectPointsIntoStore(sliced, frame);
+
+    // A move carries each store with it: the new objects still point
+    // into the stores they hold.
+    const SimWorkload moved_traced = std::move(traced);
+    SimWorkload moved_sliced;
+    moved_sliced = std::move(sliced);
+    expectSameWorkload(moved_traced, moved_sliced);
+    expectPointsIntoStore(moved_traced, nullptr);
+    expectPointsIntoStore(moved_sliced, frame);
 
     bool has_bounce = false;
-    for (const ThreadWork &thread : sliced.threads) {
+    for (const ThreadWork &thread : moved_sliced.threads) {
         for (uint32_t r = 0; r < thread.rayCount; ++r)
             has_bounce |= thread.rays[r].bounce > 0;
     }

@@ -317,11 +317,11 @@ main(int argc, char **argv)
     }
 
     if (command == "oracle") {
+        rt::TracerParams tracer_params;
+        tracer_params.samplesPerPixel = params.samplesPerPixel;
         gpusim::SimWorkload workload = gpusim::SimWorkload::buildFullFrame(
-            rt::Tracer(scene, bvh,
-                       rt::TracerParams{params.samplesPerPixel, 0.02f,
-                                        0.06f}),
-            params.width, params.height);
+            rt::Tracer(scene, bvh, tracer_params), params.width,
+            params.height);
         gpusim::Gpu gpu(config, workload);
         gpusim::GpuStats stats = gpu.run();
         AsciiTable table({"Metric", "Value"});
@@ -336,8 +336,10 @@ main(int argc, char **argv)
     }
 
     if (command == "compare") {
-        core::OracleResult oracle = predictor.runOracle();
+        // Predict first: the oracle then slices the frame ray record the
+        // prediction's render made instead of tracing the frame again.
         core::ZatelResult result = predictor.predict();
+        core::OracleResult oracle = predictor.runOracle();
         auto rows = core::compareToOracle(result.predicted, oracle.stats);
         std::printf("%s", core::comparisonTable(
                               rows, "Zatel vs full simulation ('" +
