@@ -47,9 +47,9 @@ main()
             core::ZatelParams params = defaultParams(options);
             core::ZatelPredictor predictor(prepared.scene, prepared.bvh,
                                            config, params);
+            core::ZatelResult result = predictor.predict();
             core::OracleResult oracle = predictor.runOracle();
-            auto rows = core::compareToOracle(
-                predictor.predict().predicted, oracle.stats);
+            auto rows = core::compareToOracle(result.predicted, oracle.stats);
             row.push_back(AsciiTable::num(oracle.stats.simCycles(), 0));
             maes.push_back(AsciiTable::pct(core::maeOf(rows)));
             // stash RT efficiency right after cycles; reorder below

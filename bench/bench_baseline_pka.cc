@@ -37,12 +37,16 @@ main()
     for (rt::SceneId id : benchScenes(options)) {
         PreparedScene prepared(id);
         core::ZatelParams params = defaultParams(options);
+        // One render serves all three: Zatel's heatmap, and the frame
+        // ray record that the oracle and PKP slice, so neither of them
+        // times a trace of the frame.
+        SceneRender render = renderScene(prepared, params);
         core::ZatelPredictor predictor(prepared.scene, prepared.bvh,
                                        config, params);
+        predictor.setPrebuiltHeatmap(render.map, render.rays);
+        core::ZatelResult zatel = predictor.predict();
         std::printf("[%s] oracle...\n", prepared.scene.name().c_str());
         core::OracleResult oracle = predictor.runOracle();
-
-        core::ZatelResult zatel = predictor.predict();
         auto zatel_rows =
             core::compareToOracle(zatel.predicted, oracle.stats);
 
@@ -54,7 +58,7 @@ main()
         pkp_params.height = options.resolution;
         pkp_params.samplesPerPixel = options.samplesPerPixel;
         core::PkpResult pkp =
-            core::runPkpBaseline(config, tracer, pkp_params);
+            core::runPkpBaseline(config, tracer, pkp_params, render.rays);
         auto pkp_rows = core::compareToOracle(pkp.predicted, oracle.stats);
 
         table.addRow(

@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <filesystem>
 
+#include "util/thread_pool.hh"
+
 namespace zatel::bench
 {
 
@@ -45,6 +47,18 @@ defaultParams(const BenchOptions &options)
     params.samplesPerPixel = options.samplesPerPixel;
     params.seed = options.seed;
     return params;
+}
+
+SceneRender
+renderScene(const PreparedScene &prepared, const core::ZatelParams &params)
+{
+    ThreadPool pool(params.numThreads);
+    auto rays = std::make_shared<rt::FrameRayRecord>();
+    SceneRender render;
+    render.map = core::buildQuantizedHeatmap(prepared.scene, prepared.bvh,
+                                             params, &pool, rays.get());
+    render.rays = std::move(rays);
+    return render;
 }
 
 void

@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared support for the per-figure/per-table bench binaries.
+ * Shared support for the per-experiment bench binaries.
  *
  * Every bench reads its scale knobs from the environment so the whole
  * harness can be re-run at paper scale without recompiling:
@@ -58,6 +58,25 @@ struct PreparedScene
     PreparedScene(const PreparedScene &) = delete;
     PreparedScene &operator=(const PreparedScene &) = delete;
 };
+
+/**
+ * One render of a scene: the quantized heatmap and frame ray record
+ * core::buildQuantizedHeatmap() makes for a sweep's params. Nothing in
+ * it depends on the traced fraction, K or the division method, so a
+ * sweep over those hands it to every predictor with
+ * setPrebuiltHeatmap() and predicts exactly what a fresh render would,
+ * and an oracle on such a predictor slices the record instead of
+ * tracing the frame.
+ */
+struct SceneRender
+{
+    heatmap::QuantizedHeatmap map;
+    std::shared_ptr<const rt::FrameRayRecord> rays;
+};
+
+/** Render @p prepared once for @p params on params.numThreads threads. */
+SceneRender renderScene(const PreparedScene &prepared,
+                        const core::ZatelParams &params);
 
 /** Default ZatelParams for a bench at the given options. */
 core::ZatelParams defaultParams(const BenchOptions &options);

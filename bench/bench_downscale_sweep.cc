@@ -1,0 +1,208 @@
+/**
+ * @file
+ * Figs. 17-19 - one sweep over the downscaling factor K: the RTX 2060
+ * scaled down by every K in 2..6 that divides its SM and partition
+ * counts (K = {2, 3, 6}). All pixels of each group are traced, so the
+ * effect isolated is GPU downscaling + grouping. Read three ways:
+ *
+ *   Fig. 17  metric error vs K on LumiBench's representative scene
+ *            subset, fine- vs coarse-grained image-plane division. The
+ *            paper: fine-grained keeps cycles/IPC errors under 12% even
+ *            at K=6 and is lower and more stable than coarse-grained.
+ *   Fig. 18  the same on the full scene set (fine-grained). Scenes like
+ *            SPRNG do not stress the downscaled GPU, which raises the
+ *            IPC / simulation-cycles errors (paper Section IV-E).
+ *   Fig. 19  wall-clock speedup per scene and K. Downscaling alone does
+ *            not significantly beat plain pixel reduction at the same
+ *            traced share - the per-instance speedups land near the
+ *            Fig. 15 curve at 100/K percent; the win is that the K
+ *            instances run concurrently on separate CPU cores.
+ *
+ * Fig. 17's fine-grained points are Fig. 18's runs on the subset, so
+ * only its coarse-grained points are extra. Each scene is rendered
+ * once: every run reuses that render's heatmap and frame ray record,
+ * and the scene's one oracle slices it.
+ */
+
+#include <algorithm>
+#include <cstdio>
+#include <map>
+
+#include "bench_common.hh"
+#include "util/math_utils.hh"
+#include "util/table.hh"
+
+namespace
+{
+
+using namespace zatel;
+using namespace zatel::bench;
+using core::DivisionMethod;
+using gpusim::Metric;
+
+/** errors[metric][k] = per-scene error samples. */
+using ErrorsByK = std::map<Metric, std::map<uint32_t, std::vector<double>>>;
+
+/** Factors that divide both SM and partition counts of @p config. */
+std::vector<uint32_t>
+validFactors(const gpusim::GpuConfig &config)
+{
+    std::vector<uint32_t> factors;
+    for (uint32_t k = 2; k <= 6; ++k) {
+        if (config.numSms % k == 0 && config.numMemPartitions % k == 0)
+            factors.push_back(k);
+    }
+    return factors;
+}
+
+/** A table of the mean error per metric (rows) and K (columns). */
+std::string
+maeTable(ErrorsByK &errors, const std::vector<uint32_t> &factors)
+{
+    std::vector<std::string> header{"Metric"};
+    for (uint32_t k : factors)
+        header.push_back("K=" + std::to_string(k));
+    AsciiTable table(header);
+    for (Metric metric : gpusim::allMetrics()) {
+        std::vector<std::string> row{gpusim::metricName(metric)};
+        for (uint32_t k : factors)
+            row.push_back(AsciiTable::pct(mean(errors[metric][k])));
+        table.addRow(row);
+    }
+    return table.toString();
+}
+
+} // namespace
+
+int
+main()
+{
+    BenchOptions options = benchOptions();
+    printHeader("Figs. 17-19: Zatel vs downscaling factor K", options);
+
+    gpusim::GpuConfig config = gpusim::GpuConfig::rtx2060();
+    std::vector<uint32_t> factors = validFactors(config);
+
+    // benchScenes() holds this subset in both modes, in the same order.
+    std::vector<rt::SceneId> subset = rt::representativeSubset();
+    if (options.quick)
+        subset.resize(std::min<size_t>(subset.size(), 2));
+
+    std::map<DivisionMethod, ErrorsByK> subset_errors;
+    ErrorsByK all_errors;
+    std::map<uint32_t, double> sprng_cycle_error;
+
+    std::vector<std::string> header{"Scene"};
+    for (uint32_t k : factors)
+        header.push_back("K=" + std::to_string(k));
+    AsciiTable concurrent(header);
+    AsciiTable per_instance(header);
+
+    for (rt::SceneId id : benchScenes(options)) {
+        bool representative =
+            std::find(subset.begin(), subset.end(), id) != subset.end();
+        PreparedScene prepared(id);
+        const std::string &name = prepared.scene.name();
+        core::ZatelParams params = defaultParams(options);
+        // Trace every pixel of each group: isolate downscaling.
+        params.selector.fixedFraction = 1.0;
+        SceneRender render = renderScene(prepared, params);
+
+        core::ZatelPredictor oracle_runner(prepared.scene, prepared.bvh,
+                                           config, params);
+        oracle_runner.setPrebuiltHeatmap(render.map, render.rays);
+        core::OracleResult oracle = oracle_runner.runOracle();
+
+        std::vector<std::string> conc_row{name};
+        std::vector<std::string> inst_row{name};
+        for (DivisionMethod method :
+             {DivisionMethod::FineGrained, DivisionMethod::CoarseGrained}) {
+            bool fine = method == DivisionMethod::FineGrained;
+            if (!fine && !representative)
+                continue;
+            params.partition.method = method;
+            for (uint32_t k : factors) {
+                params.forcedK = k;
+                core::ZatelPredictor predictor(prepared.scene, prepared.bvh,
+                                               config, params);
+                predictor.setPrebuiltHeatmap(render.map, render.rays);
+                core::ZatelResult result = predictor.predict();
+                auto rows = core::compareToOracle(result.predicted,
+                                                  oracle.stats);
+                for (const core::ComparisonRow &row : rows) {
+                    if (representative)
+                        subset_errors[method][row.metric][k].push_back(
+                            row.errorPct);
+                    if (fine)
+                        all_errors[row.metric][k].push_back(row.errorPct);
+                }
+                if (!fine)
+                    continue;
+                if (id == rt::SceneId::Sprng) {
+                    sprng_cycle_error[k] =
+                        core::errorOf(rows, Metric::SimCycles);
+                }
+
+                // Concurrent deployment: one CPU core per instance, so
+                // the completion time is the slowest instance (equals
+                // measured wall time on machines with >= K cores).
+                conc_row.push_back(
+                    AsciiTable::num(oracle.wallSeconds /
+                                        (result.maxGroupWallSeconds + 1e-9),
+                                    1) +
+                    "x");
+                // Per-instance: serialized instance time (the paper's
+                // point of comparison against pure pixel reduction).
+                double serial = 0.0;
+                for (const core::GroupResult &group : result.groups)
+                    serial += group.wallSeconds;
+                inst_row.push_back(
+                    AsciiTable::num(oracle.wallSeconds / (serial + 1e-9),
+                                    1) +
+                    "x");
+            }
+        }
+        concurrent.addRow(conc_row);
+        per_instance.addRow(inst_row);
+        std::printf("[%s] done\n", name.c_str());
+    }
+
+    std::printf("\nFig. 17: error vs downscaling factor K (representative "
+                "scene subset)\n");
+    for (DivisionMethod method :
+         {DivisionMethod::FineGrained, DivisionMethod::CoarseGrained}) {
+        std::printf("\n%s division:\n%s", core::divisionMethodName(method),
+                    maeTable(subset_errors[method], factors).c_str());
+    }
+    std::printf("\nPaper reference: with fine-grained division the "
+                "cycles/IPC errors stay under 12%% even at K=6\n(tracing "
+                "only 16.7%% of pixels per instance), while DRAM "
+                "efficiency degrades (~20%% MAE) because\nread/write "
+                "traffic does not scale linearly with partitions. "
+                "Fine-grained division is lower and\nmore stable than "
+                "coarse-grained.\n");
+
+    std::printf("\nFig. 18: error vs downscaling factor K (all scenes, "
+                "fine-grained)\n");
+    std::printf("\n%s", maeTable(all_errors, factors).c_str());
+    std::printf("\nSPRNG simulation-cycles error per K:");
+    for (uint32_t k : factors)
+        std::printf("  K=%u: %.1f%%", k, sprng_cycle_error[k]);
+    std::printf("\nPaper reference: including scenes outside the "
+                "representative subset (SPRNG, ...) raises the\nIPC and "
+                "simulation-cycles MAE versus Fig. 17 because such "
+                "scenes do not stress the downscaled GPU.\n");
+
+    std::printf("\nFig. 19: speedup from GPU downscaling per factor K\n");
+    std::printf("\nconcurrent speedup (one CPU core per instance):\n%s",
+                concurrent.toString().c_str());
+    std::printf("\nserialized speedup (sum of instance times; compare "
+                "against Fig. 15 at 100/K%%):\n%s",
+                per_instance.toString().c_str());
+    std::printf("\nPaper reference: the downscaled-GPU speedups are "
+                "similar to those from just tracing the same\nshare of "
+                "pixels (Fig. 15), so equation (4) remains a usable "
+                "predictor; the concurrency across\ngroups is what "
+                "makes the fully optimized Zatel ~10x faster.\n");
+    return 0;
+}

@@ -34,9 +34,9 @@ main()
         core::ZatelParams params = defaultParams(options);
         core::ZatelPredictor predictor(park.scene, park.bvh, config,
                                        params);
-        std::printf("[%s] oracle + Zatel...\n", config.name.c_str());
-        oracle_values[column] = predictor.runOracle().metrics();
+        std::printf("[%s] Zatel + oracle...\n", config.name.c_str());
         zatel_values[column] = predictor.predict().predicted;
+        oracle_values[column] = predictor.runOracle().metrics();
         ++column;
     }
 

@@ -38,17 +38,15 @@ main()
         core::ZatelParams params = defaultParams(options);
         params.downscaleGpu = false;
 
-        core::ZatelPredictor oracle_runner(prepared.scene, prepared.bvh,
-                                           config, params);
-        std::printf("[%s] oracle...\n", prepared.scene.name().c_str());
-        core::OracleResult oracle = oracle_runner.runOracle();
-
-        // Baseline: one run at 40%.
+        // Baseline: one run at 40%. Its render also serves the oracle.
         params.selector.fixedFraction = 0.4;
         core::ZatelPredictor direct(prepared.scene, prepared.bvh, config,
                                     params);
-        auto direct_rows = core::compareToOracle(
-            direct.predict().predicted, oracle.stats);
+        core::ZatelResult direct_result = direct.predict();
+        std::printf("[%s] oracle...\n", prepared.scene.name().c_str());
+        core::OracleResult oracle = direct.runOracle();
+        auto direct_rows =
+            core::compareToOracle(direct_result.predicted, oracle.stats);
 
         // Regression: 20/30/40% runs + 3-point exponential fit.
         core::ZatelParams reg_params = defaultParams(options);

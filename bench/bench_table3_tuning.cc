@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <limits>
 #include <map>
+#include <optional>
 
 #include "bench_common.hh"
 #include "util/math_utils.hh"
@@ -76,11 +77,10 @@ main()
         // "We choose to trace 2-4% of the overall pixels" (Section IV-C).
         base.selector.fixedFraction = 0.03;
 
-        core::ZatelPredictor oracle_runner(prepared.scene, prepared.bvh,
-                                           gpusim::GpuConfig::rtx2060(),
-                                           base);
-        std::printf("[%s] oracle...\n", prepared.scene.name().c_str());
-        core::OracleResult oracle = oracle_runner.runOracle();
+        // Run after the scene's first prediction, on its predictor: the
+        // frame ray record it slices depends on no selector setting or
+        // seed.
+        std::optional<core::OracleResult> oracle;
 
         // error[metric][combo] = mean over repetitions.
         std::map<Metric, std::map<ComboKey, double>> errors;
@@ -97,8 +97,14 @@ main()
                     core::ZatelPredictor predictor(
                         prepared.scene, prepared.bvh,
                         gpusim::GpuConfig::rtx2060(), params);
-                    auto rows = core::compareToOracle(
-                        predictor.predict().predicted, oracle.stats);
+                    core::ZatelResult result = predictor.predict();
+                    if (!oracle) {
+                        std::printf("[%s] oracle...\n",
+                                    prepared.scene.name().c_str());
+                        oracle = predictor.runOracle();
+                    }
+                    auto rows = core::compareToOracle(result.predicted,
+                                                      oracle->stats);
                     for (size_t m = 0; m < rows.size(); ++m)
                         acc[m] += rows[m].errorPct;
                 }

@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <vector>
 
 #include "rt/bvh.hh"
@@ -43,10 +44,9 @@ main(int argc, char **argv)
     params.height = resolution;
     params.downscaleGpu = false; // isolate the pixel-sampling effect
 
-    core::ZatelPredictor oracle_runner(scene, bvh, target, params);
-    std::printf("oracle: full %ux%u %s simulation on %s...\n", resolution,
-                resolution, scene.name().c_str(), target.name.c_str());
-    core::OracleResult oracle = oracle_runner.runOracle();
+    // The oracle runs after the first prediction, on its predictor, and
+    // replays the rays that prediction's render recorded.
+    std::optional<core::OracleResult> oracle;
 
     AsciiTable table({"% pixels", "Cycles error", "MAE (all metrics)",
                       "Zatel wall (s)", "Speedup"});
@@ -56,9 +56,15 @@ main(int argc, char **argv)
         params.selector.fixedFraction = percent / 100.0;
         core::ZatelPredictor predictor(scene, bvh, target, params);
         core::ZatelResult result = predictor.predict();
-        auto rows = core::compareToOracle(result.predicted, oracle.stats);
+        if (!oracle) {
+            std::printf("oracle: full %ux%u %s simulation on %s...\n",
+                        resolution, resolution, scene.name().c_str(),
+                        target.name.c_str());
+            oracle = predictor.runOracle();
+        }
+        auto rows = core::compareToOracle(result.predicted, oracle->stats);
         double speedup =
-            oracle.wallSeconds / (result.simWallSeconds + 1e-9);
+            oracle->wallSeconds / (result.simWallSeconds + 1e-9);
         table.addRow(
             {std::to_string(percent),
              AsciiTable::pct(core::errorOf(rows, Metric::SimCycles)),

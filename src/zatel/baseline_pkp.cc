@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <utility>
 
 #include "gpusim/gpu.hh"
 #include "util/logging.hh"
@@ -12,7 +13,8 @@ namespace zatel::core
 
 PkpResult
 runPkpBaseline(const gpusim::GpuConfig &config, const rt::Tracer &tracer,
-               const PkpParams &params)
+               const PkpParams &params,
+               std::shared_ptr<const rt::FrameRayRecord> frame)
 {
     ZATEL_ASSERT(params.window >= 2, "PKP needs a window of >= 2 samples");
 
@@ -22,7 +24,7 @@ runPkpBaseline(const gpusim::GpuConfig &config, const rt::Tracer &tracer,
     // Total traversal work is known exactly from the functional trace
     // that built the workload: each ray recorded every node it visited.
     gpusim::SimWorkload workload = gpusim::SimWorkload::buildFullFrame(
-        tracer, params.width, params.height);
+        tracer, params.width, params.height, std::move(frame));
     uint64_t total_visits = 0;
     for (const gpusim::ThreadWork &thread : workload.threads)
         for (uint32_t r = 0; r < thread.rayCount; ++r)

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 
 #include "gpusim/config.hh"
 #include "gpusim/stats.hh"
@@ -71,9 +72,17 @@ struct PkpResult
  * render, so the cycle projection is
  * cycles_simulated / work_fraction_completed; ratio metrics are taken
  * from the stop-point snapshot.
+ *
+ * @param frame The frame ray record of a render of this frame by
+ *        @p tracer, or null. The workload slices the record, as an
+ *        oracle on a predictor holding one does; without it every
+ *        pixel is traced inside the timed region. The result is the
+ *        same either way.
  */
 PkpResult runPkpBaseline(const gpusim::GpuConfig &config,
-                         const rt::Tracer &tracer, const PkpParams &params);
+                         const rt::Tracer &tracer, const PkpParams &params,
+                         std::shared_ptr<const rt::FrameRayRecord> frame =
+                             nullptr);
 
 } // namespace zatel::core
 

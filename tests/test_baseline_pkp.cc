@@ -3,9 +3,13 @@
  * Tests for the PKA/PKP-style early-termination baseline.
  */
 
+#include <cstring>
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "rt/bvh.hh"
+#include "rt/ray_record.hh"
 #include "rt/scene_library.hh"
 #include "rt/tracer.hh"
 #include "gpusim/gpu.hh"
@@ -96,6 +100,36 @@ TEST_F(PkpFixture, EarlyStopIsFasterThanFullRun)
     params.checkIntervalCycles = 200;
     PkpResult early = runPkpBaseline(config, *tracer, params);
     EXPECT_LT(early.simulatedCycles, full.simulatedCycles);
+}
+
+TEST_F(PkpFixture, FrameRayRecordChangesNoResult)
+{
+    // Slicing a render's frame ray record instead of tracing the frame
+    // moves only the timed work, whether or not the detector fires.
+    auto frame = std::make_shared<rt::FrameRayRecord>();
+    tracer->render(params.width, params.height, nullptr, frame.get());
+    PkpParams aggressive = params;
+    aggressive.epsilon = 0.5;
+    aggressive.window = 2;
+    aggressive.checkIntervalCycles = 200;
+    aggressive.minProgress = 0.01;
+    for (const PkpParams &run : {params, aggressive}) {
+        PkpResult traced = runPkpBaseline(config, *tracer, run);
+        PkpResult sliced = runPkpBaseline(config, *tracer, run, frame);
+        ASSERT_EQ(traced.predicted.size(), sliced.predicted.size());
+        for (const auto &[metric, value] : traced.predicted) {
+            EXPECT_EQ(std::memcmp(&value, &sliced.predicted.at(metric),
+                                  sizeof(double)),
+                      0)
+                << gpusim::metricName(metric);
+        }
+        EXPECT_EQ(traced.simulatedCycles, sliced.simulatedCycles);
+        EXPECT_EQ(traced.stoppedEarly, sliced.stoppedEarly);
+        EXPECT_EQ(std::memcmp(&traced.workFractionCompleted,
+                              &sliced.workFractionCompleted,
+                              sizeof(double)),
+                  0);
+    }
 }
 
 TEST(GpuProgressCallback, SnapshotMatchesFinalWhenNeverStopping)
