@@ -68,11 +68,11 @@ main()
                                            gpusim::Metric::SimCycles)),
              AsciiTable::pct(core::errorOf(pkp_rows,
                                            gpusim::Metric::SimCycles)),
-             AsciiTable::num(oracle.wallSeconds /
-                                 (zatel.maxGroupWallSeconds + 1e-9),
+             AsciiTable::num(oracle.cpuSeconds /
+                                 (zatel.maxGroupCpuSeconds + 1e-9),
                              1) +
                  "x",
-             AsciiTable::num(oracle.wallSeconds / (pkp.wallSeconds + 1e-9),
+             AsciiTable::num(oracle.cpuSeconds / (pkp.cpuSeconds + 1e-9),
                              1) +
                  "x",
              AsciiTable::pct(pkp.workFractionCompleted * 100.0, 0)});

@@ -5,7 +5,7 @@
  * Builds the PARK scene, runs the full Zatel pipeline against the Mobile
  * SoC configuration, runs the oracle (full cycle-level simulation) for
  * reference, and prints the per-metric comparison plus the achieved
- * wall-clock speedup.
+ * speedup with one CPU core per group (thread CPU seconds).
  *
  * Usage: quickstart [scene] [resolution]
  *   scene       one of PARK SPRNG BUNNY CHSNT SPNZA BATH SHIP WKND
@@ -74,6 +74,6 @@ main(int argc, char **argv)
                 result.maxGroupWallSeconds);
     std::printf("speedup with one CPU core per group (the paper's "
                 "deployment): %.1fx\n",
-                oracle.wallSeconds / (result.maxGroupWallSeconds + 1e-9));
+                oracle.cpuSeconds / (result.maxGroupCpuSeconds + 1e-9));
     return 0;
 }

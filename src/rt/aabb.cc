@@ -1,7 +1,5 @@
 #include "rt/aabb.hh"
 
-#include <algorithm>
-
 namespace zatel::rt
 {
 
@@ -37,25 +35,6 @@ Aabb::overlaps(const Aabb &other) const
         return false;
     return lo.x <= other.hi.x && hi.x >= other.lo.x && lo.y <= other.hi.y &&
            hi.y >= other.lo.y && lo.z <= other.hi.z && hi.z >= other.lo.z;
-}
-
-bool
-Aabb::intersect(const Ray &ray, const Vec3 &inv_dir, float &t_hit) const
-{
-    float t0 = ray.tMin;
-    float t1 = ray.tMax;
-    for (int axis = 0; axis < 3; ++axis) {
-        float near = (lo[axis] - ray.origin[axis]) * inv_dir[axis];
-        float far = (hi[axis] - ray.origin[axis]) * inv_dir[axis];
-        if (near > far)
-            std::swap(near, far);
-        t0 = std::max(t0, near);
-        t1 = std::min(t1, far);
-        if (t0 > t1)
-            return false;
-    }
-    t_hit = t0;
-    return true;
 }
 
 } // namespace zatel::rt

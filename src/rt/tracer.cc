@@ -29,6 +29,52 @@ hashJitter(uint32_t x, uint32_t y, uint32_t sample, uint32_t salt)
     return (h & 0xFFFFFFu) / static_cast<float>(0x1000000u);
 }
 
+/**
+ * Join the band buffers of a render into @p frame, in band order. Each
+ * band copies its rays and bit words into its own slice of the frame's
+ * buffers, on @p pool when there is one; a band's firstWords index its
+ * own bit buffer, so they shift by where that buffer lands.
+ */
+void
+joinBands(std::vector<PixelRayRecord> &bands, ThreadPool *pool,
+          FrameRayRecord &frame)
+{
+    if (bands.size() == 1) {
+        // One band's buffers are the frame's, its firstWords included.
+        frame.rays = std::move(bands[0].rays);
+        frame.visitBits = std::move(bands[0].visitBits);
+        return;
+    }
+    std::vector<size_t> first_ray(bands.size() + 1, 0);
+    std::vector<size_t> first_word(bands.size() + 1, 0);
+    for (size_t b = 0; b < bands.size(); ++b) {
+        first_ray[b + 1] = first_ray[b] + bands[b].rays.size();
+        first_word[b + 1] = first_word[b] + bands[b].visitBits.size();
+    }
+    if (first_word.back() > UINT32_MAX)
+        throw std::length_error("frame visit bits exceed 2^32 words");
+    frame.rays.assign(first_ray.back(), RayTask{});
+    frame.visitBits.assign(first_word.back(), 0);
+
+    const auto join_band = [&](size_t b) {
+        const auto base = static_cast<uint32_t>(first_word[b]);
+        RayTask *out = frame.rays.data() + first_ray[b];
+        for (RayTask task : bands[b].rays) {
+            task.visits.firstWord += base;
+            *out++ = task;
+        }
+        std::copy(bands[b].visitBits.begin(), bands[b].visitBits.end(),
+                  frame.visitBits.begin() +
+                      static_cast<std::ptrdiff_t>(first_word[b]));
+    };
+    if (pool != nullptr) {
+        pool->parallelForChunked(bands.size(), 1, join_band);
+    } else {
+        for (size_t b = 0; b < bands.size(); ++b)
+            join_band(b);
+    }
+}
+
 } // namespace
 
 Tracer::Tracer(const Scene &scene, const Bvh &bvh, const Params &params)
@@ -92,29 +138,9 @@ Tracer::render(uint32_t width, uint32_t height, ThreadPool *pool,
         // Bands cover consecutive rows, so band order is pixel order.
         std::partial_sum(rays->offsets.begin(), rays->offsets.end(),
                          rays->offsets.begin());
-        size_t words = 0;
-        for (const PixelRayRecord &band : band_rays)
-            words += band.visitBits.size();
-        if (words > UINT32_MAX)
-            throw std::length_error("frame visit bits exceed 2^32 words");
         rays->width = width;
         rays->height = height;
-        rays->rays.clear();
-        rays->rays.reserve(rays->offsets.back());
-        rays->visitBits.clear();
-        rays->visitBits.reserve(words);
-        for (const PixelRayRecord &band : band_rays) {
-            // A band's firstWords index its own buffer; shift them to
-            // where that buffer lands in the frame's.
-            const auto base = static_cast<uint32_t>(rays->visitBits.size());
-            for (RayTask task : band.rays) {
-                task.visits.firstWord += base;
-                rays->rays.push_back(task);
-            }
-            rays->visitBits.insert(rays->visitBits.end(),
-                                   band.visitBits.begin(),
-                                   band.visitBits.end());
-        }
+        joinBands(band_rays, pool, *rays);
     }
     return result;
 }

@@ -100,8 +100,9 @@ class Tracer
      *        the profiles are bit-identical to a serial render.
      * @param rays When non-null, the same pass also records every
      *        pixel's rays and their visit streams into this frame
-     *        record. Each band fills its own buffer; the buffers are
-     *        joined in band order.
+     *        record. Each band fills its own buffer, then copies it
+     *        into its slice of the record, on @p pool; one band's
+     *        buffer becomes the record.
      */
     RenderResult render(uint32_t width, uint32_t height,
                         ThreadPool *pool = nullptr,

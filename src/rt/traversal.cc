@@ -7,6 +7,123 @@
 namespace zatel::rt
 {
 
+namespace
+{
+
+/** Component-wise reciprocal of @p d; a large-but-finite value stands
+ *  in for 1/0 so the slab test stays well defined for axis-parallel
+ *  rays. */
+Vec3
+reciprocal(const Vec3 &d)
+{
+    auto safe_inv = [](float c) {
+        constexpr float kHuge = 1e30f;
+        if (c > 1e-30f || c < -1e-30f)
+            return 1.0f / c;
+        return c >= 0.0f ? kHuge : -kHuge;
+    };
+    return {safe_inv(d.x), safe_inv(d.y), safe_inv(d.z)};
+}
+
+/** An empty BVH (single empty leaf) ends a traversal before its first
+ *  visit; its default-constructed bounds would confuse the slab test. */
+bool
+emptyBvh(const Bvh &bvh)
+{
+    const BvhNode &root = bvh.node(Bvh::kRootIndex);
+    return bvh.nodeCount() == 1 && root.primCount == 0 && root.bounds.empty();
+}
+
+/**
+ * The functional traversal: TraversalStepper's visits, pops, pushes and
+ * tMax clamps in one loop over a local stack, with no StepInfo or Ray
+ * copy per visit. Each visit's bounds-hit bit is shifted into a word
+ * that is appended to the sink's buffer every 64 visits.
+ */
+template <TraversalMode Mode>
+HitRecord
+traverse(const Bvh &bvh, const Ray &ray, TraversalCounters *counters,
+         VisitSink *sink)
+{
+    ZATEL_ASSERT(bvh.valid(), "traversal requires a built BVH");
+    std::vector<uint64_t> *bits = sink != nullptr ? sink->bits : nullptr;
+    if (bits != nullptr && bits->size() > UINT32_MAX)
+        throw std::length_error("visit bit buffer exceeds 2^32 words");
+
+    const Vec3 inv_dir = reciprocal(ray.direction);
+    // The query's tMax is the best hit's t once there is one.
+    Ray query = ray;
+    HitRecord hit;
+    uint32_t stack[TraversalStepper::kMaxStackDepth];
+    uint32_t stack_size = 0;
+    if (!emptyBvh(bvh))
+        stack[stack_size++] = Bvh::kRootIndex;
+
+    VisitStream stream;
+    stream.firstWord = bits != nullptr ? static_cast<uint32_t>(bits->size())
+                                       : 0;
+    uint64_t word = 0;
+    uint32_t triangle_tests = 0;
+    while (stack_size > 0) {
+        const uint32_t node_index = stack[--stack_size];
+        const BvhNode &node = bvh.node(node_index);
+        uint32_t tests = 0;
+        float t_box = 0.0f;
+        const bool bounds_hit = node.bounds.intersect(query, inv_dir, t_box);
+        if (bounds_hit && !node.isLeaf()) {
+            ZATEL_ASSERT(stack_size + 2 <= TraversalStepper::kMaxStackDepth,
+                         "traversal stack overflow");
+            stack[stack_size++] = node.rightChild();
+            stack[stack_size++] = BvhNode::leftChildOf(node_index);
+        } else if (bounds_hit) {
+            const uint32_t end = node.firstPrim() + node.primCount;
+            for (uint32_t slot = node.firstPrim(); slot < end; ++slot) {
+                const Triangle &tri = bvh.primitive(slot);
+                float t = 0.0f;
+                ++tests;
+                if (!tri.intersect(query, t))
+                    continue;
+                if (t < hit.t) {
+                    hit.t = t;
+                    hit.primIndex = bvh.primitiveIndex(slot);
+                    hit.materialId = tri.materialId;
+                    hit.position = ray.at(t);
+                    Vec3 n = normalize(tri.rawNormal());
+                    // Face the normal toward the ray origin.
+                    if (dot(n, ray.direction) > 0.0f)
+                        n = -n;
+                    hit.normal = n;
+                    query.tMax = t;
+                }
+                if constexpr (Mode == TraversalMode::AnyHit) {
+                    // Occlusion found: terminate the whole traversal.
+                    stack_size = 0;
+                    break;
+                }
+            }
+        }
+        word |= uint64_t{bounds_hit} << (stream.visits % 64);
+        if (++stream.visits % 64 == 0 && bits != nullptr) {
+            bits->push_back(word);
+            word = 0;
+        }
+        triangle_tests += tests;
+        stream.lastVisitTests = tests;
+    }
+    if (bits != nullptr) {
+        if (stream.visits % 64 != 0)
+            bits->push_back(word);
+        sink->stream = stream;
+    }
+    if (counters) {
+        counters->nodesVisited += stream.visits;
+        counters->triangleTests += triangle_tests;
+    }
+    return hit;
+}
+
+} // namespace
+
 void
 TraversalStepper::init(const Bvh *bvh, const Ray &ray, TraversalMode mode)
 {
@@ -18,26 +135,10 @@ TraversalStepper::init(const Bvh *bvh, const Ray &ray, TraversalMode mode)
     hit_ = HitRecord{};
     nodesVisited_ = 0;
     triangleTests_ = 0;
-
-    auto safe_inv = [](float d) {
-        // Large-but-finite reciprocal keeps the slab test well defined
-        // for axis-parallel rays.
-        constexpr float kHuge = 1e30f;
-        if (d > 1e-30f || d < -1e-30f)
-            return 1.0f / d;
-        return d >= 0.0f ? kHuge : -kHuge;
-    };
-    invDir_ = {safe_inv(ray.direction.x), safe_inv(ray.direction.y),
-               safe_inv(ray.direction.z)};
-
+    invDir_ = reciprocal(ray.direction);
     stackSize_ = 0;
-    // An empty BVH (single empty leaf) terminates immediately; its
-    // default-constructed bounds would otherwise confuse the slab test.
-    if (bvh->nodeCount() == 1 && bvh->node(Bvh::kRootIndex).primCount == 0 &&
-        bvh->node(Bvh::kRootIndex).bounds.empty()) {
-        return;
-    }
-    stack_[stackSize_++] = Bvh::kRootIndex;
+    if (!emptyBvh(*bvh))
+        stack_[stackSize_++] = Bvh::kRootIndex;
 }
 
 StepInfo
@@ -104,61 +205,18 @@ TraversalStepper::step()
     return info;
 }
 
-namespace
-{
-
-/** Run @p stepper to completion, adding its work to @p counters and,
- *  with @p sink, recording its visit stream. */
-void
-runToCompletion(TraversalStepper &stepper, TraversalCounters *counters,
-                VisitSink *sink)
-{
-    if (sink == nullptr) {
-        while (!stepper.finished())
-            stepper.step();
-    } else {
-        std::vector<uint64_t> &bits = *sink->bits;
-        if (bits.size() > UINT32_MAX)
-            throw std::length_error("visit bit buffer exceeds 2^32 words");
-        VisitStream stream;
-        stream.firstWord = static_cast<uint32_t>(bits.size());
-        while (!stepper.finished()) {
-            const StepInfo info = stepper.step();
-            const uint32_t bit = stream.visits % 64;
-            if (bit == 0)
-                bits.push_back(0);
-            bits.back() |= uint64_t{info.boundsHit} << bit;
-            ++stream.visits;
-            stream.lastVisitTests = info.triangleTests;
-        }
-        sink->stream = stream;
-    }
-    if (counters) {
-        counters->nodesVisited += stepper.nodesVisited();
-        counters->triangleTests += stepper.triangleTests();
-    }
-}
-
-} // namespace
-
 HitRecord
 closestHit(const Bvh &bvh, const Ray &ray, TraversalCounters *counters,
            VisitSink *sink)
 {
-    TraversalStepper stepper;
-    stepper.init(&bvh, ray, TraversalMode::ClosestHit);
-    runToCompletion(stepper, counters, sink);
-    return stepper.hit();
+    return traverse<TraversalMode::ClosestHit>(bvh, ray, counters, sink);
 }
 
 bool
 anyHit(const Bvh &bvh, const Ray &ray, TraversalCounters *counters,
        VisitSink *sink)
 {
-    TraversalStepper stepper;
-    stepper.init(&bvh, ray, TraversalMode::AnyHit);
-    runToCompletion(stepper, counters, sink);
-    return stepper.hasHit();
+    return traverse<TraversalMode::AnyHit>(bvh, ray, counters, sink).valid();
 }
 
 StepInfo

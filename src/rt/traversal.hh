@@ -2,17 +2,20 @@
  * @file
  * Stack-based BVH traversal, and the replay of a recorded one.
  *
- * TraversalStepper exposes traversal one node-visit at a time. The
- * convenience functions closestHit()/anyHit() run it to completion for
- * functional use and, given a VisitSink, record the ray's visit stream:
- * one bounds-hit bit per visited node. The visit order is fixed by the
- * BVH (pop a node, test its bounds, push right then left), so those
- * bits plus the triangle tests of the last visit, where an any-hit ray
- * may stop mid-leaf, fix every visit. The timed RT unit
- * (src/gpusim/rt_unit.*) replays the stream with a VisitCursor, which
- * yields the stepper's StepInfo visit for visit without a stack, a ray
- * or a box test, so the unit charges a memory fetch per visited node
- * exactly where the functional tracer visited it.
+ * closestHit()/anyHit() are the functional traversal: one loop over a
+ * local node stack that pops a node, tests its bounds, pushes right
+ * then left, and clamps tMax to the best hit so far. Given a VisitSink
+ * they record the ray's visit stream: one bounds-hit bit per visited
+ * node. The visit order is fixed by the BVH, so those bits plus the
+ * triangle tests of the last visit, where an any-hit ray may stop
+ * mid-leaf, fix every visit. TraversalStepper runs the same traversal
+ * one visit at a time; it is the loop's differential reference
+ * (tests/test_traversal.cc) and is not on any production path. The
+ * timed RT unit (src/gpusim/rt_unit.*) replays the stream with a
+ * VisitCursor, which yields the stepper's StepInfo visit for visit
+ * without a stack, a ray or a box test, so the unit charges a memory
+ * fetch per visited node exactly where the functional tracer visited
+ * it.
  */
 
 #ifndef ZATEL_RT_TRAVERSAL_HH
@@ -50,7 +53,9 @@ struct StepInfo
 };
 
 /**
- * Incremental BVH traversal for a single ray.
+ * Incremental BVH traversal for a single ray: the reference that
+ * closestHit()/anyHit() and VisitCursor are checked against, visit for
+ * visit.
  *
  * Usage: init(), then while (!finished()) step(); hit() is valid once
  * finished().
@@ -152,7 +157,8 @@ struct VisitSink
 };
 
 /**
- * Run a closest-hit query to completion.
+ * Run a closest-hit query to completion: the hit, counters and visit
+ * stream of a TraversalStepper run to completion, bit for bit.
  * @param counters Optional out-param accumulating traversal work.
  * @param sink When non-null, records the ray's visit stream.
  */

@@ -20,6 +20,7 @@ runPkpBaseline(const gpusim::GpuConfig &config, const rt::Tracer &tracer,
 
     PkpResult result;
     WallTimer timer;
+    ThreadCpuTimer cpu_timer;
 
     // Total traversal work is known exactly from the functional trace
     // that built the workload: each ray recorded every node it visited.
@@ -67,6 +68,7 @@ runPkpBaseline(const gpusim::GpuConfig &config, const rt::Tracer &tracer,
 
     gpusim::GpuStats final_stats = gpu.run();
     result.wallSeconds = timer.elapsedSeconds();
+    result.cpuSeconds = cpu_timer.elapsedSeconds();
     result.stoppedEarly = gpu.stoppedEarly();
 
     const gpusim::GpuStats &stats =

@@ -63,6 +63,8 @@ struct PkpResult
     double workFractionCompleted = 1.0;
     /** Wall-clock seconds of the (possibly truncated) simulation. */
     double wallSeconds = 0.0;
+    /** CPU seconds of the thread that built the workload and ran it. */
+    double cpuSeconds = 0.0;
 };
 
 /**

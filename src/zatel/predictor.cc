@@ -325,6 +325,8 @@ ZatelPredictor::assemble(std::vector<GroupTask> tasks,
     for (const GroupResult &group : result.groups) {
         result.maxGroupWallSeconds =
             std::max(result.maxGroupWallSeconds, group.wallSeconds);
+        result.maxGroupCpuSeconds =
+            std::max(result.maxGroupCpuSeconds, group.cpuSeconds);
     }
 
     // Resilience budget (docs/ROBUSTNESS.md): failed groups are
@@ -477,6 +479,7 @@ ZatelPredictor::simulateGroup(uint32_t group_index, const PixelGroup &group,
 
     ZATEL_TRACE_SCOPE("sim.group", static_cast<int64_t>(group_index));
     WallTimer timer;
+    ThreadCpuTimer cpu_timer;
     // Fault site: the instance dies after workload construction but
     // before (conceptually: during) the simulation itself.
     ZATEL_INJECT_FAULT_KEYED("group.sim.midrun", group_index);
@@ -501,6 +504,7 @@ ZatelPredictor::simulateGroup(uint32_t group_index, const PixelGroup &group,
         result.stats = gpu.run();
     }
     result.wallSeconds = timer.elapsedSeconds();
+    result.cpuSeconds = cpu_timer.elapsedSeconds();
 
     PredictorMetrics &metrics = predictorMetrics();
     metrics.groupsSimulated->inc();
@@ -551,6 +555,7 @@ ZatelPredictor::runOracle() const
     OracleResult oracle;
     ZATEL_TRACE_SCOPE("oracle.run");
     WallTimer timer;
+    ThreadCpuTimer cpu_timer;
     gpusim::SimWorkload workload = [&] {
         ZATEL_TRACE_SCOPE("oracle.workload");
         // A slice of the whole record when there is one; otherwise every
@@ -570,6 +575,7 @@ ZatelPredictor::runOracle() const
         oracle.stats = gpu.run();
     }
     oracle.wallSeconds = timer.elapsedSeconds();
+    oracle.cpuSeconds = cpu_timer.elapsedSeconds();
     return oracle;
 }
 

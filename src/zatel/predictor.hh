@@ -148,6 +148,9 @@ struct GroupResult
     std::vector<double> extrapolated;
     /** Wall-clock seconds this instance took. */
     double wallSeconds = 0.0;
+    /** CPU seconds of the thread that built this instance's workload
+     *  and ran it: its cost on a core of its own. */
+    double cpuSeconds = 0.0;
 
     // ---- Resilience (docs/ROBUSTNESS.md) ----
     /** True when every attempt at this group's simulation failed; the
@@ -177,6 +180,13 @@ struct ZatelResult
      * (Section III-A step 6).
      */
     double maxGroupWallSeconds = 0.0;
+    /**
+     * CPU seconds of the costliest single instance (GroupResult::
+     * cpuSeconds): the paper's one core per group, whatever else ran on
+     * the host. Speedups over the oracle divide OracleResult::cpuSeconds
+     * by it.
+     */
+    double maxGroupCpuSeconds = 0.0;
     /** Wall-clock seconds of preprocessing (heatmap + quantization). */
     double preprocessWallSeconds = 0.0;
 
@@ -230,6 +240,8 @@ struct OracleResult
 {
     gpusim::GpuStats stats;
     double wallSeconds = 0.0;
+    /** CPU seconds of the thread that built the workload and ran it. */
+    double cpuSeconds = 0.0;
 
     std::map<gpusim::Metric, double> metrics() const;
 };

@@ -50,6 +50,8 @@ TEST_F(PkpFixture, ProducesAllMetrics)
     EXPECT_GT(result.simulatedCycles, 0u);
     EXPECT_GT(result.workFractionCompleted, 0.0);
     EXPECT_LE(result.workFractionCompleted, 1.0);
+    EXPECT_GT(result.cpuSeconds, 0.0);
+    EXPECT_LE(result.cpuSeconds, result.wallSeconds + 1e-3);
 }
 
 TEST_F(PkpFixture, NeverStoppingMatchesFullRun)

@@ -12,7 +12,7 @@
  *  - drain() is terminal: late submissions are refused by throwing,
  *    never silently dropped
  *  - job priority: a late high-priority job overtakes an earlier
- *    job's unit backlog
+ *    job queued on a busy worker
  *  - identical recipes produce bit-identical predictions through the
  *    pipeline (the serve coalescing/caching layers assume it)
  */
@@ -23,6 +23,8 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <functional>
+#include <future>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -166,25 +168,42 @@ TEST(JobPipeline, HigherPriorityJobOvertakesABacklog)
     std::mutex mutex;
     std::vector<std::string> finished;
     const auto submit = [&](const std::string &id, double fraction,
-                            int priority) {
+                            int priority,
+                            std::function<void()> on_done = nullptr) {
         JobPipeline::Submission submission;
         submission.job = makeJob(fraction);
         submission.job.id = id;
         submission.job.priority = priority;
-        submission.done = [&mutex, &finished](const ResultRow &row) {
-            std::lock_guard<std::mutex> guard(mutex);
-            finished.push_back(row.jobId);
+        submission.done = [&mutex, &finished, on_done](const ResultRow &row) {
+            {
+                std::lock_guard<std::mutex> guard(mutex);
+                finished.push_back(row.jobId);
+            }
+            if (on_done)
+                on_done();
         };
         pipeline.submit(std::move(submission));
     };
-    // On one worker the first job's group units queue up before the
-    // second job's start unit has fanned out; the later job's units
-    // still start first.
+    // The one worker runs "hold" and then stops inside its done
+    // callback until both later jobs are queued, so neither of them can
+    // start before "urgent" is submitted. "urgent" comes second but
+    // ranks higher: its units run ahead of "backlog"'s queued work, and
+    // it finishes first.
+    std::promise<void> holding;
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    submit("hold", 0.2, 0, [&holding, released]() {
+        holding.set_value();
+        released.wait();
+    });
+    holding.get_future().wait();
     submit("backlog", 0.2, 0);
     submit("urgent", 0.25, 5);
+    release.set_value();
     pipeline.waitIdle();
 
-    EXPECT_EQ(finished, (std::vector<std::string>{"urgent", "backlog"}));
+    EXPECT_EQ(finished,
+              (std::vector<std::string>{"hold", "urgent", "backlog"}));
 }
 
 TEST(JobPipeline, IdenticalRecipesYieldBitIdenticalPredictions)

@@ -3,6 +3,7 @@
  * Integration tests for the end-to-end ZatelPredictor pipeline.
  */
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <vector>
@@ -87,13 +88,20 @@ TEST_F(PredictorFixture, GroupsCoverImagePlane)
     ZatelResult result = predictor.predict();
 
     uint64_t total_pixels = 0;
+    double max_cpu = 0.0;
     for (const GroupResult &group : result.groups) {
         total_pixels += group.pixels;
         EXPECT_GT(group.selectedPixels, 0u);
         EXPECT_LE(group.selectedPixels, group.pixels);
         EXPECT_EQ(group.extrapolated.size(), gpusim::allMetrics().size());
+        // One thread's CPU time fits in its wall time (timers read a
+        // few instructions apart).
+        EXPECT_GT(group.cpuSeconds, 0.0);
+        EXPECT_LE(group.cpuSeconds, group.wallSeconds + 1e-3);
+        max_cpu = std::max(max_cpu, group.cpuSeconds);
     }
     EXPECT_EQ(total_pixels, 64ull * 64ull);
+    EXPECT_EQ(result.maxGroupCpuSeconds, max_cpu);
 }
 
 TEST_F(PredictorFixture, OracleMatchesDirectSimulation)
@@ -104,6 +112,8 @@ TEST_F(PredictorFixture, OracleMatchesDirectSimulation)
     EXPECT_GT(oracle.stats.cycles, 0u);
     EXPECT_EQ(oracle.stats.pixelsTraced, 64ull * 64ull);
     EXPECT_GT(oracle.wallSeconds, 0.0);
+    EXPECT_GT(oracle.cpuSeconds, 0.0);
+    EXPECT_LE(oracle.cpuSeconds, oracle.wallSeconds + 1e-3);
 
     auto metrics = oracle.metrics();
     EXPECT_EQ(metrics.size(), gpusim::allMetrics().size());

@@ -346,9 +346,9 @@ main(int argc, char **argv)
                                         scene.name() + "' on " +
                                         config.name + ")")
                               .c_str());
+        // Thread CPU seconds: one core per group, whatever else runs.
         std::printf("speedup (1 core/group): %.1fx\n",
-                    oracle.wallSeconds /
-                        (result.maxGroupWallSeconds + 1e-9));
+                    oracle.cpuSeconds / (result.maxGroupCpuSeconds + 1e-9));
         maybeWriteCsv(args, result);
         return writeObsOutputs(args);
     }
