@@ -50,9 +50,8 @@ main()
         auto zatel_rows =
             core::compareToOracle(zatel.predicted, oracle.stats);
 
-        rt::TracerParams tracer_params;
-        tracer_params.samplesPerPixel = options.samplesPerPixel;
-        rt::Tracer tracer(prepared.scene, prepared.bvh, tracer_params);
+        rt::Tracer tracer(prepared.scene, prepared.bvh,
+                          {options.samplesPerPixel});
         core::PkpParams pkp_params;
         pkp_params.width = options.resolution;
         pkp_params.height = options.resolution;
@@ -68,9 +67,7 @@ main()
                                            gpusim::Metric::SimCycles)),
              AsciiTable::pct(core::errorOf(pkp_rows,
                                            gpusim::Metric::SimCycles)),
-             AsciiTable::num(oracle.cpuSeconds /
-                                 (zatel.maxGroupCpuSeconds + 1e-9),
-                             1) +
+             AsciiTable::num(core::oneCorePerGroupSpeedup(oracle, zatel), 1) +
                  "x",
              AsciiTable::num(oracle.cpuSeconds / (pkp.cpuSeconds + 1e-9),
                              1) +

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <filesystem>
 
+#include "service/campaign.hh"
 #include "util/thread_pool.hh"
 
 namespace zatel::bench
@@ -83,13 +84,12 @@ sweepPercents(const BenchOptions &options)
 gpusim::GpuConfig
 sweepConfig(const BenchOptions &options)
 {
-    if (options.sweepConfigName == "rtx2060")
-        return gpusim::GpuConfig::rtx2060();
-    if (options.sweepConfigName == "soc")
-        return gpusim::GpuConfig::mobileSoc();
-    std::fprintf(stderr, "unknown ZATEL_BENCH_CONFIG '%s'\n",
-                 options.sweepConfigName.c_str());
-    std::exit(1);
+    try {
+        return service::gpuConfigFromName(options.sweepConfigName);
+    } catch (const service::CampaignError &err) {
+        std::fprintf(stderr, "ZATEL_BENCH_CONFIG: %s\n", err.what());
+        std::exit(1);
+    }
 }
 
 std::vector<rt::SceneId>

@@ -144,13 +144,10 @@ main()
                         core::errorOf(rows, Metric::SimCycles);
                 }
 
-                // Concurrent deployment: one CPU core per instance, so
-                // the completion time is the costliest instance's thread
-                // CPU time (what its wall time is on >= K idle cores).
+                // Concurrent deployment: one CPU core per instance.
                 conc_row.push_back(
-                    AsciiTable::num(oracle.cpuSeconds /
-                                        (result.maxGroupCpuSeconds + 1e-9),
-                                    1) +
+                    AsciiTable::num(
+                        core::oneCorePerGroupSpeedup(oracle, result), 1) +
                     "x");
                 // Per-instance: serialized instance time (the paper's
                 // point of comparison against pure pixel reduction).

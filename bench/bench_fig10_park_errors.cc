@@ -50,12 +50,8 @@ main()
         for (size_t m = 0; m < rows.size(); ++m)
             cells[m].push_back(AsciiTable::pct(rows[m].errorPct));
         maes[column] = core::maeOf(rows);
-        // Paper deployment: one CPU core per group instance, so the
-        // concurrent time is the costliest instance's. Thread CPU time
-        // leaves out the waits for a core that the K instances and the
-        // host cause each other.
-        speedups[column] =
-            oracle.cpuSeconds / (result.maxGroupCpuSeconds + 1e-9);
+        // Paper deployment: one CPU core per group instance.
+        speedups[column] = core::oneCorePerGroupSpeedup(oracle, result);
         ++column;
     }
 
@@ -85,7 +81,7 @@ main()
     std::printf("  traced %.1f%% of pixels, MAE %.1f%%, speedup %.1fx "
                 "(1 core per group)\n",
                 result.fractionTraced * 100.0, core::maeOf(rows),
-                oracle.cpuSeconds / (result.maxGroupCpuSeconds + 1e-9));
+                core::oneCorePerGroupSpeedup(oracle, result));
 
     std::printf("\nPaper reference: SoC 9.2x speedup / cycles error 0.7%% "
                 "/ MAE 4.5%%; RTX 11.6x / MAE 15.1%%.\nShape to check: "

@@ -11,9 +11,10 @@
  *   Fig. 14  Zatel running time per scene: grows roughly linearly with
  *            the percentage, BATH has the steepest slope (most work per
  *            pixel).
- *   Fig. 15  wall-clock speedup over the oracle per scene, plus the
- *            fitted power-law model of the paper's equation (4):
- *            speedup(perc) = 181 * perc^-1.15.
+ *   Fig. 15  speedup over the oracle per scene, with one CPU core per
+ *            group (core::oneCorePerGroupSpeedup, thread CPU seconds),
+ *            plus the fitted power-law model of the paper's equation
+ *            (4): speedup(perc) = 181 * perc^-1.15.
  *   Fig. 16  mean absolute error per metric over all scenes, with
  *            min/max error bars: MAE decays with the percentage for
  *            every metric, and the quickly-saturating cache metrics
@@ -101,8 +102,7 @@ main()
             xs.push_back(percent);
             ys.push_back(result.simWallSeconds);
 
-            double speedup =
-                oracle.wallSeconds / (result.simWallSeconds + 1e-9);
+            double speedup = core::oneCorePerGroupSpeedup(oracle, result);
             speedup_row.push_back(AsciiTable::num(speedup, 1) + "x");
             speedup_csv.addRow({name, std::to_string(percent),
                                 CsvWriter::formatDouble(speedup)});

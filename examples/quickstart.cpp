@@ -19,6 +19,7 @@
 
 #include "rt/bvh.hh"
 #include "rt/scene_library.hh"
+#include "service/campaign.hh"
 #include "zatel/evaluation.hh"
 #include "zatel/predictor.hh"
 
@@ -27,8 +28,14 @@ main(int argc, char **argv)
 {
     using namespace zatel;
 
-    rt::SceneId scene_id =
-        argc > 1 ? rt::sceneIdFromName(argv[1]) : rt::SceneId::Park;
+    rt::SceneId scene_id = rt::SceneId::Park;
+    try {
+        if (argc > 1)
+            scene_id = service::resolveSceneName(argv[1]);
+    } catch (const service::CampaignError &err) {
+        std::fprintf(stderr, "error: %s\n", err.what());
+        return 1;
+    }
     uint32_t resolution =
         argc > 2 ? static_cast<uint32_t>(std::atoi(argv[2])) : 96;
 
@@ -74,6 +81,6 @@ main(int argc, char **argv)
                 result.maxGroupWallSeconds);
     std::printf("speedup with one CPU core per group (the paper's "
                 "deployment): %.1fx\n",
-                oracle.cpuSeconds / (result.maxGroupCpuSeconds + 1e-9));
+                core::oneCorePerGroupSpeedup(oracle, result));
     return 0;
 }

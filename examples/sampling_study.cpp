@@ -4,9 +4,9 @@
  * speed on one scene (a self-serve miniature of paper Figs. 13-15).
  *
  * Sweeps the fixed trace fraction from 10% to 90% without GPU
- * downscaling, reporting the simulation-cycles error and the wall-clock
- * speedup at each point, plus a fitted power-law speedup model like the
- * paper's equation (4).
+ * downscaling, reporting the simulation-cycles error and the speedup
+ * with one CPU core per group at each point, plus a fitted power-law
+ * speedup model like the paper's equation (4).
  *
  * Usage: sampling_study [scene] [resolution]
  */
@@ -18,6 +18,7 @@
 
 #include "rt/bvh.hh"
 #include "rt/scene_library.hh"
+#include "service/campaign.hh"
 #include "util/regression.hh"
 #include "util/table.hh"
 #include "zatel/evaluation.hh"
@@ -29,8 +30,14 @@ main(int argc, char **argv)
     using namespace zatel;
     using gpusim::Metric;
 
-    rt::SceneId scene_id =
-        argc > 1 ? rt::sceneIdFromName(argv[1]) : rt::SceneId::Bunny;
+    rt::SceneId scene_id = rt::SceneId::Bunny;
+    try {
+        if (argc > 1)
+            scene_id = service::resolveSceneName(argv[1]);
+    } catch (const service::CampaignError &err) {
+        std::fprintf(stderr, "error: %s\n", err.what());
+        return 1;
+    }
     uint32_t resolution =
         argc > 2 ? static_cast<uint32_t>(std::atoi(argv[2])) : 96;
 
@@ -63,8 +70,7 @@ main(int argc, char **argv)
             oracle = predictor.runOracle();
         }
         auto rows = core::compareToOracle(result.predicted, oracle->stats);
-        double speedup =
-            oracle->wallSeconds / (result.simWallSeconds + 1e-9);
+        double speedup = core::oneCorePerGroupSpeedup(*oracle, result);
         table.addRow(
             {std::to_string(percent),
              AsciiTable::pct(core::errorOf(rows, Metric::SimCycles)),

@@ -150,11 +150,8 @@ runShard(const BoardPaths &paths, uint32_t shard, const WorkerOptions &opt,
     // Shard specs carry campaign fields only; the resilience knobs
     // arrive on our command line (worker.hh) and apply to every job,
     // mirroring zatel-batch.
-    for (service::CampaignJob &job : jobs) {
-        job.params.groupRetries = opt.groupRetries;
-        job.params.minGroupsFraction = opt.minGroupsFraction;
-        job.params.failFast = opt.failFast;
-    }
+    for (service::CampaignJob &job : jobs)
+        opt.resilience.applyTo(job.params);
 
     // Resume whatever a previous claimant finished: repair a torn tail
     // first (a dead writer's half-row must not glue onto our appends),

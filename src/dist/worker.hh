@@ -33,6 +33,8 @@
 #include <cstdint>
 #include <string>
 
+#include "service/campaign.hh"
+
 namespace zatel::dist
 {
 
@@ -61,9 +63,7 @@ struct WorkerOptions
     // only campaign fields, so the coordinator forwards these on the
     // worker command line and the worker applies them to every loaded
     // job — the same way zatel-batch applies them before scheduling.
-    uint32_t groupRetries = 1;
-    double minGroupsFraction = 0.5;
-    bool failFast = false;
+    service::GroupResilience resilience;
 
     /** Lease refresh period; the coordinator passes leaseTimeout/4. */
     double heartbeatSeconds = 1.0;

@@ -1,7 +1,6 @@
 #include "rt/scene_library.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 
 #include "rt/mesh.hh"
@@ -417,21 +416,6 @@ sceneName(SceneId id)
       case SceneId::Wknd: return "WKND";
     }
     panic("unknown SceneId");
-}
-
-SceneId
-sceneIdFromName(const std::string &name)
-{
-    std::string upper;
-    upper.reserve(name.size());
-    for (char c : name)
-        upper.push_back(static_cast<char>(
-            std::toupper(static_cast<unsigned char>(c))));
-    for (SceneId id : allScenes()) {
-        if (upper == sceneName(id))
-            return id;
-    }
-    fatal("unknown scene name '", name, "'");
 }
 
 std::vector<SceneId>

@@ -19,7 +19,6 @@
 #ifndef ZATEL_RT_SCENE_LIBRARY_HH
 #define ZATEL_RT_SCENE_LIBRARY_HH
 
-#include <string>
 #include <vector>
 
 #include "rt/scene.hh"
@@ -42,12 +41,6 @@ enum class SceneId
 
 /** Canonical upper-case name (as the paper spells them). */
 const char *sceneName(SceneId id);
-
-/**
- * Parse a scene name (case-insensitive).
- * Calls fatal() for unknown names.
- */
-SceneId sceneIdFromName(const std::string &name);
 
 /** All eight scenes in paper order. */
 std::vector<SceneId> allScenes();

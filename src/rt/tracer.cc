@@ -15,6 +15,9 @@ namespace zatel::rt
 namespace
 {
 
+constexpr float kDistanceFalloff = 0.02f; ///< keeps images in range
+constexpr float kAmbient = 0.06f; ///< so unlit geometry stays visible
+
 /** Deterministic per-sample jitter from a pixel/sample hash. */
 float
 hashJitter(uint32_t x, uint32_t y, uint32_t sample, uint32_t salt)
@@ -215,10 +218,10 @@ Tracer::shade(const Ray &ray, int bounce, PixelProfile &profile,
                               sink.stream});
     }
 
-    Vec3 color = mat.albedo * params_.ambient;
+    Vec3 color = mat.albedo * kAmbient;
     if (!occluded) {
         float ndotl = std::max(0.0f, dot(hit.normal, light_dir));
-        float falloff = 1.0f / (1.0f + params_.distanceFalloff * dist * dist);
+        float falloff = 1.0f / (1.0f + kDistanceFalloff * dist * dist);
         color += mat.albedo * light.intensity * (ndotl * falloff);
     }
 

@@ -73,10 +73,6 @@ struct TracerParams
 {
     /** Samples per pixel (paper uses 2 at 512x512). */
     uint32_t samplesPerPixel = 1;
-    /** Light falloff strength (keeps images in range). */
-    float distanceFalloff = 0.02f;
-    /** Flat ambient term so unlit geometry stays visible. */
-    float ambient = 0.06f;
 };
 
 /**

@@ -113,6 +113,9 @@ parseF64InRange(const std::string &value, const std::string &key,
     return parsed;
 }
 
+/** The largest `threads` a recipe may ask for. */
+constexpr uint32_t kMaxThreads = 4096;
+
 bool
 parseBool(const std::string &value, const std::string &key)
 {
@@ -219,18 +222,12 @@ gpuConfigFromName(const std::string &name)
 rt::SceneId
 resolveSceneName(const std::string &name)
 {
+    std::string upper = name;
+    for (char &c : upper)
+        c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
     for (rt::SceneId id : rt::allScenes()) {
-        const std::string candidate = rt::sceneName(id);
-        if (candidate.size() == name.size() &&
-            std::equal(candidate.begin(), candidate.end(), name.begin(),
-                       [](char a, char b) {
-                           return std::tolower(
-                                      static_cast<unsigned char>(a)) ==
-                                  std::tolower(
-                                      static_cast<unsigned char>(b));
-                       })) {
+        if (upper == rt::sceneName(id))
             return id;
-        }
     }
     throw CampaignError("unknown scene '" + name + "'");
 }
@@ -320,7 +317,8 @@ namespace
 std::string
 quoted(const std::string &text)
 {
-    return "\"" + obs::jsonEscaped(text) + "\"";
+    // Appended: g++ 12 raises a false -Wrestrict on `"\"" + std::string`.
+    return std::string("\"").append(obs::jsonEscaped(text)).append("\"");
 }
 
 } // namespace
@@ -484,8 +482,6 @@ parseCampaignCsv(std::istream &in)
                 break;
         }
     }
-    if (header.empty() && jobs.empty())
-        return jobs;
     return jobs;
 }
 
@@ -493,13 +489,27 @@ void
 checkRecipe(const CampaignJob &job)
 {
     const core::ZatelParams &p = job.params;
-    const std::string where = "job '" + job.id + "': ";
+    // Only a command-line recipe has no id here.
+    const std::string where = job.id.empty() ? "" : "job '" + job.id + "': ";
     if (p.width == 0 || p.height == 0)
         throw CampaignError(where + "width and height must be at least 1");
     if (p.samplesPerPixel == 0)
         throw CampaignError(where + "spp must be at least 1");
     if (p.quantizeColors == 0)
         throw CampaignError(where + "quantize_colors must be at least 1");
+    // The selector would clamp it; a 0% trace extrapolates to nonsense.
+    const std::optional<double> &fraction = p.selector.fixedFraction;
+    if (fraction && !(*fraction > 0.0 && *fraction <= 1.0)) {
+        throw CampaignError(where + "fraction=" +
+                            obs::formatDouble17(*fraction) +
+                            " must lie in (0, 1]");
+    }
+    if (p.forcedK && *p.forcedK == 0)
+        throw CampaignError(where + "k must be at least 1");
+    if (p.numThreads > kMaxThreads) {
+        throw CampaignError(where + "threads must be at most " +
+                            std::to_string(kMaxThreads));
+    }
 
     gpusim::GpuConfig gpu;
     try {
@@ -545,6 +555,40 @@ finalizeCampaign(std::vector<CampaignJob> &jobs)
                 "used twice)");
         }
     }
+}
+
+void
+GroupResilience::addOptions(ArgParser &args)
+{
+    args.addOption("group-retries", "1",
+                   "retries per failed group simulation (0-100)");
+    args.addOption("min-groups-fraction", "0.5",
+                   "fraction of groups that must survive for a degraded "
+                   "prediction (0-1)");
+    args.addFlag("fail-fast", "any group failure fails the prediction");
+}
+
+GroupResilience
+GroupResilience::fromArgs(const ArgParser &args)
+{
+    GroupResilience resilience;
+    const std::string &retries = args.get("group-retries");
+    resilience.groupRetries = parseU32(retries, "group-retries");
+    if (resilience.groupRetries > 100)
+        throw CampaignError("group-retries='" + retries +
+                            "' is out of range (0-100)");
+    resilience.minGroupsFraction = parseF64InRange(
+        args.get("min-groups-fraction"), "min-groups-fraction", 0.0, 1.0);
+    resilience.failFast = args.getFlag("fail-fast");
+    return resilience;
+}
+
+void
+GroupResilience::applyTo(core::ZatelParams &params) const
+{
+    params.groupRetries = groupRetries;
+    params.minGroupsFraction = minGroupsFraction;
+    params.failFast = failFast;
 }
 
 std::vector<CampaignJob>

@@ -35,6 +35,7 @@
 #include "obs/json.hh"
 #include "rt/bvh.hh"
 #include "rt/scene_library.hh"
+#include "util/arg_parser.hh"
 #include "zatel/predictor.hh"
 
 namespace zatel::service
@@ -90,15 +91,17 @@ uint64_t jobParamsHash(const CampaignJob &job);
 std::string autoJobId(const CampaignJob &job);
 
 /**
- * Resolve a GPU name to its configuration.
+ * Resolve a GPU name (soc | mobile | rtx2060 | rtx) to its
+ * configuration: the repository's one GPU-name table, shared by
+ * campaigns, /predict, the zatel CLI, the benches and perfbench.
  * @throws CampaignError for unknown names.
  */
 gpusim::GpuConfig gpuConfigFromName(const std::string &name);
 
 /**
- * Resolve a scene-library name (case-insensitive) without the
- * library's fatal() path: a typo in one campaign job or serve request
- * must fail that job, not the whole service process.
+ * Resolve a scene-library name (case-insensitive): the repository's one
+ * scene-name matcher. A typo throws, so it fails one campaign job or
+ * serve request, or gives the CLI an error line, never the process.
  * @throws CampaignError for unknown names.
  */
 rt::SceneId resolveSceneName(const std::string &name);
@@ -149,17 +152,38 @@ std::vector<CampaignJob> loadCampaignFile(const std::string &path);
 
 /**
  * Reject a recipe the predictor cannot run, before it starts: width,
- * height, spp and quantize_colors must be at least 1; a forced k must
- * divide the GPU's SM and memory-partition counts when the GPU is
- * downscaled; and every image-plane group (core::effectiveK groups
- * from core::divideImagePlane) must get at least one pixel, which
- * core::divisionLeavesEmptyGroup decides without building the plane,
- * so a huge image is not allocated here. An unknown
- * GPU name is left to fail its own job when it runs, like an unknown
- * scene. finalizeCampaign() and the /predict parser both call this.
- * @throws CampaignError naming the job and the broken rule.
+ * height, spp and quantize_colors must be at least 1; a fixed fraction
+ * must lie in (0, 1]; a forced k must be at least 1 and divide the
+ * GPU's SM and memory-partition counts when the GPU is downscaled;
+ * threads must be at most 4096; and every image-plane group
+ * (core::effectiveK groups from core::divideImagePlane) must get at
+ * least one pixel, which core::divisionLeavesEmptyGroup decides
+ * without building the plane, so a huge image is not allocated here.
+ * An unknown GPU name is left to fail its own job when it runs, like
+ * an unknown scene. finalizeCampaign(), the /predict parser and the
+ * zatel CLI all call this.
+ * @throws CampaignError naming the job (when it has an id) and the
+ *         broken rule.
  */
 void checkRecipe(const CampaignJob &job);
+
+/**
+ * The group-resilience options of zatel, zatel-batch and zatel-worker
+ * (docs/ROBUSTNESS.md). They belong to the process, not to a recipe:
+ * zatel-batch forwards them to its workers on the command line.
+ */
+struct GroupResilience
+{
+    uint32_t groupRetries = 1;
+    double minGroupsFraction = 0.5;
+    bool failFast = false;
+
+    /** Declare --group-retries, --min-groups-fraction and --fail-fast. */
+    static void addOptions(ArgParser &args);
+    /** Read them. @throws CampaignError for a value out of range. */
+    static GroupResilience fromArgs(const ArgParser &args);
+    void applyTo(core::ZatelParams &params) const;
+};
 
 /**
  * Finalize a parsed job list: derive missing ids, verify uniqueness and

@@ -48,6 +48,12 @@ errorOf(const std::vector<ComparisonRow> &rows, gpusim::Metric metric)
           " not present in comparison rows");
 }
 
+double
+oneCorePerGroupSpeedup(const OracleResult &oracle, const ZatelResult &result)
+{
+    return oracle.cpuSeconds / (result.maxGroupCpuSeconds + 1e-9);
+}
+
 std::string
 comparisonTable(const std::vector<ComparisonRow> &rows,
                 const std::string &title)

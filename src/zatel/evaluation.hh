@@ -38,6 +38,12 @@ double maeOf(const std::vector<ComparisonRow> &rows);
 double errorOf(const std::vector<ComparisonRow> &rows,
                gpusim::Metric metric);
 
+/** The paper's speedup with one CPU core per group (Section III-A
+ *  step 6): the oracle's thread CPU seconds over the costliest group's,
+ *  so it does not move with whatever else the host runs. */
+double oneCorePerGroupSpeedup(const OracleResult &oracle,
+                              const ZatelResult &result);
+
 /** Render rows as a paper-style ASCII table. */
 std::string comparisonTable(const std::vector<ComparisonRow> &rows,
                             const std::string &title);

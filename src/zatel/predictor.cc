@@ -18,14 +18,6 @@ namespace zatel::core
 namespace
 {
 
-rt::TracerParams
-tracerParamsFor(const ZatelParams &params)
-{
-    rt::TracerParams tp;
-    tp.samplesPerPixel = params.samplesPerPixel;
-    return tp;
-}
-
 /** Lazily-registered pipeline metrics (docs/OBSERVABILITY.md). All
  *  updates are no-ops while the global registry is disabled, and none
  *  of them feeds back into prediction state (the "observability must
@@ -87,7 +79,7 @@ buildQuantizedHeatmap(const rt::Scene &scene, const rt::Bvh &bvh,
                       const ZatelParams &params, ThreadPool *pool,
                       rt::FrameRayRecord *rays)
 {
-    const rt::Tracer tracer(scene, bvh, tracerParamsFor(params));
+    const rt::Tracer tracer(scene, bvh, {params.samplesPerPixel});
     rt::RenderResult render = [&] {
         ZATEL_TRACE_SCOPE("prepare.render");
         return tracer.render(params.width, params.height, pool, rays);
@@ -114,7 +106,7 @@ ZatelPredictor::ZatelPredictor(const rt::Scene &scene, const rt::Bvh &bvh,
                                const gpusim::GpuConfig &target_config,
                                const ZatelParams &params)
     : scene_(scene), bvh_(bvh), targetConfig_(target_config),
-      params_(params), tracer_(scene, bvh, tracerParamsFor(params))
+      params_(params), tracer_(scene, bvh, {params.samplesPerPixel})
 {
     targetConfig_.validate();
     ZATEL_ASSERT(params_.width > 0 && params_.height > 0,
@@ -550,7 +542,7 @@ ZatelPredictor::predict()
 }
 
 OracleResult
-ZatelPredictor::runOracle() const
+ZatelPredictor::runOracle(gpusim::StatsReport *report) const
 {
     OracleResult oracle;
     ZATEL_TRACE_SCOPE("oracle.run");
@@ -576,6 +568,8 @@ ZatelPredictor::runOracle() const
     }
     oracle.wallSeconds = timer.elapsedSeconds();
     oracle.cpuSeconds = cpu_timer.elapsedSeconds();
+    if (report)
+        *report = gpu.statsReport();
     return oracle;
 }
 

@@ -276,8 +276,11 @@ class ZatelPredictor
      * workload slices the frame ray record when this predictor holds
      * one (after predict(), or an injected record); otherwise it traces
      * the whole frame on the calling thread.
+     * @param report Optional out: the run's per-component breakdown
+     *        (gpusim::Gpu::statsReport, what `zatel oracle --dump-stats`
+     *        prints).
      */
-    OracleResult runOracle() const;
+    OracleResult runOracle(gpusim::StatsReport *report = nullptr) const;
 
     const ZatelParams &params() const { return params_; }
 

@@ -176,7 +176,7 @@ formatPin(const Pin &pin, uint64_t cluster_hash, uint64_t workload_hash,
     std::string out = std::string("{\"") + pin.name + "\", ...,\n " +
                       hashes + " {";
     for (gpusim::Metric metric : gpusim::allMetrics()) {
-        out += "{\"" + std::string(gpusim::metricName(metric)) + "\", \"" +
+        out += std::string("{\"") + gpusim::metricName(metric) + "\", \"" +
                formatMetric(result.metric(metric)) + "\"},\n  ";
     }
     return out + "}},";
@@ -338,7 +338,8 @@ std::string
 formatOracleCase(const gpusim::GpuStats &stats,
                  const std::vector<ComparisonRow> &rows)
 {
-    std::string out = "{" + formatCounters(stats);
+    std::string out = "{";
+    out += formatCounters(stats);
     const auto metric_list = [&](double ComparisonRow::*value) {
         std::string list = "},\n {";
         const char *comma = "";

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "service/campaign.hh"
+#include "util/arg_parser.hh"
 
 namespace zatel::service
 {
@@ -392,16 +393,95 @@ TEST(Campaign, FinalizeCampaignRejectsRecipesThePredictorCannotRun)
     impossible.push_back(R"({"gpu":"soc","width":16,"height":1})");
     impossible.push_back(R"({"gpu":"soc","res":32,"k":1000})");
     impossible.push_back(R"({"gpu":"soc","res":32,"k":3})");
+    // These ran: the selector clamped the fraction into [0, 1], so 0
+    // and -1 extrapolated a 0% trace into an "ok" row of IPC 192, and
+    // 2 ran at 100%; k 0 ran as k 1.
+    impossible.push_back(R"({"gpu":"soc","res":32,"fraction":0})");
+    impossible.push_back(R"({"gpu":"soc","res":32,"fraction":-1})");
+    impossible.push_back(R"({"gpu":"soc","res":32,"fraction":2})");
+    impossible.push_back(R"({"gpu":"soc","res":32,"fraction":1.000001})");
+    impossible.push_back(R"({"gpu":"soc","res":32,"k":0})");
+    impossible.push_back(
+        R"({"gpu":"soc","res":32,"k":0,"downscale":false})");
+    impossible.push_back(R"({"gpu":"soc","res":32,"threads":4097})");
     for (const std::string &line : impossible)
         EXPECT_THROW(finalizeLine(line), CampaignError) << line;
 
     // Recipes that run stay accepted: the smallest square planes with
-    // four chunks, and a forced k that only splits the plane because
-    // the GPU is not downscaled.
+    // four chunks, a forced k that only splits the plane because the
+    // GPU is not downscaled, the ends of the fraction range and the
+    // largest thread count.
     EXPECT_NO_THROW(finalizeLine(R"({"gpu":"soc","res":7})"));
     EXPECT_NO_THROW(finalizeLine(R"({"gpu":"soc","res":8})"));
     EXPECT_NO_THROW(
         finalizeLine(R"({"gpu":"soc","res":32,"k":3,"downscale":false})"));
+    EXPECT_NO_THROW(finalizeLine(R"({"gpu":"soc","res":32,"fraction":1})"));
+    EXPECT_NO_THROW(
+        finalizeLine(R"({"gpu":"soc","res":32,"fraction":1e-9})"));
+    EXPECT_NO_THROW(finalizeLine(R"({"gpu":"soc","res":32,"k":1})"));
+    EXPECT_NO_THROW(
+        finalizeLine(R"({"gpu":"soc","res":32,"threads":4096})"));
+}
+
+TEST(Campaign, CheckRecipeNamesTheJobOnlyWhenItHasAnId)
+{
+    CampaignJob job;
+    applyJobField(job, "fraction", "0");
+    try {
+        checkRecipe(job);
+        FAIL() << "fraction 0 must be rejected";
+    } catch (const CampaignError &err) {
+        EXPECT_STREQ(err.what(), "campaign: fraction=0 must lie in (0, 1]");
+    }
+    job.id = "sweep-7";
+    try {
+        checkRecipe(job);
+        FAIL() << "fraction 0 must be rejected";
+    } catch (const CampaignError &err) {
+        EXPECT_STREQ(err.what(),
+                     "campaign: job 'sweep-7': fraction=0 must lie in "
+                     "(0, 1]");
+    }
+}
+
+/** Parse @p argv (program name first) with the resilience options. */
+GroupResilience
+resilienceFrom(std::vector<const char *> argv)
+{
+    ArgParser args("test");
+    GroupResilience::addOptions(args);
+    EXPECT_TRUE(args.parse(static_cast<int>(argv.size()), argv.data()))
+        << args.errorMessage();
+    return GroupResilience::fromArgs(args);
+}
+
+TEST(Campaign, GroupResilienceOptionsAreRangeChecked)
+{
+    const GroupResilience defaults = resilienceFrom({"test"});
+    const core::ZatelParams params;
+    EXPECT_EQ(defaults.groupRetries, params.groupRetries);
+    EXPECT_EQ(defaults.minGroupsFraction, params.minGroupsFraction);
+    EXPECT_EQ(defaults.failFast, params.failFast);
+
+    const GroupResilience set = resilienceFrom(
+        {"test", "--group-retries", "100", "--min-groups-fraction", "1",
+         "--fail-fast"});
+    core::ZatelParams applied;
+    set.applyTo(applied);
+    EXPECT_EQ(applied.groupRetries, 100u);
+    EXPECT_EQ(applied.minGroupsFraction, 1.0);
+    EXPECT_TRUE(applied.failFast);
+
+    const std::vector<std::vector<const char *>> bad = {
+        {"test", "--group-retries", "-1"},
+        {"test", "--group-retries", "101"},
+        {"test", "--group-retries", "1.5"},
+        {"test", "--min-groups-fraction", "-0.1"},
+        {"test", "--min-groups-fraction", "1.5"},
+        {"test", "--min-groups-fraction", "nan"},
+    };
+    for (const auto &argv : bad)
+        EXPECT_THROW(resilienceFrom(argv), CampaignError) << argv[1];
 }
 
 TEST(Campaign, LoadCampaignFileDispatchesOnExtension)

@@ -9,7 +9,6 @@
 #include "gpusim/gpu.hh"
 #include "rt/bvh.hh"
 #include "rt/mesh.hh"
-#include "rt/scene_library.hh"
 #include "rt/tracer.hh"
 #include "zatel/downscale.hh"
 #include "zatel/predictor.hh"
@@ -40,12 +39,6 @@ struct TinyFixture : public testing::Test
     rt::Bvh bvh;
     std::unique_ptr<rt::Tracer> tracer;
 };
-
-TEST_F(TinyFixture, UnknownSceneNameIsFatal)
-{
-    EXPECT_EXIT(rt::sceneIdFromName("NOSUCH"), testing::ExitedWithCode(1),
-                "unknown scene");
-}
 
 TEST_F(TinyFixture, WorkloadRejectsOutOfBoundsPixel)
 {

@@ -16,6 +16,14 @@ namespace
 
 using namespace zatel;
 
+/** @p text as a JSON string literal. Appended: g++ 12 raises a false
+ *  -Wrestrict on `"\"" + std::string`. */
+std::string
+quotedJson(const std::string &text)
+{
+    return std::string("\"").append(obs::jsonEscaped(text)).append("\"");
+}
+
 TEST(JsonCodec, ObjectMembersKeepDocumentOrder)
 {
     const obs::JsonValue doc =
@@ -96,12 +104,10 @@ TEST(JsonCodec, EscaperRoundTripsEveryByte)
     for (int byte = 0; byte < 256; ++byte) {
         const std::string one(1, static_cast<char>(byte));
         all += one;
-        const obs::JsonValue back =
-            obs::parseJson("\"" + obs::jsonEscaped(one) + "\"");
+        const obs::JsonValue back = obs::parseJson(quotedJson(one));
         EXPECT_EQ(back.stringValue, one) << "byte " << byte;
     }
-    const obs::JsonValue back =
-        obs::parseJson("\"" + obs::jsonEscaped(all) + "\"");
+    const obs::JsonValue back = obs::parseJson(quotedJson(all));
     EXPECT_EQ(back.stringValue, all);
 }
 

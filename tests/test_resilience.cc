@@ -536,7 +536,7 @@ TEST_F(Resilience, DisarmedRunMatchesDirectPrediction)
 
     rt::SceneDetail detail;
     detail.density = job.sceneDetail;
-    rt::Scene scene = rt::buildScene(rt::sceneIdFromName(job.scene), detail,
+    rt::Scene scene = rt::buildScene(resolveSceneName(job.scene), detail,
                                      job.sceneSeed);
     rt::Bvh bvh;
     bvh.build(scene.triangles(), job.bvh);

@@ -9,6 +9,7 @@
 #include "rt/bvh.hh"
 #include "rt/scene_library.hh"
 #include "rt/tracer.hh"
+#include "service/campaign.hh"
 
 namespace zatel::rt
 {
@@ -61,13 +62,21 @@ TEST(SceneLibrary, EightScenesInPaperOrder)
 TEST(SceneLibrary, NamesRoundTrip)
 {
     for (SceneId id : allScenes()) {
-        EXPECT_EQ(sceneIdFromName(sceneName(id)), id);
+        EXPECT_EQ(service::resolveSceneName(sceneName(id)), id);
         // Case-insensitive.
         std::string lower = sceneName(id);
         for (char &c : lower)
             c = static_cast<char>(std::tolower(c));
-        EXPECT_EQ(sceneIdFromName(lower), id);
+        EXPECT_EQ(service::resolveSceneName(lower), id);
     }
+}
+
+TEST(SceneLibrary, UnknownNameIsAnError)
+{
+    EXPECT_THROW(service::resolveSceneName("NOSUCH"),
+                 service::CampaignError);
+    EXPECT_THROW(service::resolveSceneName("PARKS"), service::CampaignError);
+    EXPECT_THROW(service::resolveSceneName(""), service::CampaignError);
 }
 
 TEST(SceneLibrary, RepresentativeSubsetExcludesUnderutilizers)

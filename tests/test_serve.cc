@@ -269,13 +269,15 @@ TEST_F(Serve, ImpossibleRecipeAnswers400AndTheDaemonStaysUp)
 {
     start();
     // spp 0 once aborted the daemon; a 2x2 plane cannot give each of
-    // soc's four groups a pixel.
+    // soc's four groups a pixel; fraction 0 once answered 200 with an
+    // extrapolation of a 0% trace (IPC 192).
     for (const char *body : {R"({"scene":"PARK","res":16,"spp":0})",
-                             R"({"scene":"PARK","res":2})"}) {
+                             R"({"scene":"PARK","res":2})",
+                             R"({"scene":"PARK","res":32,"fraction":0})"}) {
         const std::string response = exchange(port(), postPredict(body));
         EXPECT_EQ(statusOf(response), 400) << body << "\n" << response;
     }
-    EXPECT_EQ(server_->snapshot().predict.invalid, 2u);
+    EXPECT_EQ(server_->snapshot().predict.invalid, 3u);
     EXPECT_EQ(server_->snapshot().predict.simulated, 0u);
     const std::string normal = exchange(port(), postPredict(kRecipe));
     EXPECT_EQ(statusOf(normal), 200) << normal;

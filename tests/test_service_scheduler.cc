@@ -112,7 +112,7 @@ directPredict(const CampaignJob &job)
 {
     rt::SceneDetail detail;
     detail.density = job.sceneDetail;
-    rt::Scene scene = rt::buildScene(rt::sceneIdFromName(job.scene),
+    rt::Scene scene = rt::buildScene(resolveSceneName(job.scene),
                                      detail, job.sceneSeed);
     rt::Bvh bvh;
     bvh.build(scene.triangles(), job.bvh);
@@ -127,7 +127,7 @@ directOracle(const CampaignJob &job)
 {
     rt::SceneDetail detail;
     detail.density = job.sceneDetail;
-    rt::Scene scene = rt::buildScene(rt::sceneIdFromName(job.scene),
+    rt::Scene scene = rt::buildScene(resolveSceneName(job.scene),
                                      detail, job.sceneSeed);
     rt::Bvh bvh;
     bvh.build(scene.triangles(), job.bvh);

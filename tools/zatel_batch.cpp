@@ -67,8 +67,7 @@ campaignFromSweep(const ArgParser &args)
                     service::applyJobField(job, "seed", args.get("seed"));
                     service::applyJobField(job, "detail",
                                            args.get("detail"));
-                    if (args.has("k"))
-                        service::applyJobField(job, "k", args.get("k"));
+                    service::applyJobField(job, "k", args.get("k"));
                     if (args.getFlag("oracle"))
                         service::applyJobField(job, "oracle", "true");
                     jobs.push_back(std::move(job));
@@ -102,21 +101,13 @@ main(int argc, char **argv)
     args.addOption("timeout", "0",
                    "per-job wall-clock budget in seconds (0 = none)");
     // Resilience (docs/ROBUSTNESS.md).
-    args.addOption("group-retries", "1",
-                   "retries per failed group simulation before the group "
-                   "is excluded from the prediction");
+    service::GroupResilience::addOptions(args);
     args.addOption("stall-timeout-ms", "0",
                    "cancel+retry a group/oracle simulation making no "
                    "simulated-cycle progress for this long (0 = no "
                    "watchdog)");
-    args.addOption("min-groups-fraction", "0.5",
-                   "minimum fraction of groups that must survive for a "
-                   "degraded prediction (below it the job fails)");
     args.addOption("stage-retries", "1",
                    "retries for transient start-stage/oracle failures");
-    args.addFlag("fail-fast",
-                 "treat any group failure as fatal for its job (no "
-                 "degraded predictions)");
     // Distributed campaigns (docs/DISTRIBUTED.md).
     args.addOption("workers", "0",
                    "distribute the campaign across this many zatel-worker "
@@ -183,22 +174,12 @@ main(int argc, char **argv)
     // validated accessors reject garbage AND "parsed but nonsensical"
     // values with one clear message (stderr + exit 1, never UB from a
     // negative cast).
-    const int64_t group_retries = args.getIntInRange("group-retries", 0, 100);
     const int64_t stage_retries = args.getIntInRange("stage-retries", 0, 100);
     const double stall_timeout_ms = args.getDouble("stall-timeout-ms");
-    const double min_groups_fraction =
-        args.getDouble("min-groups-fraction");
     if (stall_timeout_ms < 0.0) {
         std::fprintf(stderr,
                      "error: --stall-timeout-ms must be >= 0, got %g\n",
                      stall_timeout_ms);
-        return 1;
-    }
-    if (min_groups_fraction < 0.0 || min_groups_fraction > 1.0) {
-        std::fprintf(stderr,
-                     "error: --min-groups-fraction must be in [0, 1], "
-                     "got %g\n",
-                     min_groups_fraction);
         return 1;
     }
     const int64_t dist_workers = args.getIntInRange("workers", 0, 256);
@@ -222,8 +203,10 @@ main(int argc, char **argv)
         return 1;
     }
 
+    service::GroupResilience resilience;
     std::vector<service::CampaignJob> jobs;
     try {
+        resilience = service::GroupResilience::fromArgs(args);
         jobs = args.has("campaign")
                    ? service::loadCampaignFile(args.get("campaign"))
                    : campaignFromSweep(args);
@@ -231,11 +214,8 @@ main(int argc, char **argv)
         std::fprintf(stderr, "error: %s\n", err.what());
         return 1;
     }
-    for (service::CampaignJob &job : jobs) {
-        job.params.groupRetries = static_cast<uint32_t>(group_retries);
-        job.params.minGroupsFraction = min_groups_fraction;
-        job.params.failFast = args.getFlag("fail-fast");
-    }
+    for (service::CampaignJob &job : jobs)
+        resilience.applyTo(job.params);
 
     const std::string out_path = args.get("out");
     service::SchedulerParams sched;
@@ -335,9 +315,9 @@ main(int argc, char **argv)
         forward("--timeout", args.get("timeout"));
         forward("--stall-timeout-ms", args.get("stall-timeout-ms"));
         forward("--stage-retries", std::to_string(stage_retries));
-        forward("--group-retries", std::to_string(group_retries));
+        forward("--group-retries", args.get("group-retries"));
         forward("--min-groups-fraction", args.get("min-groups-fraction"));
-        if (args.getFlag("fail-fast"))
+        if (resilience.failFast)
             dist_params.workerExtraArgs.emplace_back("--fail-fast");
         if (args.getFlag("no-timing"))
             dist_params.workerExtraArgs.emplace_back("--no-timing");

@@ -8,6 +8,13 @@
  *   oracle    run the full cycle-level simulation
  *   compare   run both and print the error table
  *
+ * The recipe flags are campaign fields (docs/SERVICE.md), read by
+ * service::applyJobField and service::checkRecipe like a campaign line
+ * or a /predict body (--profile-noise, --no-downscale and --regression
+ * are profile_noise, downscale=false and regression=true). Bad input
+ * or a failed run (std::bad_alloc included) is one `error:` line and
+ * exit 1.
+ *
  * Examples:
  *   zatel scenes
  *   zatel predict --scene PARK --gpu soc --res 160
@@ -16,14 +23,17 @@
  */
 
 #include <cstdio>
+#include <exception>
+#include <map>
+#include <stdexcept>
 #include <string>
 
-#include "gpusim/gpu.hh"
 #include "obs/metrics_registry.hh"
 #include "obs/trace_recorder.hh"
 #include "rt/bvh.hh"
 #include "rt/obj_loader.hh"
 #include "rt/scene_library.hh"
+#include "service/campaign.hh"
 #include "util/arg_parser.hh"
 #include "util/csv.hh"
 #include "util/logging.hh"
@@ -36,82 +46,50 @@ namespace
 
 using namespace zatel;
 
-gpusim::GpuConfig
-configFromName(const std::string &name)
+/** Flags that are campaign fields under the same name. */
+constexpr const char *kRecipeFields[] = {
+    "scene", "gpu", "res", "spp", "seed", "threads",
+    "division", "distribution", "fraction", "k"};
+
+/**
+ * The recipe the flags describe, read and checked the way a campaign
+ * line is.
+ * @throws service::CampaignError for a value the reader or
+ *         service::checkRecipe rejects.
+ */
+service::CampaignJob
+recipeFromArgs(const ArgParser &args)
 {
-    if (name == "soc" || name == "mobile")
-        return gpusim::GpuConfig::mobileSoc();
-    if (name == "rtx2060" || name == "rtx")
-        return gpusim::GpuConfig::rtx2060();
-    fatal("unknown GPU config '", name, "' (use soc or rtx2060)");
+    service::CampaignJob job;
+    for (const char *field : kRecipeFields)
+        service::applyJobField(job, field, args.get(field));
+    service::applyJobField(job, "profile_noise", args.get("profile-noise"));
+    if (args.getFlag("no-downscale"))
+        service::applyJobField(job, "downscale", "false");
+    if (args.getFlag("regression"))
+        service::applyJobField(job, "regression", "true");
+    service::GroupResilience::fromArgs(args).applyTo(job.params);
+    service::checkRecipe(job);
+    return job;
 }
 
-core::ZatelParams
-paramsFromArgs(const ArgParser &args)
+/** Print one Table I metric per row. */
+void
+printMetrics(const char *column,
+             const std::map<gpusim::Metric, double> &values)
 {
-    core::ZatelParams params;
-    params.width = static_cast<uint32_t>(args.getPositiveInt("res"));
-    params.height = params.width;
-    params.samplesPerPixel =
-        static_cast<uint32_t>(args.getPositiveInt("spp"));
-    params.seed = static_cast<uint64_t>(args.getInt("seed"));
-    params.numThreads =
-        static_cast<uint32_t>(args.getIntInRange("threads", 0, 4096));
-    params.downscaleGpu = !args.getFlag("no-downscale");
-
-    if (args.has("fraction"))
-        params.selector.fixedFraction = args.getDouble("fraction");
-    if (args.has("k"))
-        params.forcedK =
-            static_cast<uint32_t>(args.getPositiveInt("k"));
-
-    const std::string &division = args.get("division");
-    if (division == "coarse")
-        params.partition.method = core::DivisionMethod::CoarseGrained;
-    else if (division != "fine")
-        fatal("unknown division '", division, "' (fine|coarse)");
-
-    const std::string &dist = args.get("distribution");
-    if (dist == "lintmp")
-        params.selector.distribution = core::DistributionMethod::LinTemp;
-    else if (dist == "exptmp")
-        params.selector.distribution = core::DistributionMethod::ExpTemp;
-    else if (dist != "uniform")
-        fatal("unknown distribution '", dist,
-              "' (uniform|lintmp|exptmp)");
-
-    if (args.getFlag("regression")) {
-        params.extrapolation =
-            core::ExtrapolationMethod::ExponentialRegression;
+    AsciiTable table({"Metric", column});
+    for (gpusim::Metric metric : gpusim::allMetrics()) {
+        table.addRow({gpusim::metricName(metric),
+                      AsciiTable::num(values.at(metric), 4)});
     }
-    if (args.has("profile-noise")) {
-        params.profiler.source = heatmap::ProfilingSource::HardwareTimer;
-        params.profiler.timerNoise = args.getDouble("profile-noise");
-    }
-
-    // Resilience knobs (docs/ROBUSTNESS.md), range-checked so a
-    // negative or out-of-range value is a clear error, not a huge
-    // unsigned wrap.
-    params.groupRetries = static_cast<uint32_t>(
-        args.getIntInRange("group-retries", 0, 100));
-    const double min_fraction = args.getDouble("min-groups-fraction");
-    if (min_fraction < 0.0 || min_fraction > 1.0)
-        fatal("--min-groups-fraction must be in [0, 1], got ",
-              min_fraction);
-    params.minGroupsFraction = min_fraction;
-    params.failFast = args.getFlag("fail-fast");
-    return params;
+    std::printf("%s", table.toString().c_str());
 }
 
 void
 printPrediction(const core::ZatelResult &result)
 {
-    AsciiTable table({"Metric", "Predicted"});
-    for (gpusim::Metric metric : gpusim::allMetrics()) {
-        table.addRow({gpusim::metricName(metric),
-                      AsciiTable::num(result.metric(metric), 4)});
-    }
-    std::printf("%s", table.toString().c_str());
+    printMetrics("Predicted", result.predicted);
     std::printf("K=%u, %.1f%% of pixels traced, slowest instance %.2fs\n",
                 result.k, result.fractionTraced * 100.0,
                 result.maxGroupWallSeconds);
@@ -153,7 +131,8 @@ sceneFromObj(const std::string &path)
         scene.addMaterial(rt::Material::diffuse({0.7f, 0.7f, 0.7f}));
     rt::ObjLoadResult loaded = rt::loadObjFile(path, mat);
     if (loaded.triangles.empty())
-        fatal("OBJ file '", path, "' contains no triangles");
+        throw std::runtime_error("OBJ file '" + path +
+                                 "' contains no triangles");
     inform("loaded ", loaded.triangles.size(), " triangles from ", path);
 
     rt::Aabb bounds;
@@ -213,6 +192,55 @@ writeObsOutputs(const ArgParser &args)
     return status;
 }
 
+/** Run a predict, oracle or compare command; throws on any failure. */
+int
+run(const std::string &command, const ArgParser &args)
+{
+    const service::CampaignJob job = recipeFromArgs(args);
+    const gpusim::GpuConfig config = service::gpuConfigFromName(job.gpu);
+    setupObservability(args);
+    rt::Scene scene =
+        args.has("obj")
+            ? sceneFromObj(args.get("obj"))
+            : rt::buildScene(service::resolveSceneName(job.scene),
+                             rt::SceneDetail{job.sceneDetail}, job.sceneSeed);
+    rt::Bvh bvh;
+    bvh.build(scene.triangles());
+    core::ZatelPredictor predictor(scene, bvh, config, job.params);
+
+    if (command == "oracle") {
+        gpusim::StatsReport report;
+        printMetrics("Value", predictor.runOracle(&report).metrics());
+        if (args.getFlag("dump-stats"))
+            std::printf("\n%s", report.toString().c_str());
+        return writeObsOutputs(args);
+    }
+
+    const core::ZatelResult result = predictor.predict();
+    if (command == "predict") {
+        printPrediction(result);
+        maybeWriteCsv(args, result);
+        if (args.has("heatmap-out") &&
+            predictor.quantizedHeatmap().writePpm(args.get("heatmap-out")))
+            std::printf("wrote %s\n", args.get("heatmap-out").c_str());
+        return writeObsOutputs(args);
+    }
+
+    // compare: the oracle slices the frame ray record the prediction's
+    // render made instead of tracing the frame again.
+    const core::OracleResult oracle = predictor.runOracle();
+    auto rows = core::compareToOracle(result.predicted, oracle.stats);
+    std::printf("%s", core::comparisonTable(
+                          rows, "Zatel vs full simulation ('" +
+                                    scene.name() + "' on " + config.name +
+                                    ")")
+                          .c_str());
+    std::printf("speedup (1 core/group): %.1fx\n",
+                core::oneCorePerGroupSpeedup(oracle, result));
+    maybeWriteCsv(args, result);
+    return writeObsOutputs(args);
+}
+
 } // namespace
 
 int
@@ -221,31 +249,29 @@ main(int argc, char **argv)
     ArgParser args("zatel",
                    "Sample complexity-aware scale-model simulation for "
                    "ray tracing (commands: scenes predict oracle compare)");
+    // Recipe flags: campaign fields (docs/SERVICE.md).
     args.addOption("scene", "PARK", "scene name");
-    args.addOption("obj", "", "load geometry from this OBJ file instead "
-                              "of a built-in scene");
     args.addOption("gpu", "soc", "target GPU: soc | rtx2060");
     args.addOption("res", "128", "square image resolution");
     args.addOption("spp", "1", "samples per pixel");
     args.addOption("seed", "173025", "pipeline seed");
     args.addOption("threads", "0",
                    "worker threads for the render bands and the group "
-                   "simulations (0 = hardware concurrency)");
+                   "simulations (0 = hardware concurrency, at most 4096)");
     args.addOption("division", "fine", "image division: fine | coarse");
     args.addOption("distribution", "uniform",
                    "selection distribution: uniform | lintmp | exptmp");
-    args.addOption("fraction", "", "fixed trace fraction (bypasses eq. 1)");
+    args.addOption("fraction", "",
+                   "fixed trace fraction in (0, 1] (bypasses eq. 1)");
     args.addOption("k", "", "force the division/downscale factor");
     args.addOption("profile-noise", "",
                    "profile with noisy HW timers at this relative sigma");
-    args.addOption("group-retries", "1",
-                   "retries per failed group simulation before the group "
-                   "is excluded (docs/ROBUSTNESS.md)");
-    args.addOption("min-groups-fraction", "0.5",
-                   "minimum fraction of groups that must survive for a "
-                   "degraded prediction");
-    args.addFlag("fail-fast",
-                 "treat any group failure as fatal (no degraded mode)");
+    args.addFlag("no-downscale", "run one group on the full GPU");
+    args.addFlag("regression", "use 3-point exponential extrapolation");
+    service::GroupResilience::addOptions(args);
+    // Inputs and outputs of this process.
+    args.addOption("obj", "", "load geometry from this OBJ file instead "
+                              "of a built-in scene");
     args.addOption("csv", "", "write predicted metrics to this CSV file");
     args.addOption("trace-out", "",
                    "write a Chrome trace_event JSON of the run here "
@@ -255,8 +281,6 @@ main(int argc, char **argv)
                    "anything else = Prometheus text)");
     args.addOption("heatmap-out", "",
                    "write the quantized heatmap PPM here (predict only)");
-    args.addFlag("no-downscale", "run one group on the full GPU");
-    args.addFlag("regression", "use 3-point exponential extrapolation");
     args.addFlag("dump-stats", "print the per-component stats breakdown");
     args.addFlag("help", "show this help");
 
@@ -293,65 +317,10 @@ main(int argc, char **argv)
         return 1;
     }
 
-    setupObservability(args);
-    rt::Scene scene = args.has("obj")
-                          ? sceneFromObj(args.get("obj"))
-                          : rt::buildScene(
-                                rt::sceneIdFromName(args.get("scene")));
-    rt::Bvh bvh;
-    bvh.build(scene.triangles());
-    gpusim::GpuConfig config = configFromName(args.get("gpu"));
-    core::ZatelParams params = paramsFromArgs(args);
-    core::ZatelPredictor predictor(scene, bvh, config, params);
-
-    if (command == "predict") {
-        core::ZatelResult result = predictor.predict();
-        printPrediction(result);
-        maybeWriteCsv(args, result);
-        if (args.has("heatmap-out")) {
-            if (predictor.quantizedHeatmap().writePpm(
-                    args.get("heatmap-out")))
-                std::printf("wrote %s\n", args.get("heatmap-out").c_str());
-        }
-        return writeObsOutputs(args);
+    try {
+        return run(command, args);
+    } catch (const std::exception &err) {
+        std::fprintf(stderr, "error: %s\n", err.what());
+        return 1;
     }
-
-    if (command == "oracle") {
-        rt::TracerParams tracer_params;
-        tracer_params.samplesPerPixel = params.samplesPerPixel;
-        gpusim::SimWorkload workload = gpusim::SimWorkload::buildFullFrame(
-            rt::Tracer(scene, bvh, tracer_params), params.width,
-            params.height);
-        gpusim::Gpu gpu(config, workload);
-        gpusim::GpuStats stats = gpu.run();
-        AsciiTable table({"Metric", "Value"});
-        for (gpusim::Metric metric : gpusim::allMetrics()) {
-            table.addRow({gpusim::metricName(metric),
-                          AsciiTable::num(stats.metricValue(metric), 4)});
-        }
-        std::printf("%s", table.toString().c_str());
-        if (args.getFlag("dump-stats"))
-            std::printf("\n%s", gpu.statsReport().toString().c_str());
-        return writeObsOutputs(args);
-    }
-
-    if (command == "compare") {
-        // Predict first: the oracle then slices the frame ray record the
-        // prediction's render made instead of tracing the frame again.
-        core::ZatelResult result = predictor.predict();
-        core::OracleResult oracle = predictor.runOracle();
-        auto rows = core::compareToOracle(result.predicted, oracle.stats);
-        std::printf("%s", core::comparisonTable(
-                              rows, "Zatel vs full simulation ('" +
-                                        scene.name() + "' on " +
-                                        config.name + ")")
-                              .c_str());
-        // Thread CPU seconds: one core per group, whatever else runs.
-        std::printf("speedup (1 core/group): %.1fx\n",
-                    oracle.cpuSeconds / (result.maxGroupCpuSeconds + 1e-9));
-        maybeWriteCsv(args, result);
-        return writeObsOutputs(args);
-    }
-
-    return 0;
 }

@@ -25,6 +25,7 @@
 #include <string>
 
 #include "dist/worker.hh"
+#include "service/campaign.hh"
 #include "util/arg_parser.hh"
 
 int
@@ -52,13 +53,7 @@ main(int argc, char **argv)
                    "simulation stall watchdog (0 = no watchdog)");
     args.addOption("stage-retries", "1",
                    "retries for transient start-stage/oracle failures");
-    args.addOption("group-retries", "1",
-                   "retries per failed group simulation");
-    args.addOption("min-groups-fraction", "0.5",
-                   "minimum surviving-group fraction for a degraded "
-                   "prediction");
-    args.addFlag("fail-fast",
-                 "treat any group failure as fatal for its job");
+    service::GroupResilience::addOptions(args);
     args.addOption("heartbeat-ms", "1000", "lease refresh period");
     args.addFlag("no-timing",
                  "omit wall-clock fields from fragment rows");
@@ -113,17 +108,7 @@ main(int argc, char **argv)
             args.getDouble("stall-timeout-ms") / 1000.0;
         options.stageRetries = static_cast<uint32_t>(
             args.getIntInRange("stage-retries", 0, 100));
-        options.groupRetries = static_cast<uint32_t>(
-            args.getIntInRange("group-retries", 0, 100));
-        options.minGroupsFraction = args.getDouble("min-groups-fraction");
-        if (options.minGroupsFraction < 0.0 ||
-            options.minGroupsFraction > 1.0) {
-            std::fprintf(stderr, "error: --min-groups-fraction must be "
-                                 "in [0, 1], got %g\n",
-                         options.minGroupsFraction);
-            return 2;
-        }
-        options.failFast = args.getFlag("fail-fast");
+        options.resilience = service::GroupResilience::fromArgs(args);
         options.heartbeatSeconds =
             args.getDouble("heartbeat-ms") / 1000.0;
         options.includeTiming = !args.getFlag("no-timing");
