@@ -5,6 +5,7 @@
 #include <filesystem>
 
 #include "service/campaign.hh"
+#include "util/numbers.hh"
 #include "util/thread_pool.hh"
 
 namespace zatel::bench
@@ -13,13 +14,14 @@ namespace zatel::bench
 namespace
 {
 
+/** A ZATEL_BENCH_* number in [lo, hi], read by the shared reader. */
 uint64_t
-envOr(const char *name, uint64_t fallback)
+envOr(const char *name, uint64_t fallback, uint64_t lo, uint64_t hi)
 {
     const char *value = std::getenv(name);
     if (!value || !*value)
         return fallback;
-    return std::strtoull(value, nullptr, 0);
+    return parseUint(value, name, lo, hi);
 }
 
 } // namespace
@@ -28,12 +30,18 @@ BenchOptions
 benchOptions()
 {
     BenchOptions options;
-    options.resolution =
-        static_cast<uint32_t>(envOr("ZATEL_BENCH_RES", 160));
-    options.samplesPerPixel =
-        static_cast<uint32_t>(envOr("ZATEL_BENCH_SPP", 1));
-    options.quick = envOr("ZATEL_BENCH_QUICK", 0) != 0;
-    options.seed = envOr("ZATEL_BENCH_SEED", 0x2A7E1);
+    try {
+        options.resolution = static_cast<uint32_t>(
+            envOr("ZATEL_BENCH_RES", 160, 1, UINT32_MAX));
+        options.samplesPerPixel = static_cast<uint32_t>(
+            envOr("ZATEL_BENCH_SPP", 1, 1, UINT32_MAX));
+        options.quick = envOr("ZATEL_BENCH_QUICK", 0, 0, UINT64_MAX) != 0;
+        options.seed = envOr("ZATEL_BENCH_SEED", 0x2A7E1, 0, UINT64_MAX);
+    } catch (const NumberError &err) {
+        // Before any work: one error line and exit 1, as the tools do.
+        std::fprintf(stderr, "error: %s\n", err.what());
+        std::exit(1);
+    }
     if (const char *name = std::getenv("ZATEL_BENCH_CONFIG"); name && *name)
         options.sweepConfigName = name;
     return options;

@@ -8,7 +8,11 @@
  *   ZATEL_BENCH_RES     square image resolution (default 160; paper 512)
  *   ZATEL_BENCH_SPP     samples per pixel (default 1; paper 2)
  *   ZATEL_BENCH_QUICK   1 = thin out sweep points for a fast smoke run
- *   ZATEL_BENCH_SEED    pipeline seed (default 0x2A7E1)
+ *   ZATEL_BENCH_SEED    pipeline seed (default 174049, i.e. 0x2A7E1)
+ *
+ * Each is a base-10 integer read by the shared number reader
+ * (util/numbers.hh); RES and SPP must be at least 1. A bad value is an
+ * `error:` line and exit 1 before any work.
  */
 
 #ifndef ZATEL_BENCH_COMMON_HH
@@ -40,7 +44,7 @@ struct BenchOptions
     std::string sweepConfigName = "soc";
 };
 
-/** Parse the ZATEL_BENCH_* environment variables. */
+/** Parse the ZATEL_BENCH_* environment variables (exit 1 on bad ones). */
 BenchOptions benchOptions();
 
 /** A scene with its BVH, built once per bench binary. */

@@ -27,8 +27,11 @@ foreach(_san IN LISTS ZATEL_SANITIZE)
         list(APPEND _zatel_san_flags "-fsanitize=address")
         set(_zatel_has_addr_or_mem TRUE)
     elseif(_san STREQUAL "undefined")
+        # GCC's -fsanitize=undefined leaves float-cast-overflow out; it
+        # is the check that reports a double too large for its cast.
         list(APPEND _zatel_san_flags
-             "-fsanitize=undefined" "-fno-sanitize-recover=all")
+             "-fsanitize=undefined" "-fsanitize=float-cast-overflow"
+             "-fno-sanitize-recover=all")
     elseif(_san STREQUAL "thread")
         list(APPEND _zatel_san_flags "-fsanitize=thread")
         set(_zatel_has_thread TRUE)

@@ -12,11 +12,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "rt/bvh.hh"
 #include "rt/scene_library.hh"
+#include "util/numbers.hh"
 #include "util/table.hh"
 #include "zatel/predictor.hh"
 
@@ -26,8 +26,16 @@ main(int argc, char **argv)
     using namespace zatel;
     using gpusim::Metric;
 
-    uint32_t resolution =
-        argc > 1 ? static_cast<uint32_t>(std::atoi(argv[1])) : 96;
+    uint32_t resolution = 96;
+    try {
+        if (argc > 1) {
+            resolution = static_cast<uint32_t>(
+                parseUint(argv[1], "resolution", 1, UINT32_MAX));
+        }
+    } catch (const NumberError &err) {
+        std::fprintf(stderr, "error: %s\n", err.what());
+        return 1;
+    }
 
     rt::Scene scene = rt::buildScene(rt::SceneId::Park);
     rt::Bvh bvh;

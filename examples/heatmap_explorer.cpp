@@ -11,13 +11,13 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "heatmap/heatmap.hh"
 #include "rt/bvh.hh"
 #include "rt/scene_library.hh"
 #include "rt/tracer.hh"
+#include "util/numbers.hh"
 #include "util/table.hh"
 #include "zatel/pixel_selector.hh"
 
@@ -27,8 +27,16 @@ main(int argc, char **argv)
     using namespace zatel;
 
     std::string out_dir = argc > 1 ? argv[1] : ".";
-    uint32_t resolution =
-        argc > 2 ? static_cast<uint32_t>(std::atoi(argv[2])) : 128;
+    uint32_t resolution = 128;
+    try {
+        if (argc > 2) {
+            resolution = static_cast<uint32_t>(
+                parseUint(argv[2], "resolution", 1, UINT32_MAX));
+        }
+    } catch (const NumberError &err) {
+        std::fprintf(stderr, "error: %s\n", err.what());
+        return 1;
+    }
 
     AsciiTable table({"Scene", "Triangles", "Avg cost/pixel", "Avg temp",
                       "Hit rate", "Palette", "eq(1) fraction"});

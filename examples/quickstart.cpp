@@ -14,12 +14,13 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 #include <string>
 
 #include "rt/bvh.hh"
 #include "rt/scene_library.hh"
 #include "service/campaign.hh"
+#include "util/numbers.hh"
 #include "zatel/evaluation.hh"
 #include "zatel/predictor.hh"
 
@@ -29,15 +30,18 @@ main(int argc, char **argv)
     using namespace zatel;
 
     rt::SceneId scene_id = rt::SceneId::Park;
+    uint32_t resolution = 96;
     try {
         if (argc > 1)
             scene_id = service::resolveSceneName(argv[1]);
-    } catch (const service::CampaignError &err) {
+        if (argc > 2) {
+            resolution = static_cast<uint32_t>(
+                parseUint(argv[2], "resolution", 1, UINT32_MAX));
+        }
+    } catch (const std::exception &err) {
         std::fprintf(stderr, "error: %s\n", err.what());
         return 1;
     }
-    uint32_t resolution =
-        argc > 2 ? static_cast<uint32_t>(std::atoi(argv[2])) : 96;
 
     // 1. Build the scene and its acceleration structure.
     rt::Scene scene = rt::buildScene(scene_id);

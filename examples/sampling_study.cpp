@@ -12,13 +12,14 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 #include <optional>
 #include <vector>
 
 #include "rt/bvh.hh"
 #include "rt/scene_library.hh"
 #include "service/campaign.hh"
+#include "util/numbers.hh"
 #include "util/regression.hh"
 #include "util/table.hh"
 #include "zatel/evaluation.hh"
@@ -31,15 +32,18 @@ main(int argc, char **argv)
     using gpusim::Metric;
 
     rt::SceneId scene_id = rt::SceneId::Bunny;
+    uint32_t resolution = 96;
     try {
         if (argc > 1)
             scene_id = service::resolveSceneName(argv[1]);
-    } catch (const service::CampaignError &err) {
+        if (argc > 2) {
+            resolution = static_cast<uint32_t>(
+                parseUint(argv[2], "resolution", 1, UINT32_MAX));
+        }
+    } catch (const std::exception &err) {
         std::fprintf(stderr, "error: %s\n", err.what());
         return 1;
     }
-    uint32_t resolution =
-        argc > 2 ? static_cast<uint32_t>(std::atoi(argv[2])) : 96;
 
     rt::Scene scene = rt::buildScene(scene_id);
     rt::Bvh bvh;

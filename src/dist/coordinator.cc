@@ -22,6 +22,7 @@
 #include "obs/metrics_registry.hh"
 #include "util/fault_injection.hh"
 #include "util/logging.hh"
+#include "util/numbers.hh"
 
 namespace zatel::dist
 {
@@ -188,8 +189,8 @@ accumulateWorkerStats(const std::string &path,
         const std::string key = line.substr(0, eq);
         uint64_t value = 0;
         try {
-            value = std::stoull(line.substr(eq + 1));
-        } catch (const std::exception &) {
+            value = parseUint(line.substr(eq + 1), key);
+        } catch (const NumberError &) {
             continue;
         }
         if (key == "hits")
@@ -345,9 +346,7 @@ DistCoordinator::run()
     // ---- Worker fleet ----------------------------------------------------
     const std::string worker_cmd =
         params_.workerCmd.empty() ? defaultWorkerCmd() : params_.workerCmd;
-    const double heartbeat = params_.heartbeatSeconds > 0.0
-                                 ? params_.heartbeatSeconds
-                                 : params_.leaseTimeoutSeconds / 4.0;
+    const double heartbeat = params_.leaseTimeoutSeconds / 4.0;
     const uint32_t respawn_budget = params_.maxWorkerRespawns > 0
                                         ? params_.maxWorkerRespawns
                                         : params_.workers * 4;

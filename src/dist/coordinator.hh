@@ -61,8 +61,6 @@ struct DistParams
     /** A lease older than this is reclaimed (its worker is presumed
      *  dead or stalled). Workers heartbeat at a quarter of it. */
     double leaseTimeoutSeconds = 10.0;
-    /** Worker heartbeat period; 0 = leaseTimeoutSeconds / 4. */
-    double heartbeatSeconds = 0.0;
     /** Reclamations per shard before it is marked exhausted. */
     uint32_t maxShardReassignments = 3;
     /** Total worker respawns across the run; 0 = workers * 4. */
@@ -75,7 +73,7 @@ struct DistParams
     bool quiet = false;
 
     /** Extra argv entries appended to every worker command line
-     *  (zatel-batch forwards its resilience/cache flags this way). */
+     *  (zatel-batch passes its CampaignOptions::toArgs() this way). */
     std::vector<std::string> workerExtraArgs;
     /** Environment overrides for workers (tests arm ZATEL_FAULTS /
      *  ZATEL_WORKER_KILL worker-side without polluting their own). */

@@ -16,6 +16,7 @@
 
 #include "util/fault_injection.hh"
 #include "util/logging.hh"
+#include "util/numbers.hh"
 
 namespace zatel::dist
 {
@@ -135,13 +136,13 @@ readManifest(const BoardPaths &paths, BoardManifest &manifest)
         const std::string value = line.substr(eq + 1);
         try {
             if (key == "shards") {
-                manifest.shards =
-                    static_cast<uint32_t>(std::stoul(value));
+                manifest.shards = static_cast<uint32_t>(
+                    parseUint(value, key, 0, UINT32_MAX));
                 saw_shards = true;
             } else if (key == "csv") {
                 manifest.csv = value == "1";
             } else if (key == "jobs") {
-                manifest.jobs = std::stoull(value);
+                manifest.jobs = parseUint(value, key);
             }
         } catch (const std::exception &) {
             return false;
@@ -304,13 +305,8 @@ ChaosKillSpec::parse(const char *text)
     std::string s(text);
     const size_t at = s.find('@');
     if (at != std::string::npos) {
-        const std::string worker = s.substr(at + 1);
-        try {
-            spec.workerFilter = std::stoll(worker);
-        } catch (const std::exception &) {
-            throw std::invalid_argument(
-                "ZATEL_WORKER_KILL: bad worker id '" + worker + "'");
-        }
+        spec.workerFilter = static_cast<int64_t>(parseUint(
+            s.substr(at + 1), "ZATEL_WORKER_KILL worker id", 0, INT64_MAX));
         s = s.substr(0, at);
     }
     const size_t colon = s.find(':');
@@ -326,16 +322,7 @@ ChaosKillSpec::parse(const char *text)
             "ZATEL_WORKER_KILL: unknown point '" + spec.point +
             "' (pre_lease|mid_job|pre_publish)");
     }
-    const std::string nth = s.substr(colon + 1);
-    try {
-        spec.nth = std::stoull(nth);
-    } catch (const std::exception &) {
-        throw std::invalid_argument("ZATEL_WORKER_KILL: bad nth '" + nth +
-                                    "'");
-    }
-    if (spec.nth == 0) {
-        throw std::invalid_argument("ZATEL_WORKER_KILL: nth is 1-based");
-    }
+    spec.nth = parseUint(s.substr(colon + 1), "ZATEL_WORKER_KILL nth", 1);
     spec.armed = true;
     return spec;
 }

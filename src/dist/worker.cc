@@ -151,7 +151,7 @@ runShard(const BoardPaths &paths, uint32_t shard, const WorkerOptions &opt,
     // arrive on our command line (worker.hh) and apply to every job,
     // mirroring zatel-batch.
     for (service::CampaignJob &job : jobs)
-        opt.resilience.applyTo(job.params);
+        opt.campaign.resilience.applyTo(job.params);
 
     // Resume whatever a previous claimant finished: repair a torn tail
     // first (a dead writer's half-row must not glue onto our appends),
@@ -162,18 +162,14 @@ runShard(const BoardPaths &paths, uint32_t shard, const WorkerOptions &opt,
         service::ResultStore::completedJobIds(partial);
 
     service::ResultStoreOptions store_options;
-    store_options.includeTiming = opt.includeTiming;
+    store_options.includeTiming = opt.campaign.includeTiming;
     store_options.append = true;
     service::ResultStore store(partial, store_options);
 
     HeartbeatThread heartbeat(paths, shard, opt.heartbeatSeconds);
 
     std::atomic<uint64_t> shard_rows{0};
-    service::SchedulerParams params;
-    params.workers = opt.jobs;
-    params.jobTimeoutSeconds = opt.jobTimeoutSeconds;
-    params.stallTimeoutSeconds = opt.stallTimeoutSeconds;
-    params.stageRetries = opt.stageRetries;
+    service::SchedulerParams params = opt.campaign.schedulerParams();
     params.alreadyCompleted = std::move(completed);
     params.cancelled = [&heartbeat] { return heartbeat.lost(); };
     params.resultHook = [&shard_rows,
@@ -246,10 +242,10 @@ runWorker(const WorkerOptions &options)
     ChaosKiller chaos(ChaosKillSpec::parse(std::getenv("ZATEL_WORKER_KILL")),
                       options.workerId);
 
-    service::ArtifactCache::DiskTierOptions disk;
-    disk.byteBudget = options.cacheDiskMb << 20;
-    service::ArtifactCache cache(options.cacheMb << 20, options.cacheDir,
-                                 disk);
+    const service::CampaignOptions &campaign = options.campaign;
+    service::ArtifactCache cache(
+        campaign.cacheMb << 20, campaign.cacheDir,
+        {.byteBudget = campaign.cacheDiskMb << 20});
 
     std::map<uint32_t, uint32_t> publish_failures;
     uint64_t shards_published = 0;
@@ -279,7 +275,7 @@ runWorker(const WorkerOptions &options)
         if (all_settled) {
             writeWorkerStats(paths, options, cache, shards_published,
                              rows_appended);
-            if (!options.quiet) {
+            if (!campaign.quiet) {
                 inform("zatel-worker ", options.workerId,
                        ": board complete (", shards_published,
                        " shard(s) published, ", rows_appended, " row(s))");

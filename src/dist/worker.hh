@@ -33,7 +33,7 @@
 #include <cstdint>
 #include <string>
 
-#include "service/campaign.hh"
+#include "service/campaign_options.hh"
 
 namespace zatel::dist
 {
@@ -45,31 +45,16 @@ struct WorkerOptions
     std::string boardDir;
     /** Coordinator-assigned id; names the lease/stats/log files. */
     uint64_t workerId = 0;
-
-    /** Shared artifact persistence directory; "" disables it. */
-    std::string cacheDir;
-    /** In-memory artifact cache budget (MiB). */
-    uint64_t cacheMb = 512;
-    /** Disk-tier byte budget (MiB); 0 = unlimited. */
-    uint64_t cacheDiskMb = 0;
-
-    /** Scheduler pool size per worker; 0 = hardware concurrency. */
-    size_t jobs = 0;
-    double jobTimeoutSeconds = 0.0;
-    double stallTimeoutSeconds = 0.0;
-    uint32_t stageRetries = 1;
-
-    // Per-job resilience knobs (docs/ROBUSTNESS.md). Shard specs carry
-    // only campaign fields, so the coordinator forwards these on the
-    // worker command line and the worker applies them to every loaded
-    // job — the same way zatel-batch applies them before scheduling.
-    service::GroupResilience resilience;
-
     /** Lease refresh period; the coordinator passes leaseTimeout/4. */
     double heartbeatSeconds = 1.0;
-    /** Emit wall-clock columns in fragment rows. */
-    bool includeTiming = true;
-    bool quiet = false;
+
+    /**
+     * Pool, cache, budgets, resilience and row format. Shard specs
+     * carry only campaign fields, so these arrive on the command line
+     * (CampaignOptions::toArgs() in zatel-batch) and apply to every
+     * loaded job, as zatel-batch applies them before scheduling.
+     */
+    service::CampaignOptions campaign;
 };
 
 /** The exit-code protocol (see file header). */

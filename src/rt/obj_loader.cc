@@ -1,9 +1,9 @@
 #include "rt/obj_loader.hh"
 
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
-
-#include "util/logging.hh"
+#include <stdexcept>
 
 namespace zatel::rt
 {
@@ -22,8 +22,10 @@ resolveIndex(long raw, size_t vertex_count, size_t line_number)
     if (raw < 0)
         resolved = static_cast<long>(vertex_count) + raw + 1;
     if (resolved < 1 || resolved > static_cast<long>(vertex_count)) {
-        fatal("OBJ line ", line_number, ": vertex index ", raw,
-              " out of range (", vertex_count, " vertices)");
+        throw std::runtime_error(
+            "OBJ line " + std::to_string(line_number) + ": vertex index " +
+            std::to_string(raw) + " out of range (" +
+            std::to_string(vertex_count) + " vertices)");
     }
     return static_cast<size_t>(resolved - 1);
 }
@@ -116,7 +118,7 @@ loadObjFile(const std::string &path, uint16_t material_id)
 {
     std::ifstream input(path);
     if (!input)
-        fatal("cannot open OBJ file '", path, "'");
+        throw std::runtime_error("cannot open OBJ file '" + path + "'");
     return loadObj(input, material_id);
 }
 

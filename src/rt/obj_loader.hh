@@ -36,13 +36,14 @@ struct ObjLoadResult
 /**
  * Parse OBJ text from @p input.
  * @param material_id Material bound to every produced triangle.
- * Calls fatal() on malformed face indices (out of range).
+ * @throws std::runtime_error for a face index out of range.
  */
 ObjLoadResult loadObj(std::istream &input, uint16_t material_id = 0);
 
 /**
  * Load an OBJ file from disk.
- * Calls fatal() when the file cannot be opened.
+ * @throws std::runtime_error when the file cannot be opened, and as
+ *         loadObj() does.
  */
 ObjLoadResult loadObjFile(const std::string &path,
                           uint16_t material_id = 0);

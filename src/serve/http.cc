@@ -1,9 +1,9 @@
 #include "serve/http.hh"
 
 #include <cctype>
-#include <cerrno>
-#include <cstdlib>
 #include <sstream>
+
+#include "util/numbers.hh"
 
 namespace zatel::serve
 {
@@ -148,16 +148,13 @@ HttpParser::parseHead(size_t headerEnd)
 
     const std::string &length = request_.header("content-length");
     if (!length.empty()) {
-        errno = 0;
-        char *end = nullptr;
-        const unsigned long long parsed =
-            std::strtoull(length.c_str(), &end, 10);
-        if (errno != 0 || end == length.c_str() || *end != '\0' ||
-            length[0] == '-')
+        try {
+            contentLength_ = parseUint(length, "Content-Length");
+        } catch (const NumberError &) {
             return fail(400, "malformed Content-Length");
-        if (parsed > limits_.maxBodyBytes)
+        }
+        if (contentLength_ > limits_.maxBodyBytes)
             return fail(413, "request body too large");
-        contentLength_ = static_cast<size_t>(parsed);
     }
     return Status::NeedMore;
 }

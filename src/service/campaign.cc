@@ -4,7 +4,6 @@
 #include <cctype>
 #include <cfloat>
 #include <climits>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -12,6 +11,7 @@
 
 #include "service/artifact_cache.hh"
 #include "util/csv.hh"
+#include "util/numbers.hh"
 
 namespace zatel::service
 {
@@ -42,75 +42,11 @@ isSkippableLine(const std::string &line)
     return t.empty() || t.front() == '#';
 }
 
-uint64_t
-parseU64(const std::string &value, const std::string &key)
-{
-    // std::stoull accepts a leading '-' and wraps the negation into the
-    // unsigned range ("-1" -> 2^64-1), which would turn a typo'd negative
-    // spec value into an absurdly large count. Reject the sign up front
-    // (after the leading whitespace stoull itself would skip).
-    size_t first = 0;
-    while (first < value.size() &&
-           std::isspace(static_cast<unsigned char>(value[first]))) {
-        ++first;
-    }
-    if (first < value.size() && value[first] == '-')
-        throw CampaignError("negative value in " + key + "='" + value + "'");
-    try {
-        // Base 10 only: "010" is ten in every reader, never octal 8.
-        size_t used = 0;
-        uint64_t parsed = std::stoull(value, &used, 10);
-        if (used != value.size())
-            throw CampaignError("trailing junk in " + key + "='" + value +
-                                "'");
-        return parsed;
-    } catch (const CampaignError &) {
-        throw;
-    } catch (const std::exception &) {
-        throw CampaignError("cannot parse " + key + "='" + value +
-                            "' as an integer");
-    }
-}
-
 /** A 32-bit field: out of range is an error, never a wrapped value. */
 uint32_t
 parseU32(const std::string &value, const std::string &key)
 {
-    const uint64_t parsed = parseU64(value, key);
-    if (parsed > UINT32_MAX)
-        throw CampaignError(key + "='" + value + "' is out of range");
-    return static_cast<uint32_t>(parsed);
-}
-
-double
-parseF64(const std::string &value, const std::string &key)
-{
-    try {
-        size_t used = 0;
-        double parsed = std::stod(value, &used);
-        if (used != value.size())
-            throw CampaignError("trailing junk in " + key + "='" + value +
-                                "'");
-        if (!std::isfinite(parsed))
-            throw CampaignError(key + "='" + value + "' is not finite");
-        return parsed;
-    } catch (const CampaignError &) {
-        throw;
-    } catch (const std::exception &) {
-        throw CampaignError("cannot parse " + key + "='" + value +
-                            "' as a number");
-    }
-}
-
-/** A double that must fit @p lo..@p hi before a narrowing cast. */
-double
-parseF64InRange(const std::string &value, const std::string &key,
-                double lo, double hi)
-{
-    const double parsed = parseF64(value, key);
-    if (parsed < lo || parsed > hi)
-        throw CampaignError(key + "='" + value + "' is out of range");
-    return parsed;
+    return static_cast<uint32_t>(parseUint(value, key, 0, UINT32_MAX));
 }
 
 /** The largest `threads` a recipe may ask for. */
@@ -232,21 +168,22 @@ resolveSceneName(const std::string &name)
     throw CampaignError("unknown scene '" + name + "'");
 }
 
-void
-applyJobField(CampaignJob &job, const std::string &key,
-              const std::string &value)
+namespace
 {
-    if (value.empty())
-        return; // empty CSV cell = keep the default
+
+void
+applyField(CampaignJob &job, const std::string &key,
+           const std::string &value)
+{
     if (key == "id") {
         job.id = value;
     } else if (key == "scene") {
         job.scene = value;
     } else if (key == "detail") {
         job.sceneDetail = static_cast<float>(
-            parseF64InRange(value, key, -FLT_MAX, FLT_MAX));
+            parseDouble(value, key, -FLT_MAX, FLT_MAX));
     } else if (key == "scene_seed") {
-        job.sceneSeed = parseU64(value, key);
+        job.sceneSeed = parseUint(value, key);
     } else if (key == "gpu") {
         job.gpu = value;
     } else if (key == "res") {
@@ -260,9 +197,9 @@ applyJobField(CampaignJob &job, const std::string &key,
     } else if (key == "spp") {
         job.params.samplesPerPixel = parseU32(value, key);
     } else if (key == "seed") {
-        job.params.seed = parseU64(value, key);
+        job.params.seed = parseUint(value, key);
     } else if (key == "fraction") {
-        job.params.selector.fixedFraction = parseF64(value, key);
+        job.params.selector.fixedFraction = parseDouble(value, key);
     } else if (key == "k") {
         job.params.forcedK = parseU32(value, key);
     } else if (key == "division") {
@@ -295,23 +232,20 @@ applyJobField(CampaignJob &job, const std::string &key,
         job.params.downscaleGpu = parseBool(value, key);
     } else if (key == "profile_noise") {
         job.params.profiler.source = heatmap::ProfilingSource::HardwareTimer;
-        job.params.profiler.timerNoise = parseF64(value, key);
+        job.params.profiler.timerNoise = parseDouble(value, key);
     } else if (key == "quantize_colors") {
         job.params.quantizeColors = parseU32(value, key);
     } else if (key == "threads") {
         job.params.numThreads = parseU32(value, key);
     } else if (key == "priority") {
         job.priority =
-            static_cast<int>(parseF64InRange(value, key, INT_MIN, INT_MAX));
+            static_cast<int>(parseDouble(value, key, INT_MIN, INT_MAX));
     } else if (key == "oracle") {
         job.withOracle = parseBool(value, key);
     } else {
         throw CampaignError("unknown job field '" + key + "'");
     }
 }
-
-namespace
-{
 
 /** A JSON string literal: the shared escaper, in quotes. */
 std::string
@@ -322,6 +256,19 @@ quoted(const std::string &text)
 }
 
 } // namespace
+
+void
+applyJobField(CampaignJob &job, const std::string &key,
+              const std::string &value)
+{
+    if (value.empty())
+        return; // empty CSV cell = keep the default
+    try {
+        applyField(job, key, value);
+    } catch (const NumberError &err) {
+        throw CampaignError(err.what());
+    }
+}
 
 CampaignJob
 jobFromJson(const obs::JsonValue &object)
@@ -572,13 +519,14 @@ GroupResilience
 GroupResilience::fromArgs(const ArgParser &args)
 {
     GroupResilience resilience;
-    const std::string &retries = args.get("group-retries");
-    resilience.groupRetries = parseU32(retries, "group-retries");
-    if (resilience.groupRetries > 100)
-        throw CampaignError("group-retries='" + retries +
-                            "' is out of range (0-100)");
-    resilience.minGroupsFraction = parseF64InRange(
-        args.get("min-groups-fraction"), "min-groups-fraction", 0.0, 1.0);
+    try {
+        resilience.groupRetries =
+            static_cast<uint32_t>(args.getUint("group-retries", 0, 100));
+        resilience.minGroupsFraction =
+            args.getDouble("min-groups-fraction", 0.0, 1.0);
+    } catch (const NumberError &err) {
+        throw CampaignError(err.what());
+    }
     resilience.failFast = args.getFlag("fail-fast");
     return resilience;
 }

@@ -112,7 +112,8 @@ rt::SceneId resolveSceneName(const std::string &name);
  * Recognized keys: id scene detail scene_seed gpu res width height spp
  * seed fraction k division distribution regression downscale
  * profile_noise quantize_colors threads priority oracle.
- * Integers are base 10; numbers must be finite and fit their field.
+ * Numbers go through the shared reader (util/numbers.hh): base 10,
+ * no sign on an integer, finite, and inside their field's range.
  * @throws CampaignError for unknown keys or unparsable values.
  */
 void applyJobField(CampaignJob &job, const std::string &key,
@@ -170,13 +171,16 @@ void checkRecipe(const CampaignJob &job);
 /**
  * The group-resilience options of zatel, zatel-batch and zatel-worker
  * (docs/ROBUSTNESS.md). They belong to the process, not to a recipe:
- * zatel-batch forwards them to its workers on the command line.
+ * zatel-batch and zatel-worker read them as part of CampaignOptions
+ * (campaign_options.hh).
  */
 struct GroupResilience
 {
     uint32_t groupRetries = 1;
     double minGroupsFraction = 0.5;
     bool failFast = false;
+
+    bool operator==(const GroupResilience &) const = default;
 
     /** Declare --group-retries, --min-groups-fraction and --fail-fast. */
     static void addOptions(ArgParser &args);

@@ -1,10 +1,9 @@
 #include "util/arg_parser.hh"
 
-#include <cerrno>
-#include <cstdlib>
 #include <sstream>
 
 #include "util/logging.hh"
+#include "util/numbers.hh"
 
 namespace zatel
 {
@@ -138,58 +137,16 @@ ArgParser::getList(const std::string &name) const
     return {spec->fallback};
 }
 
-int64_t
-ArgParser::getInt(const std::string &name) const
+uint64_t
+ArgParser::getUint(const std::string &name, uint64_t lo, uint64_t hi) const
 {
-    const std::string &text = get(name);
-    char *end = nullptr;
-    errno = 0;
-    int64_t value = std::strtoll(text.c_str(), &end, 0);
-    if (end == text.c_str() || *end != '\0')
-        fatal("option --", name, " expects an integer, got '", text, "'");
-    if (errno == ERANGE)
-        fatal("option --", name, " overflows a 64-bit integer: '", text,
-              "'");
-    return value;
-}
-
-int64_t
-ArgParser::getIntInRange(const std::string &name, int64_t lo,
-                         int64_t hi) const
-{
-    const int64_t value = getInt(name);
-    if (value < lo || value > hi) {
-        fatal("option --", name, " must be in [", lo, ", ", hi,
-              "], got ", value);
-    }
-    return value;
-}
-
-int64_t
-ArgParser::getPositiveInt(const std::string &name) const
-{
-    const int64_t value = getInt(name);
-    if (value < 1)
-        fatal("option --", name, " must be >= 1, got ", value);
-    return value;
-}
-
-uint16_t
-ArgParser::getPortNumber(const std::string &name, bool allowZero) const
-{
-    const int64_t value = getIntInRange(name, allowZero ? 0 : 1, 65535);
-    return static_cast<uint16_t>(value);
+    return parseUint(get(name), "--" + name, lo, hi);
 }
 
 double
-ArgParser::getDouble(const std::string &name) const
+ArgParser::getDouble(const std::string &name, double lo, double hi) const
 {
-    const std::string &text = get(name);
-    char *end = nullptr;
-    double value = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0')
-        fatal("option --", name, " expects a number, got '", text, "'");
-    return value;
+    return parseDouble(get(name), "--" + name, lo, hi);
 }
 
 bool

@@ -59,25 +59,18 @@ class ArgParser
      */
     std::vector<std::string> getList(const std::string &name) const;
 
-    /** Convenience conversions (fatal on malformed numbers). */
-    int64_t getInt(const std::string &name) const;
-    double getDouble(const std::string &name) const;
-    bool getFlag(const std::string &name) const;
-
     /**
-     * Validated conversions: like getInt() but also fatal() when the
-     * value falls outside the stated range, so every tool rejects
-     * nonsense the same way ("--workers -3", "--port 99999") instead of
-     * hand-rolling the bounds check (or worse, casting a negative to
-     * size_t). Overflowing int64 is caught by getInt() itself.
+     * Numeric options, read by the shared number reader (numbers.hh):
+     * base 10, no sign on an integer, a finite real, inside [lo, hi].
+     * Every tool bounds its options here, so "--workers -3" or
+     * "--port 99999" gets the same message everywhere, and a tool's
+     * main prints it as its `error:` line.
+     * @throws NumberError naming the option ("--jobs='-1' ...").
      */
-    int64_t getIntInRange(const std::string &name, int64_t lo,
-                          int64_t hi) const;
-    /** A strictly positive integer (>= 1). */
-    int64_t getPositiveInt(const std::string &name) const;
-    /** A TCP port: [1, 65535], or 0 too when @p allowZero (ephemeral). */
-    uint16_t getPortNumber(const std::string &name,
-                           bool allowZero = false) const;
+    uint64_t getUint(const std::string &name, uint64_t lo,
+                     uint64_t hi) const;
+    double getDouble(const std::string &name, double lo, double hi) const;
+    bool getFlag(const std::string &name) const;
 
     /** Positional (non-option) arguments in order. */
     const std::vector<std::string> &positional() const

@@ -8,6 +8,7 @@
 
 #include "obs/metrics_registry.hh"
 #include "util/logging.hh"
+#include "util/numbers.hh"
 
 namespace zatel
 {
@@ -111,46 +112,22 @@ FaultPolicy::parse(const std::string &text)
     if (parts.empty())
         throw bad("expected never|always|nth:N|prob:P[:SEED]");
 
-    if (parts[0] == "nth") {
-        if (parts.size() != 2)
-            throw bad("expected nth:N");
-        size_t used = 0;
-        unsigned long long n = 0;
-        try {
-            n = std::stoull(parts[1], &used);
-        } catch (const std::exception &) {
-            throw bad("'" + parts[1] + "' is not a count");
+    try {
+        if (parts[0] == "nth") {
+            if (parts.size() != 2)
+                throw bad("expected nth:N");
+            return nthHit(parseUint(parts[1], "nth", 1));
         }
-        if (used != parts[1].size() || n < 1)
-            throw bad("nth wants an integer >= 1");
-        return nthHit(n);
+        if (parts[0] == "prob") {
+            if (parts.size() != 2 && parts.size() != 3)
+                throw bad("expected prob:P[:SEED]");
+            const double p = parseDouble(parts[1], "prob", 0.0, 1.0);
+            return withProbability(
+                p, parts.size() == 3 ? parseUint(parts[2], "seed") : 0);
+        }
+    } catch (const NumberError &err) {
+        throw bad(err.what());
     }
-
-    if (parts[0] == "prob") {
-        if (parts.size() != 2 && parts.size() != 3)
-            throw bad("expected prob:P[:SEED]");
-        size_t used = 0;
-        double p = 0.0;
-        try {
-            p = std::stod(parts[1], &used);
-        } catch (const std::exception &) {
-            throw bad("'" + parts[1] + "' is not a probability");
-        }
-        if (used != parts[1].size() || p < 0.0 || p > 1.0)
-            throw bad("probability must be in [0, 1]");
-        uint64_t seed = 0;
-        if (parts.size() == 3) {
-            try {
-                seed = std::stoull(parts[2], &used);
-            } catch (const std::exception &) {
-                throw bad("'" + parts[2] + "' is not a seed");
-            }
-            if (used != parts[2].size())
-                throw bad("'" + parts[2] + "' is not a seed");
-        }
-        return withProbability(p, seed);
-    }
-
     throw bad("unknown policy kind '" + parts[0] + "'");
 }
 

@@ -5,7 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "util/arg_parser.hh"
+#include "util/numbers.hh"
 
 namespace zatel
 {
@@ -35,7 +41,7 @@ TEST(ArgParser, DefaultsApply)
     ArgParser parser = makeParser();
     ASSERT_TRUE(parseArgs(parser, {"--mode", "go"}));
     EXPECT_EQ(parser.get("scene"), "PARK");
-    EXPECT_EQ(parser.getInt("res"), 128);
+    EXPECT_EQ(parser.getUint("res", 1, 4096), 128u);
     EXPECT_FALSE(parser.getFlag("verbose"));
     EXPECT_FALSE(parser.has("scene"));
 }
@@ -47,7 +53,7 @@ TEST(ArgParser, SpaceAndEqualsSyntax)
         parseArgs(parser, {"--mode=run", "--scene", "BUNNY", "--res=64"}));
     EXPECT_EQ(parser.get("mode"), "run");
     EXPECT_EQ(parser.get("scene"), "BUNNY");
-    EXPECT_EQ(parser.getInt("res"), 64);
+    EXPECT_EQ(parser.getUint("res", 1, 4096), 64u);
     EXPECT_TRUE(parser.has("scene"));
 }
 
@@ -90,122 +96,108 @@ TEST(ArgParser, FlagWithValueFails)
     EXPECT_FALSE(parseArgs(parser, {"--mode", "x", "--verbose=2"}));
 }
 
-TEST(ArgParser, NumericConversions)
+/** A parser holding "--value @p text". */
+ArgParser
+parserWithValue(const char *text)
 {
     ArgParser parser("t");
-    parser.addOption("count", "0", "a count");
-    parser.addOption("ratio", "0.5", "a ratio");
-    std::vector<const char *> args{"t", "--count", "42", "--ratio", "0.25"};
-    ASSERT_TRUE(parser.parse(static_cast<int>(args.size()), args.data()));
-    EXPECT_EQ(parser.getInt("count"), 42);
-    EXPECT_DOUBLE_EQ(parser.getDouble("ratio"), 0.25);
+    parser.addOption("value", "0", "a number");
+    std::vector<const char *> args{"t", "--value", text};
+    EXPECT_TRUE(parser.parse(static_cast<int>(args.size()), args.data()));
+    return parser;
+}
+
+uint64_t
+uintOf(const char *text, uint64_t lo = 0, uint64_t hi = UINT64_MAX)
+{
+    return parserWithValue(text).getUint("value", lo, hi);
+}
+
+double
+doubleOf(const char *text, double lo = -DBL_MAX, double hi = DBL_MAX)
+{
+    return parserWithValue(text).getDouble("value", lo, hi);
+}
+
+/** The message getUint() throws for @p text. */
+std::string
+uintError(const char *text, uint64_t lo, uint64_t hi)
+{
+    try {
+        uintOf(text, lo, hi);
+    } catch (const NumberError &err) {
+        return err.what();
+    }
+    return "accepted";
+}
+
+TEST(ArgParser, NumericConversions)
+{
+    EXPECT_EQ(uintOf("42"), 42u);
+    EXPECT_EQ(doubleOf("0.25"), 0.25);
+    EXPECT_EQ(doubleOf("-2.5e-3"), -2.5e-3);
+    // Base 10 in every reader: a leading zero is not octal.
+    EXPECT_EQ(uintOf("010"), 10u);
+    EXPECT_EQ(doubleOf("010"), 10.0);
 }
 
 TEST(ArgParser, MalformedNumberIsFatal)
 {
-    ArgParser parser("t");
-    parser.addOption("count", "0", "a count");
-    std::vector<const char *> args{"t", "--count", "abc"};
-    ASSERT_TRUE(parser.parse(static_cast<int>(args.size()), args.data()));
-    EXPECT_EXIT(parser.getInt("count"), testing::ExitedWithCode(1),
-                "integer");
+    // A malformed value throws; the tool's main prints it as its
+    // `error:` line. Nothing exits from inside the parser.
+    for (const char *text : {"abc", "", "12abc", "1.5", "0x3", "0b1", "1e3"})
+        EXPECT_THROW(uintOf(text), NumberError) << text;
+    for (const char *text : {"abc", "", "1.5s", "0x3", "0x1p4"})
+        EXPECT_THROW(doubleOf(text), NumberError) << text;
+    // A sign is refused, never wrapped into the unsigned range.
+    for (const char *text : {"-1", " -0", "-18446744073709551615"})
+        EXPECT_THROW(uintOf(text), NumberError) << text;
+    EXPECT_EQ(uintError("-1", 0, 100), "--value='-1' is negative");
+    // Only finite reals.
+    for (const char *text : {"nan", "inf", "-inf", "infinity", "NAN"})
+        EXPECT_THROW(doubleOf(text), NumberError) << text;
 }
 
 TEST(ArgParser, OverflowingIntegerIsFatal)
 {
-    ArgParser parser("t");
-    parser.addOption("count", "0", "a count");
-    std::vector<const char *> args{"t", "--count",
-                                   "99999999999999999999999"};
-    ASSERT_TRUE(parser.parse(static_cast<int>(args.size()), args.data()));
-    EXPECT_EXIT(parser.getInt("count"), testing::ExitedWithCode(1),
-                "overflows");
+    EXPECT_EQ(uintOf("18446744073709551615"), UINT64_MAX);
+    EXPECT_THROW(uintOf("18446744073709551616"), NumberError);
+    EXPECT_THROW(uintOf("99999999999999999999999"), NumberError);
+    // A finite real beyond its bound is rejected before any cast: a
+    // 1e300 s timeout would overflow the clock arithmetic.
+    EXPECT_EQ(doubleOf("1e300"), 1e300);
+    EXPECT_THROW(doubleOf("1e300", 0.0, 86400.0), NumberError);
+    EXPECT_THROW(doubleOf("1e999"), NumberError);
 }
 
 TEST(ArgParser, GetIntInRangeAcceptsBoundsAndRejectsOutside)
 {
-    ArgParser parser("t");
-    parser.addOption("retries", "1", "retry count");
-    {
-        std::vector<const char *> args{"t", "--retries", "0"};
-        ASSERT_TRUE(
-            parser.parse(static_cast<int>(args.size()), args.data()));
-        EXPECT_EQ(parser.getIntInRange("retries", 0, 100), 0);
-    }
-    {
-        std::vector<const char *> args{"t", "--retries", "100"};
-        ASSERT_TRUE(
-            parser.parse(static_cast<int>(args.size()), args.data()));
-        EXPECT_EQ(parser.getIntInRange("retries", 0, 100), 100);
-    }
-    {
-        std::vector<const char *> args{"t", "--retries", "101"};
-        ASSERT_TRUE(
-            parser.parse(static_cast<int>(args.size()), args.data()));
-        EXPECT_EXIT(parser.getIntInRange("retries", 0, 100),
-                    testing::ExitedWithCode(1), "must be in");
-    }
-    {
-        std::vector<const char *> args{"t", "--retries", "-1"};
-        ASSERT_TRUE(
-            parser.parse(static_cast<int>(args.size()), args.data()));
-        EXPECT_EXIT(parser.getIntInRange("retries", 0, 100),
-                    testing::ExitedWithCode(1), "must be in");
-    }
+    EXPECT_EQ(uintOf("0", 0, 100), 0u);
+    EXPECT_EQ(uintOf("100", 0, 100), 100u);
+    EXPECT_THROW(uintOf("101", 0, 100), NumberError);
+    EXPECT_EQ(uintError("101", 0, 100),
+              "--value='101' is out of range [0, 100]");
+    EXPECT_EQ(doubleOf("0", 0.0, 1.0), 0.0);
+    EXPECT_EQ(doubleOf("1", 0.0, 1.0), 1.0);
+    EXPECT_THROW(doubleOf("1.5", 0.0, 1.0), NumberError);
+    EXPECT_THROW(doubleOf("-0.1", 0.0, 1.0), NumberError);
 }
 
 TEST(ArgParser, GetPositiveIntRejectsZeroAndNegative)
 {
-    ArgParser parser("t");
-    parser.addOption("spp", "1", "samples per pixel");
-    {
-        std::vector<const char *> args{"t", "--spp", "4"};
-        ASSERT_TRUE(
-            parser.parse(static_cast<int>(args.size()), args.data()));
-        EXPECT_EQ(parser.getPositiveInt("spp"), 4);
-    }
-    {
-        std::vector<const char *> args{"t", "--spp", "0"};
-        ASSERT_TRUE(
-            parser.parse(static_cast<int>(args.size()), args.data()));
-        EXPECT_EXIT(parser.getPositiveInt("spp"),
-                    testing::ExitedWithCode(1), ">= 1");
-    }
-    {
-        std::vector<const char *> args{"t", "--spp", "-3"};
-        ASSERT_TRUE(
-            parser.parse(static_cast<int>(args.size()), args.data()));
-        EXPECT_EXIT(parser.getPositiveInt("spp"),
-                    testing::ExitedWithCode(1), ">= 1");
-    }
+    EXPECT_EQ(uintOf("4", 1, UINT32_MAX), 4u);
+    EXPECT_THROW(uintOf("0", 1, UINT32_MAX), NumberError);
+    EXPECT_THROW(uintOf("-3", 1, UINT32_MAX), NumberError);
 }
 
 TEST(ArgParser, GetPortNumberBoundsAndEphemeralZero)
 {
-    ArgParser parser("t");
-    parser.addOption("port", "8080", "TCP port");
-    {
-        std::vector<const char *> args{"t", "--port", "65535"};
-        ASSERT_TRUE(
-            parser.parse(static_cast<int>(args.size()), args.data()));
-        EXPECT_EQ(parser.getPortNumber("port"), 65535);
-    }
-    {
-        std::vector<const char *> args{"t", "--port", "0"};
-        ASSERT_TRUE(
-            parser.parse(static_cast<int>(args.size()), args.data()));
-        // 0 is only a valid (ephemeral) port when explicitly allowed.
-        EXPECT_EQ(parser.getPortNumber("port", /*allowZero=*/true), 0);
-        EXPECT_EXIT(parser.getPortNumber("port"),
-                    testing::ExitedWithCode(1), "must be in");
-    }
-    {
-        std::vector<const char *> args{"t", "--port", "65536"};
-        ASSERT_TRUE(
-            parser.parse(static_cast<int>(args.size()), args.data()));
-        EXPECT_EXIT(parser.getPortNumber("port", /*allowZero=*/true),
-                    testing::ExitedWithCode(1), "must be in");
-    }
+    EXPECT_EQ(uintOf("65535", 1, 65535), 65535u);
+    // 0 is only a valid (ephemeral) port when the range allows it.
+    EXPECT_EQ(uintOf("0", 0, 65535), 0u);
+    EXPECT_THROW(uintOf("0", 1, 65535), NumberError);
+    EXPECT_THROW(uintOf("65536", 0, 65535), NumberError);
+    EXPECT_THROW(uintOf("99999", 0, 65535), NumberError);
 }
 
 TEST(ArgParser, UsageMentionsEverything)

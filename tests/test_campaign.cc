@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "service/campaign.hh"
+#include "service/campaign_options.hh"
 #include "util/arg_parser.hh"
 
 namespace zatel::service
@@ -508,6 +510,82 @@ TEST(Campaign, LoadCampaignFileDispatchesOnExtension)
     EXPECT_THROW(loadCampaignFile((dir / "missing.jsonl").string()),
                  CampaignError);
     std::filesystem::remove_all(dir);
+}
+
+TEST(CampaignOptions, ToArgsRoundTrips)
+{
+    // Every field off its default: a field toArgs() leaves off the
+    // worker command line comes back as its default and fails here.
+    CampaignOptions set;
+    set.jobs = 3;
+    set.cacheDir = "/tmp/zatel cache";
+    set.cacheMb = 17;
+    set.cacheDiskMb = 5;
+    set.timeoutSeconds = 0.1;
+    set.stallTimeoutMs = 1234.5678901234567;
+    set.stageRetries = 7;
+    set.resilience.groupRetries = 4;
+    set.resilience.minGroupsFraction = 1.0 / 3.0;
+    set.resilience.failFast = true;
+    set.includeTiming = false;
+    set.quiet = true;
+
+    const std::vector<std::string> args = set.toArgs();
+    std::vector<const char *> argv = {"worker"};
+    for (const std::string &arg : args)
+        argv.push_back(arg.c_str());
+    ArgParser parser("worker");
+    CampaignOptions::addOptions(parser);
+    ASSERT_TRUE(parser.parse(static_cast<int>(argv.size()), argv.data()))
+        << parser.errorMessage();
+    const CampaignOptions read = CampaignOptions::fromArgs(parser);
+
+    EXPECT_TRUE(read == set);
+    // Fractions bit for bit.
+    EXPECT_EQ(std::bit_cast<uint64_t>(read.timeoutSeconds),
+              std::bit_cast<uint64_t>(set.timeoutSeconds));
+    EXPECT_EQ(std::bit_cast<uint64_t>(read.stallTimeoutMs),
+              std::bit_cast<uint64_t>(set.stallTimeoutMs));
+    EXPECT_EQ(std::bit_cast<uint64_t>(read.resilience.minGroupsFraction),
+              std::bit_cast<uint64_t>(set.resilience.minGroupsFraction));
+
+    // The defaults round-trip too, and are what an empty command line
+    // reads.
+    ArgParser empty("worker");
+    CampaignOptions::addOptions(empty);
+    std::vector<const char *> none = {"worker"};
+    ASSERT_TRUE(empty.parse(1, none.data()));
+    EXPECT_TRUE(CampaignOptions::fromArgs(empty) == CampaignOptions{});
+}
+
+TEST(CampaignOptions, OutOfRangeValuesThrow)
+{
+    const std::vector<std::vector<const char *>> bad = {
+        {"t", "--timeout", "inf"},       {"t", "--timeout", "1e300"},
+        {"t", "--timeout", "-1"},        {"t", "--stall-timeout-ms", "nan"},
+        {"t", "--stall-timeout-ms", "86400001"},
+        {"t", "--cache-mb", "17592186044416"},
+        {"t", "--cache-mb", "0"},        {"t", "--cache-disk-mb", "1048577"},
+        {"t", "--jobs", "-1"},           {"t", "--jobs", "0x3"},
+        {"t", "--jobs", "4097"},         {"t", "--stage-retries", "101"},
+        {"t", "--group-retries", "0x3"}};
+    for (const std::vector<const char *> &argv : bad) {
+        ArgParser parser("t");
+        CampaignOptions::addOptions(parser);
+        ASSERT_TRUE(
+            parser.parse(static_cast<int>(argv.size()), argv.data()));
+        EXPECT_ANY_THROW(CampaignOptions::fromArgs(parser))
+            << argv[1] << " " << argv[2];
+    }
+    ArgParser parser("t");
+    CampaignOptions::addOptions(parser);
+    std::vector<const char *> argv = {"t", "--jobs", "010", "--cache-disk-mb",
+                                      "1", "--group-retries", "0"};
+    ASSERT_TRUE(parser.parse(static_cast<int>(argv.size()), argv.data()));
+    const CampaignOptions read = CampaignOptions::fromArgs(parser);
+    EXPECT_EQ(read.jobs, 10u);
+    EXPECT_EQ(read.cacheDiskMb, 1u);
+    EXPECT_EQ(read.resilience.groupRetries, 0u);
 }
 
 } // namespace

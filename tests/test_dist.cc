@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -38,6 +39,7 @@
 #include "service/result_store.hh"
 #include "service/scheduler.hh"
 #include "util/fault_injection.hh"
+#include "util/numbers.hh"
 
 #ifndef ZATEL_WORKER_BIN
 #define ZATEL_WORKER_BIN "zatel-worker"
@@ -178,6 +180,9 @@ TEST_F(Dist, ChaosKillSpecParsesAndRejects)
                  std::invalid_argument);
     EXPECT_THROW(ChaosKillSpec::parse("mid_job:x"),
                  std::invalid_argument);
+    // The shared number reader: no sign wrapped into a huge nth.
+    for (const char *bad : {"mid_job:-1", "mid_job:0x3", "mid_job:1@-2"})
+        EXPECT_THROW(ChaosKillSpec::parse(bad), NumberError) << bad;
 }
 
 TEST_F(Dist, BoardManifestRoundTripsAndLeaseLifecycleHolds)
@@ -494,6 +499,35 @@ TEST_F(Dist, SharedCacheDirBuildsEachPersistableArtifactOnce)
     EXPECT_EQ(sortedLines((dir / "out.jsonl").string()),
               referenceLines(dir));
 }
+
+#ifdef __unix__
+TEST_F(Dist, BadWorkerOptionExitsTwoWithAnErrorLine)
+{
+    // Exit 2 is the protocol's "bad options": a negative id is an
+    // `error:` line from the shared number reader, not a fatal().
+    const auto dir = scratchDir("bad-option");
+    const std::string log = (dir / "worker.log").string();
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        std::FILE *out = std::freopen(log.c_str(), "w", stderr);
+        (void)out;
+        ::execl(ZATEL_WORKER_BIN, ZATEL_WORKER_BIN, "--board-dir",
+                dir.c_str(), "--worker-id", "-3",
+                static_cast<char *>(nullptr));
+        _exit(127);
+    }
+    ASSERT_GT(pid, 0);
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 2);
+    std::ifstream in(log);
+    std::string line;
+    std::getline(in, line);
+    EXPECT_EQ(line.rfind("error: ", 0), 0u) << line;
+    EXPECT_NE(line.find("--worker-id"), std::string::npos) << line;
+}
+#endif
 
 #ifdef __unix__
 TEST_F(Dist, TwoProcessCacheStressFindsNoCorruption)

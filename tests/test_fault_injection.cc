@@ -72,7 +72,7 @@ TEST(FaultInjectionPolicy, ParseRejectsMalformedSpecs)
     for (const std::string bad :
          {"", "sometimes", "nth", "nth:", "nth:0", "nth:abc", "prob",
           "prob:", "prob:1.5", "prob:-0.1", "prob:x", "prob:0.5:zz",
-          "always:1"}) {
+          "always:1", "nth:-1", "nth:0x3", "prob:nan", "prob:0.5:-7"}) {
         EXPECT_THROW(FaultPolicy::parse(bad), std::invalid_argument)
             << "'" << bad << "' should not parse";
     }

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "rt/obj_loader.hh"
 
@@ -96,8 +97,12 @@ TEST(ObjLoader, MalformedLinesSkippedNotFatal)
 
 TEST(ObjLoader, OutOfRangeIndexIsFatal)
 {
-    EXPECT_EXIT(parse("v 0 0 0\nf 1 2 3\n"), testing::ExitedWithCode(1),
-                "out of range");
+    // Fatal to the load, not to the process: the CLI prints `error:`.
+    EXPECT_THROW(parse("v 0 0 0\nf 1 2 3\n"), std::runtime_error);
+    EXPECT_THROW(parse("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n"),
+                 std::runtime_error);
+    EXPECT_THROW(parse("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -4 -2 -1\n"),
+                 std::runtime_error);
 }
 
 TEST(ObjLoader, MaterialIdApplied)
@@ -123,8 +128,7 @@ TEST(ObjLoader, FileRoundTrip)
 
 TEST(ObjLoader, MissingFileIsFatal)
 {
-    EXPECT_EXIT(loadObjFile("/nonexistent/mesh.obj"),
-                testing::ExitedWithCode(1), "cannot open");
+    EXPECT_THROW(loadObjFile("/nonexistent/mesh.obj"), std::runtime_error);
 }
 
 TEST(ObjLoader, LargeFanFace)

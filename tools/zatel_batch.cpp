@@ -23,15 +23,16 @@
 #include <condition_variable>
 #include <cstdio>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "dist/coordinator.hh"
-#include "obs/metrics_registry.hh"
-#include "obs/trace_recorder.hh"
+#include "obs/exports.hh"
 #include "service/artifact_cache.hh"
 #include "service/campaign.hh"
+#include "service/campaign_options.hh"
 #include "service/result_store.hh"
 #include "service/scheduler.hh"
 #include "util/arg_parser.hh"
@@ -79,151 +80,38 @@ campaignFromSweep(const ArgParser &args)
     return jobs;
 }
 
-} // namespace
-
+/** Run the campaign; returns the exit code, throws on bad input. */
 int
-main(int argc, char **argv)
+run(const ArgParser &args)
 {
-    ArgParser args("zatel-batch",
-                   "Batch campaign runner: shared-pool scheduling, "
-                   "content-addressed artifact cache, resumable results");
-    args.addOption("campaign", "",
-                   "campaign file (.csv -> CSV with '|' sweeps, anything "
-                   "else -> JSONL); omit to use the sweep shorthand");
-    args.addOption("out", "zatel-results.jsonl",
-                   "result file (.csv -> CSV, anything else -> JSONL)");
-    args.addOption("jobs", "0",
-                   "shared-pool worker count (0 = hardware concurrency)");
-    args.addOption("cache-dir", "",
-                   "persist heatmaps/oracle stats here across runs");
-    args.addOption("cache-mb", "512",
-                   "in-memory artifact cache budget in MiB");
-    args.addOption("timeout", "0",
-                   "per-job wall-clock budget in seconds (0 = none)");
-    // Resilience (docs/ROBUSTNESS.md).
-    service::GroupResilience::addOptions(args);
-    args.addOption("stall-timeout-ms", "0",
-                   "cancel+retry a group/oracle simulation making no "
-                   "simulated-cycle progress for this long (0 = no "
-                   "watchdog)");
-    args.addOption("stage-retries", "1",
-                   "retries for transient start-stage/oracle failures");
-    // Distributed campaigns (docs/DISTRIBUTED.md).
-    args.addOption("workers", "0",
-                   "distribute the campaign across this many zatel-worker "
-                   "processes (0 = run in-process)");
-    args.addOption("worker-cmd", "",
-                   "worker executable (default: zatel-worker next to "
-                   "this binary)");
-    args.addOption("board-dir", "",
-                   "job-board scratch directory (default: <out>.board)");
-    args.addOption("shards", "0",
-                   "job-board shard count (0 = min(jobs, workers*4))");
-    args.addOption("lease-timeout-ms", "10000",
-                   "reclaim a worker's shard lease after this long "
-                   "without a heartbeat");
-    args.addOption("max-shard-reassignments", "3",
-                   "reclamations per shard before its unfinished jobs "
-                   "degrade instead of retrying forever");
-    args.addOption("cache-disk-mb", "0",
-                   "disk-tier byte budget for the shared --cache-dir in "
-                   "MiB (0 = unlimited)");
-    args.addFlag("keep-board",
-                 "keep the job-board directory after the run (debugging)");
-    args.addFlag("retry-degraded",
-                 "with --resume: re-run jobs whose recorded status is "
-                 "'degraded' (default resumes them as done)");
-    // Sweep shorthand (each may repeat to form a cartesian product).
-    args.addOption("scene", "PARK", "scene name (repeatable)");
-    args.addOption("gpu", "soc", "target GPU: soc | rtx2060 (repeatable)");
-    args.addOption("res", "64", "square image resolution (repeatable)");
-    args.addOption("fraction", "",
-                   "fixed trace fraction (repeatable; bypasses eq. 1)");
-    args.addOption("spp", "1", "samples per pixel");
-    args.addOption("seed", "173025", "pipeline seed");
-    args.addOption("detail", "1.0", "procedural scene density multiplier");
-    args.addOption("k", "", "force the division/downscale factor");
-    args.addOption("trace-out", "",
-                   "write a Chrome trace_event JSON of the campaign here "
-                   "(open in chrome://tracing or Perfetto)");
-    args.addOption("metrics-out", "",
-                   "write the metrics registry here (.json = JSON, "
-                   "anything else = Prometheus text)");
-    args.addOption("progress-seconds", "10",
-                   "interval of the periodic progress line for long "
-                   "campaigns (0 disables it)");
-    args.addFlag("oracle", "also run the (cached) full simulation");
-    args.addFlag("resume", "skip jobs already 'ok' in --out; append");
-    args.addFlag("no-timing",
-                 "omit wall-clock fields from result rows (for "
-                 "byte-identical run-to-run diffs)");
-    args.addFlag("quiet", "suppress the per-job progress lines");
-    args.addFlag("help", "show this help");
-
-    if (!args.parse(argc, argv)) {
-        std::fprintf(stderr, "error: %s\n%s", args.errorMessage().c_str(),
-                     args.usage().c_str());
-        return 1;
-    }
-    if (args.getFlag("help")) {
-        std::printf("%s", args.usage().c_str());
-        return 0;
-    }
-
-    // Range-check every numeric knob before touching any state: the
-    // validated accessors reject garbage AND "parsed but nonsensical"
-    // values with one clear message (stderr + exit 1, never UB from a
-    // negative cast).
-    const int64_t stage_retries = args.getIntInRange("stage-retries", 0, 100);
-    const double stall_timeout_ms = args.getDouble("stall-timeout-ms");
-    if (stall_timeout_ms < 0.0) {
-        std::fprintf(stderr,
-                     "error: --stall-timeout-ms must be >= 0, got %g\n",
-                     stall_timeout_ms);
-        return 1;
-    }
-    const int64_t dist_workers = args.getIntInRange("workers", 0, 256);
-    const int64_t dist_shards = args.getIntInRange("shards", 0, 4096);
-    const int64_t max_shard_reassignments =
-        args.getIntInRange("max-shard-reassignments", 0, 1000);
-    const int64_t cache_disk_mb =
-        args.getIntInRange("cache-disk-mb", 0, 1 << 20);
-    const double lease_timeout_ms = args.getDouble("lease-timeout-ms");
-    if (lease_timeout_ms <= 0.0) {
-        std::fprintf(stderr,
-                     "error: --lease-timeout-ms must be > 0, got %g\n",
-                     lease_timeout_ms);
-        return 1;
-    }
+    // Every option is read and range-checked before any state exists.
+    const service::CampaignOptions options =
+        service::CampaignOptions::fromArgs(args);
+    const uint64_t dist_workers = args.getUint("workers", 0, 256);
+    const uint64_t dist_shards = args.getUint("shards", 0, 4096);
+    const uint64_t max_shard_reassignments =
+        args.getUint("max-shard-reassignments", 0, 1000);
+    const double lease_timeout_ms =
+        args.getDouble("lease-timeout-ms", 0.0, 86400000.0);
+    if (lease_timeout_ms <= 0.0)
+        throw std::invalid_argument("--lease-timeout-ms must be > 0");
+    const double progress_interval =
+        args.getDouble("progress-seconds", 0.0, 86400.0);
     const bool retry_degraded = args.getFlag("retry-degraded");
     if (retry_degraded && !args.getFlag("resume")) {
-        std::fprintf(stderr,
-                     "error: --retry-degraded requires --resume (it "
-                     "changes which recorded rows count as done)\n");
-        return 1;
+        throw std::invalid_argument(
+            "--retry-degraded requires --resume (it changes which "
+            "recorded rows count as done)");
     }
 
-    service::GroupResilience resilience;
-    std::vector<service::CampaignJob> jobs;
-    try {
-        resilience = service::GroupResilience::fromArgs(args);
-        jobs = args.has("campaign")
-                   ? service::loadCampaignFile(args.get("campaign"))
-                   : campaignFromSweep(args);
-    } catch (const service::CampaignError &err) {
-        std::fprintf(stderr, "error: %s\n", err.what());
-        return 1;
-    }
+    std::vector<service::CampaignJob> jobs =
+        args.has("campaign") ? service::loadCampaignFile(args.get("campaign"))
+                             : campaignFromSweep(args);
     for (service::CampaignJob &job : jobs)
-        resilience.applyTo(job.params);
+        options.resilience.applyTo(job.params);
 
     const std::string out_path = args.get("out");
-    service::SchedulerParams sched;
-    sched.workers =
-        static_cast<size_t>(args.getIntInRange("jobs", 0, 4096));
-    sched.jobTimeoutSeconds = args.getDouble("timeout");
-    sched.stallTimeoutSeconds = stall_timeout_ms / 1000.0;
-    sched.stageRetries = static_cast<uint32_t>(stage_retries);
+    service::SchedulerParams sched = options.schedulerParams();
     if (args.getFlag("resume")) {
         // A previous run may have died mid-append; drop the torn tail
         // line before reopening for append (docs/ROBUSTNESS.md).
@@ -233,48 +121,23 @@ main(int argc, char **argv)
     }
 
     service::ResultStoreOptions store_options;
-    store_options.includeTiming = !args.getFlag("no-timing");
+    store_options.includeTiming = options.includeTiming;
     store_options.append = args.getFlag("resume");
     service::ResultStore store(out_path, store_options);
 
     // Observability must be switched on BEFORE the scheduler exists
     // (its shared ThreadPool registers worker trace names at startup)
     // and before the distributed coordinator (its counters).
-    if (args.has("trace-out")) {
-        obs::TraceRecorder::global().enable();
-        obs::TraceRecorder::global().setThreadName("main");
-    }
-    if (args.has("metrics-out"))
-        obs::MetricsRegistry::global().setEnabled(true);
-
-    const bool quiet = args.getFlag("quiet");
+    const std::string trace_out = args.get("trace-out");
+    const std::string metrics_out = args.get("metrics-out");
+    obs::enableExports(trace_out, metrics_out);
 
     // Shared tail for both the in-process and the distributed paths:
     // trace/metrics export, write-failure warning, exit policy.
     // Degraded jobs deliver usable predictions and do NOT fail the
     // campaign's exit code (docs/ROBUSTNESS.md).
     auto finish = [&](size_t failed, size_t cancelled, size_t timed_out) {
-        bool io_ok = true;
-        if (args.has("trace-out")) {
-            obs::TraceRecorder::global().disable();
-            const std::string &path = args.get("trace-out");
-            if (obs::TraceRecorder::global().writeChromeTrace(path)) {
-                std::printf("wrote %s (chrome://tracing)\n",
-                            path.c_str());
-            } else {
-                warn("could not write trace to ", path);
-                io_ok = false;
-            }
-        }
-        if (args.has("metrics-out")) {
-            const std::string &path = args.get("metrics-out");
-            if (obs::MetricsRegistry::global().writeTo(path)) {
-                std::printf("wrote %s\n", path.c_str());
-            } else {
-                warn("could not write metrics to ", path);
-                io_ok = false;
-            }
-        }
+        const bool io_ok = obs::writeExports(trace_out, metrics_out);
         if (store.writeFailures() > 0) {
             warn(store.writeFailures(),
                  " result row(s) could not be written to ", out_path,
@@ -297,47 +160,20 @@ main(int argc, char **argv)
         dist_params.maxShardReassignments =
             static_cast<uint32_t>(max_shard_reassignments);
         dist_params.keepBoard = args.getFlag("keep-board");
-        dist_params.quiet = quiet;
+        dist_params.quiet = options.quiet;
         dist_params.alreadyCompleted = std::move(sched.alreadyCompleted);
+        // Shard specs carry campaign fields only; the workers read the
+        // process options from their command lines.
+        dist_params.workerExtraArgs = options.toArgs();
 
-        // Shard specs carry campaign fields only — forward the pool /
-        // cache / resilience knobs on the worker command lines.
-        auto forward = [&dist_params](const char *flag,
-                                      const std::string &value) {
-            dist_params.workerExtraArgs.emplace_back(flag);
-            dist_params.workerExtraArgs.emplace_back(value);
-        };
-        forward("--jobs", args.get("jobs"));
-        if (!args.get("cache-dir").empty())
-            forward("--cache-dir", args.get("cache-dir"));
-        forward("--cache-mb", args.get("cache-mb"));
-        forward("--cache-disk-mb", std::to_string(cache_disk_mb));
-        forward("--timeout", args.get("timeout"));
-        forward("--stall-timeout-ms", args.get("stall-timeout-ms"));
-        forward("--stage-retries", std::to_string(stage_retries));
-        forward("--group-retries", args.get("group-retries"));
-        forward("--min-groups-fraction", args.get("min-groups-fraction"));
-        if (resilience.failFast)
-            dist_params.workerExtraArgs.emplace_back("--fail-fast");
-        if (args.getFlag("no-timing"))
-            dist_params.workerExtraArgs.emplace_back("--no-timing");
-        if (quiet)
-            dist_params.workerExtraArgs.emplace_back("--quiet");
-
-        if (!quiet) {
+        if (!options.quiet) {
             std::printf("distributing %zu job(s) across %u worker "
                         "process(es)\n",
                         jobs.size(), dist_params.workers);
         }
-        dist::DistSummary dist_summary;
-        try {
-            dist::DistCoordinator coordinator(std::move(jobs), store,
-                                              std::move(dist_params));
-            dist_summary = coordinator.run();
-        } catch (const std::exception &err) {
-            std::fprintf(stderr, "error: %s\n", err.what());
-            return 1;
-        }
+        dist::DistCoordinator coordinator(std::move(jobs), store,
+                                          std::move(dist_params));
+        const dist::DistSummary dist_summary = coordinator.run();
         std::printf("%s", dist_summary.toString().c_str());
         std::printf("results: %s (%zu row(s))\n", out_path.c_str(),
                     store.rowCount());
@@ -345,13 +181,11 @@ main(int argc, char **argv)
                       dist_summary.timedOut);
     }
 
-    const uint64_t budget =
-        static_cast<uint64_t>(args.getPositiveInt("cache-mb")) * 1024 *
-        1024;
-    service::ArtifactCache::DiskTierOptions disk;
-    disk.byteBudget = static_cast<uint64_t>(cache_disk_mb) << 20;
-    service::ArtifactCache cache(budget, args.get("cache-dir"), disk);
+    service::ArtifactCache cache(
+        options.cacheMb << 20, options.cacheDir,
+        {.byteBudget = options.cacheDiskMb << 20});
     std::atomic<size_t> jobs_done{0};
+    const bool quiet = options.quiet;
     sched.resultHook = [quiet, &jobs_done](const service::ResultRow &row) {
         jobs_done.fetch_add(1, std::memory_order_relaxed);
         if (quiet)
@@ -390,7 +224,6 @@ main(int argc, char **argv)
     std::condition_variable progress_cv;
     bool progress_stop = false;
     std::thread progress_thread;
-    const double progress_interval = args.getDouble("progress-seconds");
     if (!quiet && progress_interval > 0) {
         progress_thread = std::thread([&] {
             std::unique_lock<std::mutex> lock(progress_mutex);
@@ -422,8 +255,87 @@ main(int argc, char **argv)
     std::printf("%s", summary.toString().c_str());
     std::printf("results: %s (%zu row(s))\n", out_path.c_str(),
                 store.rowCount());
-    if (!args.get("cache-dir").empty())
+    if (!options.cacheDir.empty())
         std::printf("%s\n", cache.summary().c_str());
 
     return finish(summary.failed, summary.cancelled, summary.timedOut);
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    ArgParser args("zatel-batch",
+                   "Batch campaign runner: shared-pool scheduling, "
+                   "content-addressed artifact cache, resumable results");
+    args.addOption("campaign", "",
+                   "campaign file (.csv -> CSV with '|' sweeps, anything "
+                   "else -> JSONL); omit to use the sweep shorthand");
+    args.addOption("out", "zatel-results.jsonl",
+                   "result file (.csv -> CSV, anything else -> JSONL)");
+    // Pool, cache, budgets, resilience (docs/ROBUSTNESS.md) and row
+    // format: the options zatel-worker reads too.
+    service::CampaignOptions::addOptions(args);
+    // Distributed campaigns (docs/DISTRIBUTED.md).
+    args.addOption("workers", "0",
+                   "distribute the campaign across this many zatel-worker "
+                   "processes, 0-256 (0 = run in-process)");
+    args.addOption("worker-cmd", "",
+                   "worker executable (default: zatel-worker next to "
+                   "this binary)");
+    args.addOption("board-dir", "",
+                   "job-board scratch directory (default: <out>.board)");
+    args.addOption("shards", "0",
+                   "job-board shard count, 0-4096 (0 = min(jobs, "
+                   "workers*4))");
+    args.addOption("lease-timeout-ms", "10000",
+                   "reclaim a worker's shard lease after this long "
+                   "without a heartbeat (at most 86400000)");
+    args.addOption("max-shard-reassignments", "3",
+                   "reclamations per shard, 0-1000, before its unfinished "
+                   "jobs degrade instead of retrying forever");
+    args.addFlag("keep-board",
+                 "keep the job-board directory after the run (debugging)");
+    args.addFlag("retry-degraded",
+                 "with --resume: re-run jobs whose recorded status is "
+                 "'degraded' (default resumes them as done)");
+    // Sweep shorthand (each may repeat to form a cartesian product).
+    args.addOption("scene", "PARK", "scene name (repeatable)");
+    args.addOption("gpu", "soc", "target GPU: soc | rtx2060 (repeatable)");
+    args.addOption("res", "64", "square image resolution (repeatable)");
+    args.addOption("fraction", "",
+                   "fixed trace fraction (repeatable; bypasses eq. 1)");
+    args.addOption("spp", "1", "samples per pixel");
+    args.addOption("seed", "173025", "pipeline seed");
+    args.addOption("detail", "1.0", "procedural scene density multiplier");
+    args.addOption("k", "", "force the division/downscale factor");
+    args.addOption("trace-out", "",
+                   "write a Chrome trace_event JSON of the campaign here "
+                   "(open in chrome://tracing or Perfetto)");
+    args.addOption("metrics-out", "",
+                   "write the metrics registry here (.json = JSON, "
+                   "anything else = Prometheus text)");
+    args.addOption("progress-seconds", "10",
+                   "interval of the periodic progress line for long "
+                   "campaigns, 0-86400 (0 disables it)");
+    args.addFlag("oracle", "also run the (cached) full simulation");
+    args.addFlag("resume", "skip jobs already 'ok' in --out; append");
+    args.addFlag("help", "show this help");
+
+    if (!args.parse(argc, argv)) {
+        std::fprintf(stderr, "error: %s\n%s", args.errorMessage().c_str(),
+                     args.usage().c_str());
+        return 1;
+    }
+    if (args.getFlag("help")) {
+        std::printf("%s", args.usage().c_str());
+        return 0;
+    }
+    try {
+        return run(args);
+    } catch (const std::exception &err) {
+        std::fprintf(stderr, "error: %s\n", err.what());
+        return 1;
+    }
 }

@@ -28,8 +28,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "obs/metrics_registry.hh"
-#include "obs/trace_recorder.hh"
+#include "obs/exports.hh"
 #include "rt/bvh.hh"
 #include "rt/obj_loader.hh"
 #include "rt/scene_library.hh"
@@ -149,56 +148,15 @@ sceneFromObj(const std::string &path)
     return scene;
 }
 
-/**
- * Turn on the observability layer when --trace-out / --metrics-out was
- * given. Must run BEFORE any thread pool is created so workers can
- * register their trace names (docs/OBSERVABILITY.md).
- */
-void
-setupObservability(const ArgParser &args)
-{
-    if (args.has("trace-out")) {
-        obs::TraceRecorder::global().enable();
-        obs::TraceRecorder::global().setThreadName("main");
-    }
-    if (args.has("metrics-out"))
-        obs::MetricsRegistry::global().setEnabled(true);
-}
-
-/** Flush --trace-out / --metrics-out files; returns 0 on success. */
-int
-writeObsOutputs(const ArgParser &args)
-{
-    int status = 0;
-    if (args.has("trace-out")) {
-        obs::TraceRecorder::global().disable();
-        const std::string &path = args.get("trace-out");
-        if (obs::TraceRecorder::global().writeChromeTrace(path))
-            std::printf("wrote %s (chrome://tracing)\n", path.c_str());
-        else {
-            warn("could not write trace to ", path);
-            status = 1;
-        }
-    }
-    if (args.has("metrics-out")) {
-        const std::string &path = args.get("metrics-out");
-        if (obs::MetricsRegistry::global().writeTo(path))
-            std::printf("wrote %s\n", path.c_str());
-        else {
-            warn("could not write metrics to ", path);
-            status = 1;
-        }
-    }
-    return status;
-}
-
 /** Run a predict, oracle or compare command; throws on any failure. */
-int
+void
 run(const std::string &command, const ArgParser &args)
 {
     const service::CampaignJob job = recipeFromArgs(args);
     const gpusim::GpuConfig config = service::gpuConfigFromName(job.gpu);
-    setupObservability(args);
+    // Before any thread pool exists, so the workers register their
+    // trace names (docs/OBSERVABILITY.md).
+    obs::enableExports(args.get("trace-out"), args.get("metrics-out"));
     rt::Scene scene =
         args.has("obj")
             ? sceneFromObj(args.get("obj"))
@@ -213,7 +171,7 @@ run(const std::string &command, const ArgParser &args)
         printMetrics("Value", predictor.runOracle(&report).metrics());
         if (args.getFlag("dump-stats"))
             std::printf("\n%s", report.toString().c_str());
-        return writeObsOutputs(args);
+        return;
     }
 
     const core::ZatelResult result = predictor.predict();
@@ -223,7 +181,7 @@ run(const std::string &command, const ArgParser &args)
         if (args.has("heatmap-out") &&
             predictor.quantizedHeatmap().writePpm(args.get("heatmap-out")))
             std::printf("wrote %s\n", args.get("heatmap-out").c_str());
-        return writeObsOutputs(args);
+        return;
     }
 
     // compare: the oracle slices the frame ray record the prediction's
@@ -238,7 +196,6 @@ run(const std::string &command, const ArgParser &args)
     std::printf("speedup (1 core/group): %.1fx\n",
                 core::oneCorePerGroupSpeedup(oracle, result));
     maybeWriteCsv(args, result);
-    return writeObsOutputs(args);
 }
 
 } // namespace
@@ -318,9 +275,12 @@ main(int argc, char **argv)
     }
 
     try {
-        return run(command, args);
+        run(command, args);
     } catch (const std::exception &err) {
         std::fprintf(stderr, "error: %s\n", err.what());
         return 1;
     }
+    return obs::writeExports(args.get("trace-out"), args.get("metrics-out"))
+               ? 0
+               : 1;
 }

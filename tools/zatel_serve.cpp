@@ -19,10 +19,11 @@
 
 #include <csignal>
 #include <cstdio>
+#include <exception>
 #include <string>
 #include <thread>
 
-#include "obs/metrics_registry.hh"
+#include "obs/exports.hh"
 #include "serve/server.hh"
 #include "service/artifact_cache.hh"
 #include "util/arg_parser.hh"
@@ -40,6 +41,70 @@ extern "C" void
 handleShutdownSignal(int)
 {
     g_shutdown = 1;
+}
+
+/** Serve until SIGINT/SIGTERM; returns the exit code. */
+int
+run(const ArgParser &args)
+{
+    serve::ServeParams params;
+    params.host = args.get("host");
+    params.port = static_cast<uint16_t>(args.getUint("port", 0, 65535));
+    // The *-ms options, in seconds.
+    const auto seconds = [&args](const char *name, uint64_t lo, uint64_t hi) {
+        return static_cast<double>(args.getUint(name, lo, hi)) / 1000.0;
+    };
+    params.httpWorkers = args.getUint("http-workers", 1, 256);
+    params.connectionQueueLimit = args.getUint("queue-limit", 1, 65536);
+    params.readTimeoutSeconds = seconds("read-timeout-ms", 1, 3600000);
+    params.predict.defaultDeadlineSeconds =
+        seconds("deadline-ms", 0, 86400000);
+    params.predict.maxDeadlineSeconds =
+        seconds("max-deadline-ms", 0, 86400000);
+    params.predict.maxPendingPredictions =
+        args.getUint("max-inflight", 1, 65536);
+    params.predict.responseCacheEntries =
+        args.getUint("reply-cache", 0, 1 << 20);
+    params.pipeline.workers = args.getUint("workers", 0, 4096);
+    params.pipeline.stallTimeoutSeconds =
+        seconds("stall-timeout-ms", 0, 86400000);
+    params.pipeline.stageRetries =
+        static_cast<uint32_t>(args.getUint("stage-retries", 0, 100));
+    const uint64_t cache_mb = args.getUint("cache-mb", 1, 1 << 20);
+
+    service::ArtifactCache cache(cache_mb << 20, args.get("cache-dir"));
+    serve::PredictionServer server(cache, params);
+    server.start();
+
+    if (args.has("port-file")) {
+        const std::string &path = args.get("port-file");
+        std::FILE *file = std::fopen(path.c_str(), "w");
+        if (!file) {
+            warn("could not write port file ", path);
+        } else {
+            std::fprintf(file, "%u\n",
+                         static_cast<unsigned>(server.port()));
+            std::fclose(file);
+        }
+    }
+
+    struct sigaction action{};
+    action.sa_handler = handleShutdownSignal;
+    sigaction(SIGINT, &action, nullptr);
+    sigaction(SIGTERM, &action, nullptr);
+
+    // The acceptor and workers do all the serving; the main thread only
+    // waits for a shutdown signal (tools may sleep — src/ may not).
+    while (!g_shutdown)
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+    inform("zatel-serve: shutdown signal received, draining");
+    server.stop();
+
+    const bool io_ok = obs::writeExports("", args.get("metrics-out"));
+    if (!args.get("cache-dir").empty())
+        std::printf("%s\n", cache.summary().c_str());
+    return io_ok ? 0 : 1;
 }
 
 } // namespace
@@ -98,87 +163,10 @@ main(int argc, char **argv)
         return 0;
     }
 
-    serve::ServeParams params;
-    params.host = args.get("host");
-    params.port = args.getPortNumber("port", /*allowZero=*/true);
-    params.httpWorkers =
-        static_cast<size_t>(args.getIntInRange("http-workers", 1, 256));
-    params.connectionQueueLimit =
-        static_cast<size_t>(args.getIntInRange("queue-limit", 1, 65536));
-    params.readTimeoutSeconds =
-        static_cast<double>(args.getIntInRange("read-timeout-ms", 1,
-                                               3600000)) /
-        1000.0;
-    params.predict.defaultDeadlineSeconds =
-        static_cast<double>(
-            args.getIntInRange("deadline-ms", 0, 86400000)) /
-        1000.0;
-    params.predict.maxDeadlineSeconds =
-        static_cast<double>(
-            args.getIntInRange("max-deadline-ms", 0, 86400000)) /
-        1000.0;
-    params.predict.maxPendingPredictions =
-        static_cast<size_t>(args.getIntInRange("max-inflight", 1, 65536));
-    params.predict.responseCacheEntries =
-        static_cast<size_t>(args.getIntInRange("reply-cache", 0, 1 << 20));
-    params.pipeline.workers = static_cast<size_t>(
-        args.getIntInRange("workers", 0, 4096));
-    params.pipeline.stallTimeoutSeconds =
-        static_cast<double>(
-            args.getIntInRange("stall-timeout-ms", 0, 86400000)) /
-        1000.0;
-    params.pipeline.stageRetries = static_cast<uint32_t>(
-        args.getIntInRange("stage-retries", 0, 100));
-
-    const uint64_t budget =
-        static_cast<uint64_t>(args.getPositiveInt("cache-mb")) * 1024 *
-        1024;
-    service::ArtifactCache cache(budget, args.get("cache-dir"));
-
-    serve::PredictionServer server(cache, params);
     try {
-        server.start();
-    } catch (const serve::ServeError &err) {
+        return run(args);
+    } catch (const std::exception &err) {
         std::fprintf(stderr, "error: %s\n", err.what());
         return 1;
     }
-
-    if (args.has("port-file")) {
-        const std::string &path = args.get("port-file");
-        std::FILE *file = std::fopen(path.c_str(), "w");
-        if (!file) {
-            warn("could not write port file ", path);
-        } else {
-            std::fprintf(file, "%u\n",
-                         static_cast<unsigned>(server.port()));
-            std::fclose(file);
-        }
-    }
-
-    struct sigaction action{};
-    action.sa_handler = handleShutdownSignal;
-    sigaction(SIGINT, &action, nullptr);
-    sigaction(SIGTERM, &action, nullptr);
-
-    // The acceptor and workers do all the serving; the main thread only
-    // waits for a shutdown signal (tools may sleep — src/ may not).
-    while (!g_shutdown)
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-
-    inform("zatel-serve: shutdown signal received, draining");
-    server.stop();
-
-    bool io_ok = true;
-    if (args.has("metrics-out")) {
-        const std::string &path = args.get("metrics-out");
-        if (obs::MetricsRegistry::global().writeTo(path)) {
-            std::printf("wrote %s\n", path.c_str());
-        } else {
-            warn("could not write metrics to ", path);
-            io_ok = false;
-        }
-    }
-    if (!args.get("cache-dir").empty())
-        std::printf("%s\n", cache.summary().c_str());
-    return io_ok ? 0 : 1;
 }

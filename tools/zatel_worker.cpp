@@ -25,7 +25,7 @@
 #include <string>
 
 #include "dist/worker.hh"
-#include "service/campaign.hh"
+#include "service/campaign_options.hh"
 #include "util/arg_parser.hh"
 
 int
@@ -39,25 +39,10 @@ main(int argc, char **argv)
     args.addOption("board-dir", "", "job-board directory (required "
                                     "unless --cache-stress)");
     args.addOption("worker-id", "0", "coordinator-assigned worker id");
-    args.addOption("jobs", "0",
-                   "scheduler pool size (0 = hardware concurrency)");
-    args.addOption("cache-dir", "",
-                   "shared artifact persistence directory");
-    args.addOption("cache-mb", "512",
-                   "in-memory artifact cache budget in MiB");
-    args.addOption("cache-disk-mb", "0",
-                   "disk-tier byte budget in MiB (0 = unlimited)");
-    args.addOption("timeout", "0",
-                   "per-job wall-clock budget in seconds (0 = none)");
-    args.addOption("stall-timeout-ms", "0",
-                   "simulation stall watchdog (0 = no watchdog)");
-    args.addOption("stage-retries", "1",
-                   "retries for transient start-stage/oracle failures");
-    service::GroupResilience::addOptions(args);
     args.addOption("heartbeat-ms", "1000", "lease refresh period");
-    args.addFlag("no-timing",
-                 "omit wall-clock fields from fragment rows");
-    args.addFlag("quiet", "suppress progress output");
+    // What zatel-batch read for the campaign, passed on by
+    // CampaignOptions::toArgs().
+    service::CampaignOptions::addOptions(args);
     args.addOption("cache-stress", "",
                    "run the multi-process cache stress against this "
                    "directory instead of the worker loop");
@@ -77,15 +62,14 @@ main(int argc, char **argv)
         return 0;
     }
 
+    // Exit 2 is the protocol's "bad options or unreadable board".
     try {
         if (args.has("cache-stress")) {
             return dist::runCacheStress(
                 args.get("cache-stress"),
                 static_cast<uint32_t>(
-                    args.getIntInRange("stress-iterations", 1, 1000000)),
-                static_cast<uint64_t>(
-                    args.getIntInRange("stress-disk-budget", 0,
-                                       int64_t(1) << 40)));
+                    args.getUint("stress-iterations", 1, 1000000)),
+                args.getUint("stress-disk-budget", 0, uint64_t(1) << 40));
         }
 
         if (args.get("board-dir").empty()) {
@@ -94,28 +78,13 @@ main(int argc, char **argv)
         }
         dist::WorkerOptions options;
         options.boardDir = args.get("board-dir");
-        options.workerId = static_cast<uint64_t>(
-            args.getIntInRange("worker-id", 0, int64_t(1) << 40));
-        options.jobs =
-            static_cast<size_t>(args.getIntInRange("jobs", 0, 4096));
-        options.cacheDir = args.get("cache-dir");
-        options.cacheMb = static_cast<uint64_t>(
-            args.getIntInRange("cache-mb", 1, 1 << 20));
-        options.cacheDiskMb = static_cast<uint64_t>(
-            args.getIntInRange("cache-disk-mb", 0, 1 << 20));
-        options.jobTimeoutSeconds = args.getDouble("timeout");
-        options.stallTimeoutSeconds =
-            args.getDouble("stall-timeout-ms") / 1000.0;
-        options.stageRetries = static_cast<uint32_t>(
-            args.getIntInRange("stage-retries", 0, 100));
-        options.resilience = service::GroupResilience::fromArgs(args);
+        options.workerId = args.getUint("worker-id", 0, uint64_t(1) << 40);
         options.heartbeatSeconds =
-            args.getDouble("heartbeat-ms") / 1000.0;
-        options.includeTiming = !args.getFlag("no-timing");
-        options.quiet = args.getFlag("quiet");
+            args.getDouble("heartbeat-ms", 0.0, 86400000.0) / 1000.0;
+        options.campaign = service::CampaignOptions::fromArgs(args);
         return dist::runWorker(options);
     } catch (const std::exception &error) {
-        std::fprintf(stderr, "zatel-worker: %s\n", error.what());
+        std::fprintf(stderr, "error: %s\n", error.what());
         return 2;
     }
 }
